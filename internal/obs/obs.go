@@ -110,6 +110,43 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bits.Len64(v)].Add(1)
 }
 
+// HistogramBatch accumulates observations in plain fields for one
+// goroutine to publish into a Histogram with AddBatch — the hot loop's
+// way to observe per event without an atomic per event. The zero value
+// is an empty batch.
+type HistogramBatch struct {
+	count   uint64
+	sum     uint64
+	buckets [histogramBuckets]uint64
+}
+
+// Observe records v in the batch.
+//
+//repro:hotpath
+func (b *HistogramBatch) Observe(v uint64) {
+	b.count++
+	b.sum += v
+	b.buckets[bits.Len64(v)]++
+}
+
+// AddBatch publishes b's observations and empties b (also with a nil
+// h). Like Observe it updates count first and buckets last, so a
+// concurrent Snapshot still sees Σ buckets ≤ Count.
+//
+//repro:hotpath
+func (h *Histogram) AddBatch(b *HistogramBatch) {
+	if h != nil && b.count > 0 {
+		h.count.Add(b.count)
+		h.sum.Add(b.sum)
+		for i, n := range b.buckets {
+			if n > 0 {
+				h.buckets[i].Add(n)
+			}
+		}
+	}
+	*b = HistogramBatch{}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

@@ -64,22 +64,32 @@ func TestHistogramAdjacentBucketsMeet(t *testing.T) {
 // fixed load order provides: a snapshot taken mid-publish may miss an
 // in-flight observation's bucket, but it must never show more bucketed
 // observations than Count (buckets read first, count read last, while
-// Observe writes count first and the bucket last). Run under -race in
-// CI.
+// Observe and AddBatch write count first and buckets last). Half the
+// publishers observe one value at a time, half publish batches. Run
+// under -race in CI.
 func TestHistogramSnapshotNotTorn(t *testing.T) {
 	var h Histogram
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(seed uint64) {
+		go func(seed uint64, batched bool) {
 			defer wg.Done()
+			var b HistogramBatch
 			v := seed
 			for !stop.Load() {
 				v = v*6364136223846793005 + 1442695040888963407
-				h.Observe(v >> (v % 64))
+				if !batched {
+					h.Observe(v >> (v % 64))
+					continue
+				}
+				b.Observe(v >> (v % 64))
+				if v%7 == 0 {
+					h.AddBatch(&b)
+				}
 			}
-		}(uint64(w + 1))
+			h.AddBatch(&b)
+		}(uint64(w+1), w%2 == 1)
 	}
 	for i := 0; i < 3000; i++ {
 		s := h.Snapshot()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -73,8 +74,43 @@ func TestPublishZeroAllocs(t *testing.T) {
 		g.Add(2)
 		h.Observe(1234)
 		nilC.Inc()
+		var batch HistogramBatch
+		batch.Observe(99)
+		h.AddBatch(&batch)
 	}); avg != 0 {
 		t.Errorf("publish allocated %.1f per op, want 0", avg)
+	}
+}
+
+// A batch published with AddBatch must leave the histogram exactly as
+// observing the same values one by one does, and empty the batch —
+// also when the histogram is nil.
+func TestHistogramAddBatch(t *testing.T) {
+	var direct, batched Histogram
+	var b HistogramBatch
+	for i, v := range []uint64{0, 1, 2, 3, 64, 1 << 40, ^uint64(0), 7, 7} {
+		direct.Observe(v)
+		b.Observe(v)
+		if i == 4 {
+			batched.AddBatch(&b)
+		}
+	}
+	batched.AddBatch(&b)
+	if got, want := batched.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("batched snapshot %+v, want %+v", got, want)
+	}
+	if b != (HistogramBatch{}) {
+		t.Error("AddBatch left the batch non-empty")
+	}
+	batched.AddBatch(&b)
+	if batched.Count() != direct.Count() {
+		t.Error("empty batch changed the histogram")
+	}
+	var nilH *Histogram
+	b.Observe(5)
+	nilH.AddBatch(&b)
+	if b != (HistogramBatch{}) {
+		t.Error("AddBatch on a nil histogram left the batch non-empty")
 	}
 }
 

@@ -5,7 +5,10 @@
 // engines cost the traffic the cache emits on its external side.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Policy selects the replacement discipline within a set.
 type Policy int
@@ -87,14 +90,15 @@ type line struct {
 
 // Cache is one cache instance.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	setsN uint64
-	tick  uint64
-	stats Stats
-	// m mirrors the Stats counters into live obs metrics; the zero
-	// value publishes nowhere (nil-safe no-ops).
-	m LevelMetrics
+	cfg  Config
+	sets [][]line
+	// The geometry is powers of two, so an address splits into tag,
+	// set and line offset by shifts and a mask: set = (addr>>lineShift)
+	// & setMask, tag = addr>>(lineShift+setShift).
+	lineShift, setShift uint
+	setMask             uint64
+	tick                uint64
+	stats               Stats
 }
 
 // New builds a cache or reports a bad geometry.
@@ -108,7 +112,13 @@ func New(cfg Config) (*Cache, error) {
 	for i := range sets {
 		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
 	}
-	return &Cache{cfg: cfg, sets: sets, setsN: uint64(setsN)}, nil
+	return &Cache{
+		cfg:       cfg,
+		sets:      sets,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(setsN))),
+		setMask:   uint64(setsN - 1),
+	}, nil
 }
 
 // Config returns the geometry.
@@ -126,8 +136,13 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	lineNo := addr / uint64(c.cfg.LineSize)
-	return lineNo % c.setsN, lineNo / c.setsN
+	lineNo := addr >> c.lineShift
+	return lineNo & c.setMask, lineNo >> c.setShift
+}
+
+// lineAddrOf is index's inverse: the line-aligned address of tag in set.
+func (c *Cache) lineAddrOf(set, tag uint64) uint64 {
+	return (tag<<c.setShift | set) << c.lineShift
 }
 
 // Result describes what one access did on the cache's external side.
@@ -167,7 +182,6 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
-			c.m.Hits.Inc()
 			if c.cfg.Policy == LRU {
 				ways[i].used = c.tick
 			}
@@ -188,7 +202,6 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 	}
 
 	c.stats.Misses++
-	c.m.Misses.Inc()
 	var res Result
 	res.Slot = -1
 
@@ -236,12 +249,10 @@ func (c *Cache) victimWay(set uint64) (way int, wbAddr uint64, writeback bool) {
 			}
 		}
 		c.stats.Evictions++
-		c.m.Evictions.Inc()
 		if ways[victim].dirty {
 			c.stats.Writebacks++
-			c.m.Writebacks.Inc()
 			writeback = true
-			wbAddr = (ways[victim].tag*c.setsN + set) * uint64(c.cfg.LineSize)
+			wbAddr = c.lineAddrOf(set, ways[victim].tag)
 		}
 	}
 	return victim, wbAddr, writeback
@@ -266,7 +277,6 @@ func (c *Cache) Install(addr uint64) (slot int, victim DirtyLine, hasVictim bool
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
-			c.m.Hits.Inc()
 			if c.cfg.Policy == LRU {
 				ways[i].used = c.tick
 			}
@@ -276,7 +286,6 @@ func (c *Cache) Install(addr uint64) (slot int, victim DirtyLine, hasVictim bool
 	}
 
 	c.stats.Misses++
-	c.m.Misses.Inc()
 	way, wbAddr, writeback := c.victimWay(set)
 	if writeback {
 		victim = DirtyLine{Addr: wbAddr, Slot: int(set)*c.cfg.Ways + way}
@@ -288,7 +297,7 @@ func (c *Cache) Install(addr uint64) (slot int, victim DirtyLine, hasVictim bool
 
 // Lines returns the total number of line slots (sets x ways) — the
 // bound on any per-resident-line side storage a caller keeps.
-func (c *Cache) Lines() int { return int(c.setsN) * c.cfg.Ways }
+func (c *Cache) Lines() int { return len(c.sets) * c.cfg.Ways }
 
 // DirtyLine identifies one dirty resident line: its line-aligned
 // address and its storage slot (see Result.Slot).
@@ -306,7 +315,7 @@ func (c *Cache) FlushDirty(buf []DirtyLine) []DirtyLine {
 			l := &c.sets[s][w]
 			if l.valid && l.dirty {
 				buf = append(buf, DirtyLine{
-					Addr: (l.tag*c.setsN + uint64(s)) * uint64(c.cfg.LineSize),
+					Addr: c.lineAddrOf(uint64(s), l.tag),
 					Slot: s*c.cfg.Ways + w,
 				})
 				l.dirty = false

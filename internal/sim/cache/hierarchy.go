@@ -60,8 +60,6 @@ type Hierarchy struct {
 	levels   []*Cache
 	events   []Event
 	flushBuf []DirtyLine
-	// m publishes transfer events live; zero value publishes nowhere.
-	m HierarchyMetrics
 }
 
 // NewHierarchy composes levels (innermost first). All levels must share
@@ -118,21 +116,14 @@ func (h *Hierarchy) Access(addr uint64, isStore bool) (AccessResult, []Event) {
 // displaced by the install spills onward first.
 func (h *Hierarchy) pushDown(level int, addr uint64, slot int) {
 	if level == len(h.levels)-1 {
-		h.emit(Event{Kind: EvWriteback, Level: level, Addr: addr, Slot: slot, PeerSlot: -1})
+		h.events = append(h.events, Event{Kind: EvWriteback, Level: level, Addr: addr, Slot: slot, PeerSlot: -1})
 		return
 	}
 	peer, victim, hasVictim := h.levels[level+1].Install(addr)
 	if hasVictim {
 		h.pushDown(level+1, victim.Addr, victim.Slot)
 	}
-	h.emit(Event{Kind: EvWriteback, Level: level, Addr: addr, Slot: slot, PeerSlot: peer})
-}
-
-// emit appends one transfer event and publishes it to the live
-// metrics (a no-op with the zero-value metrics bundle).
-func (h *Hierarchy) emit(ev Event) {
-	h.m.observe(ev)
-	h.events = append(h.events, ev)
+	h.events = append(h.events, Event{Kind: EvWriteback, Level: level, Addr: addr, Slot: slot, PeerSlot: peer})
 }
 
 // fillFrom emits the transfers for level filling line addr into slot:
@@ -140,7 +131,7 @@ func (h *Hierarchy) emit(ev Event) {
 // from external memory at the last level.
 func (h *Hierarchy) fillFrom(level int, addr uint64, slot int) {
 	if level == len(h.levels)-1 {
-		h.emit(Event{Kind: EvFill, Level: level, Addr: addr, Slot: slot, PeerSlot: -1})
+		h.events = append(h.events, Event{Kind: EvFill, Level: level, Addr: addr, Slot: slot, PeerSlot: -1})
 		return
 	}
 	res := h.levels[level+1].Access(addr, false)
@@ -150,7 +141,7 @@ func (h *Hierarchy) fillFrom(level int, addr uint64, slot int) {
 	if res.Fill {
 		h.fillFrom(level+1, res.FillAddr, res.Slot)
 	}
-	h.emit(Event{Kind: EvFill, Level: level, Addr: addr, Slot: slot, PeerSlot: res.Slot})
+	h.events = append(h.events, Event{Kind: EvFill, Level: level, Addr: addr, Slot: slot, PeerSlot: res.Slot})
 }
 
 // Flush drains every dirty line toward memory, innermost level first:

@@ -4,7 +4,10 @@
 // memory content in clear form through the parallel-port").
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config fixes the memory timing, in memory-clock cycles.
 type Config struct {
@@ -39,10 +42,14 @@ func DefaultConfig() Config {
 
 // DRAM is one external memory instance.
 type DRAM struct {
-	cfg     Config
-	openRow uint64
-	hasOpen bool
-	store   map[uint64][]byte // page-granular backing store (4 KiB pages)
+	cfg      Config
+	rowShift uint // log2(RowSize)
+	openRow  uint64
+	hasOpen  bool
+	// store is the page-granular backing store (4 KiB pages). Only
+	// Write creates pages; reads of unwritten memory return zeros and
+	// allocate nothing.
+	store map[uint64][]byte
 	// Stats
 	Accesses uint64
 	RowHits  uint64
@@ -55,7 +62,11 @@ func New(cfg Config) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DRAM{cfg: cfg, store: make(map[uint64][]byte)}, nil
+	return &DRAM{
+		cfg:      cfg,
+		rowShift: uint(bits.TrailingZeros(uint(cfg.RowSize))),
+		store:    make(map[uint64][]byte),
+	}, nil
 }
 
 // Config returns the timing parameters.
@@ -64,7 +75,7 @@ func (d *DRAM) Config() Config { return d.cfg }
 // AccessCycles returns the CPU-cycle latency for touching addr,
 // updating the row-buffer state.
 func (d *DRAM) AccessCycles(addr uint64) uint64 {
-	row := addr / uint64(d.cfg.RowSize)
+	row := addr >> d.rowShift
 	d.Accesses++
 	cycles := d.cfg.RowMissCycles
 	if d.hasOpen && d.openRow == row {
@@ -75,12 +86,13 @@ func (d *DRAM) AccessCycles(addr uint64) uint64 {
 	return uint64(cycles * d.cfg.ClockDivider)
 }
 
+// page returns the page holding addr, creating it on first write.
 func (d *DRAM) page(addr uint64) []byte {
 	base := addr &^ (pageSize - 1)
 	p, ok := d.store[base]
 	if !ok {
-		p = make([]byte, pageSize) //repro:allow demand paging; each page allocates once, steady state hits existing pages
-		d.store[base] = p          //repro:allow demand paging; each page inserts once, steady state hits existing pages
+		p = make([]byte, pageSize) //repro:allow demand paging on first write; each page allocates once, reads never create pages
+		d.store[base] = p          //repro:allow demand paging on first write; each page inserts once, reads never create pages
 	}
 	return p
 }
@@ -104,12 +116,16 @@ func (d *DRAM) Read(addr uint64, n int) []byte {
 }
 
 // ReadInto fetches len(dst) bytes at addr into dst without allocating —
-// the simulator's hot fill path.
+// the simulator's hot fill path. Unwritten ranges read as zeros.
 func (d *DRAM) ReadInto(addr uint64, dst []byte) {
 	for len(dst) > 0 {
-		p := d.page(addr)
 		off := int(addr & (pageSize - 1))
-		n := copy(dst, p[off:])
+		n := min(len(dst), pageSize-off)
+		if p, ok := d.store[addr&^(pageSize-1)]; ok {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
 		dst = dst[n:]
 		addr += uint64(n)
 	}

@@ -70,6 +70,38 @@ func TestUntouchedMemoryReadsZero(t *testing.T) {
 			t.Fatal("untouched memory nonzero")
 		}
 	}
+
+	// Reading unwritten memory creates no page: a dirty destination is
+	// zeroed, and the read allocates nothing.
+	dst := bytes.Repeat([]byte{0xAA}, 64)
+	if avg := testing.AllocsPerRun(100, func() { d.ReadInto(0x7000_0000, dst) }); avg != 0 {
+		t.Errorf("ReadInto of unwritten memory allocated %.1f times, want 0", avg)
+	}
+	if !bytes.Equal(dst, make([]byte, 64)) {
+		t.Errorf("ReadInto of unwritten memory = %x, want zeros", dst)
+	}
+	if len(d.store) != 0 {
+		t.Errorf("reads created %d pages, want 0", len(d.store))
+	}
+
+	// A read spanning a written page and an unwritten one returns the
+	// written bytes followed by zeros.
+	written := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	d.Write(2*pageSize-8, written)
+	span := bytes.Repeat([]byte{0xAA}, 24)
+	d.ReadInto(2*pageSize-8, span)
+	want := append(append([]byte{}, written...), make([]byte, 16)...)
+	if !bytes.Equal(span, want) {
+		t.Errorf("cross-page read = %x, want %x", span, want)
+	}
+	if len(d.store) != 1 {
+		t.Errorf("store holds %d pages after one single-page write, want 1", len(d.store))
+	}
+
+	// The attacker's dump of unwritten memory still reads zeros.
+	if dump := d.Dump(0x5000_0000, 3*pageSize); !bytes.Equal(dump, make([]byte, 3*pageSize)) {
+		t.Error("Dump of unwritten memory nonzero")
+	}
 }
 
 func TestCrossPageWrite(t *testing.T) {

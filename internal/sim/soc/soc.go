@@ -81,8 +81,9 @@ type Config struct {
 	// the overhead comparison apples-to-apples.
 	SkipFinalFlush bool
 	// Metrics, when non-nil, installs live observability: the hot loop
-	// publishes into the bundle's pre-registered atomic metrics with
-	// zero allocations per reference (the obs fixed-registry contract).
+	// counts in plain fields and publishes the deltas into the bundle's
+	// pre-registered atomic metrics every 4096 references and at the end
+	// of Run, with zero allocations (the obs fixed-registry contract).
 	// nil runs exactly as before — publishes become nil-receiver no-ops.
 	Metrics *Metrics
 	// Recorder, when non-nil, installs the flight recorder
@@ -223,8 +224,10 @@ type SoC struct {
 	// allocates: inbound ciphertext, outbound ciphertext, and a line of
 	// plaintext for non-resident write-through rewrites.
 	ctIn, ctOut, ptBuf []byte
-	// m is the live metrics bundle (zero value = publish nowhere).
-	m Metrics
+	// m is the live metrics bundle (zero value = publish nowhere);
+	// tally batches the hot loop's counts between publishes.
+	m     Metrics
+	tally tally
 	// rc is the flight recorder (nil = no-op sink); granules is the
 	// engine blocks per line figure EDU events carry; flushing marks
 	// transfers emitted by the end-of-run drain (FlagFlush).
@@ -338,11 +341,6 @@ func New(cfg Config) (*SoC, error) {
 	}
 	if cfg.Metrics != nil {
 		s.m = *cfg.Metrics
-		c.SetMetrics(s.m.L1)
-		if l2 != nil {
-			l2.SetMetrics(s.m.L2)
-		}
-		hier.SetMetrics(s.m.Hier)
 	}
 	return s, nil
 }
@@ -473,7 +471,6 @@ func (s *SoC) fill(lineAddr uint64, pt []byte, rep *Report) (cycles, engineStall
 	busCycles := s.bus.Transfer(bus.Read, lineAddr, s.ctIn[:s.transferSize(lineAddr, ls)])
 	s.engine.DecryptLine(lineAddr, pt, s.ctIn)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindDecipher, lineAddr, 0, 0, s.granules)
 	transfer := dramCycles + busCycles
 	extra := s.engine.ReadExtraCycles(lineAddr, ls, transfer)
@@ -499,13 +496,11 @@ func (s *SoC) verifyInbound(lineAddr uint64, ct, pt []byte, rep *Report) uint64 
 		stall += uint64(s.cfg.ViolationCycles)
 		rep.AuthStalls += uint64(s.cfg.ViolationCycles)
 		rep.AuthViolations++
-		s.m.AuthViolations.Inc()
 		clear(pt)
 		if s.cfg.OnViolation != nil {
 			s.cfg.OnViolation(s.curRef, lineAddr)
 		}
 	}
-	s.m.AuthStalls.Add(stall)
 	return stall
 }
 
@@ -518,7 +513,6 @@ func (s *SoC) spill(lineAddr uint64, pt []byte, rep *Report) (cycles, engineStal
 	ls := s.cfg.Cache.LineSize
 	s.engine.EncryptLine(lineAddr, s.ctOut, pt)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindEncipher, lineAddr, 0, 0, s.granules)
 	dramCycles := s.dram.AccessCycles(lineAddr)
 	busCycles := s.bus.Transfer(bus.Write, lineAddr, s.ctOut[:s.transferSize(lineAddr, ls)])
@@ -557,7 +551,6 @@ func (s *SoC) innerFill(lineAddr uint64, pt, ct []byte, rep *Report) (cycles, en
 	ls := s.cfg.Cache.LineSize
 	s.engine.DecryptLine(lineAddr, pt, ct)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindDecipher, lineAddr, 0, rec.FlagInner, s.granules)
 	extra := s.engine.ReadExtraCycles(lineAddr, ls, s.l2Hit)
 	cycles = s.l2Hit + extra
@@ -574,14 +567,12 @@ func (s *SoC) innerSpill(lineAddr uint64, pt, ct []byte, rep *Report) (cycles, e
 	ls := s.cfg.Cache.LineSize
 	s.engine.EncryptLine(lineAddr, ct, pt)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindEncipher, lineAddr, 0, rec.FlagInner, s.granules)
 	extra := s.engine.WriteExtraCycles(lineAddr, ls)
 	cycles = s.l2Hit + extra
 	if s.verifier != nil {
 		us := s.verifier.UpdateWrite(lineAddr, ct)
 		rep.AuthStalls += us
-		s.m.AuthStalls.Add(us)
 		s.rc.Emit(rec.KindRetag, lineAddr, 0, rec.FlagInner, us)
 		cycles += us
 	}
@@ -645,7 +636,12 @@ func (s *SoC) processEvent(ev cache.Event, rep *Report) {
 	rep.Cycles += c
 	rep.StallCycles += c
 	rep.EngineStalls += e
-	s.m.TransferCycles.Observe(c)
+	chip := 0
+	if ev.PeerSlot < 0 {
+		chip = 1
+	}
+	s.tally.transfers[ev.Kind][chip]++
+	s.tally.cycles.Observe(c)
 }
 
 // writeThrough costs a store of size bytes at addr going straight to
@@ -684,7 +680,6 @@ func (s *SoC) writeThrough(addr uint64, size, hitSlot int, rep *Report) (cycles,
 	} else {
 		s.engine.DecryptLine(lineAddr, pt, s.ctIn)
 		rep.EngineLines++
-		s.m.EngineLines.Inc()
 		s.rc.Emit(rec.KindDecipher, lineAddr, 0, 0, s.granules)
 		if s.verifier != nil {
 			// The recovered line comes from tamperable memory: verify it
@@ -694,7 +689,6 @@ func (s *SoC) writeThrough(addr uint64, size, hitSlot int, rep *Report) (cycles,
 	}
 	s.engine.EncryptLine(lineAddr, s.ctOut, pt)
 	rep.EngineLines++
-	s.m.EngineLines.Inc()
 	s.rc.Emit(rec.KindEncipher, lineAddr, 0, 0, s.granules)
 
 	if needRMW {
@@ -742,7 +736,6 @@ func (s *SoC) updateOutbound(lineAddr uint64, rep *Report) uint64 {
 	}
 	us := s.verifier.UpdateWrite(lineAddr, s.ctOut)
 	rep.AuthStalls += us
-	s.m.AuthStalls.Add(us)
 	s.rc.Emit(rec.KindRetag, lineAddr, 0, 0, us)
 	return us
 }
@@ -750,12 +743,17 @@ func (s *SoC) updateOutbound(lineAddr uint64, rep *Report) uint64 {
 // Run consumes src to completion and reports the cycle accounting. The
 // source is rewound first (Run measures whole workloads), and the hot
 // loop performs zero heap allocations per reference — trace length is
-// bounded by time, not memory.
+// bounded by time, not memory. Live metrics are published every
+// publishEvery references and at the end of the run.
 //
 //repro:hotpath
 func (s *SoC) Run(src trace.RefSource) Report {
 	src.Reset()
 	rep := Report{EngineName: s.engine.Name(), Workload: src.Label()}
+	s.tally = tally{rep: rep, l1: s.cache.Stats()}
+	if s.l2 != nil {
+		s.tally.l2 = s.l2.Stats()
+	}
 	hit := uint64(s.cfg.CacheHitCycles)
 	perAccess := s.engine.PerAccessCycles()
 
@@ -772,12 +770,9 @@ func (s *SoC) Run(src trace.RefSource) Report {
 		}
 		s.curRef = rep.Refs
 		rep.Refs++
-		s.m.Refs.Inc()
 		if ref.Kind == trace.Fetch {
 			rep.Instructions++
-			s.m.Instructions.Inc()
 		}
-		cyclesBefore := rep.Cycles
 		rep.Cycles += uint64(ref.Compute)
 
 		isStore := ref.Kind == trace.Store
@@ -799,19 +794,20 @@ func (s *SoC) Run(src trace.RefSource) Report {
 			rep.StallCycles += c
 			rep.EngineStalls += e
 		}
-		s.m.Cycles.Add(rep.Cycles - cyclesBefore)
+		if rep.Refs%publishEvery == 0 {
+			s.publish(&rep)
+		}
 	}
 
 	if !s.cfg.SkipFinalFlush {
-		preFlush := rep.Cycles
 		s.flushing = true
 		for _, ev := range s.hier.Flush() {
 			s.processEvent(ev, &rep)
 			rep.FlushedLines++
 		}
 		s.flushing = false
-		s.m.Cycles.Add(rep.Cycles - preFlush)
 	}
+	s.publish(&rep)
 
 	rep.Cache = s.cache.Stats()
 	if s.l2 != nil {
