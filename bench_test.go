@@ -96,9 +96,10 @@ func sweepBench(b *testing.B, jobs int) {
 func BenchmarkSweepGridSequential(b *testing.B) { sweepBench(b, 1) }
 func BenchmarkSweepGridParallel(b *testing.B)   { sweepBench(b, campaign.DefaultJobs()) }
 
-// reportPerRef attaches the trajectory metrics benchtrend records:
-// ns/ref and refs/s, normalized by how many simulated references one
-// benchmark op performs. Call after the timed section.
+// reportPerRef attaches ns/ref and refs/s to the benchmark line,
+// normalized by how many simulated references one benchmark op
+// performs, so hot loops of different batch sizes compare directly.
+// Call after the timed section.
 func reportPerRef(b *testing.B, refsPerOp int) {
 	b.Helper()
 	refs := float64(b.N) * float64(refsPerOp)
@@ -113,10 +114,11 @@ func reportPerRef(b *testing.B, refsPerOp int) {
 // allocations per reference — the number the allocation-free hot path
 // pins at 0 (see soc.TestHotLoopZeroAllocs for the hard assertion).
 // A warm run outside the timer pre-faults DRAM pages and metric cells,
-// so the report stays 0 allocs/op even at -benchtime 1x (the CI alloc
-// smokes run exactly one iteration). withMetrics additionally installs
-// a live obs registry, so the bench log also proves the 0 allocs/op
-// contract holds under instrumentation.
+// so the report stays 0 allocs/op even at -benchtime 1x (the CI bench
+// smoke runs exactly one iteration and asserts 0 allocs/op).
+// withMetrics additionally installs a live obs registry, so the bench
+// log also proves the 0 allocs/op contract holds under
+// instrumentation.
 func hotLoopBench(b *testing.B, engineKey string, withMetrics, withTrace bool) {
 	b.Helper()
 	cfg := soc.DefaultConfig()
@@ -159,7 +161,7 @@ func BenchmarkHotLoopInstrumented(b *testing.B) { hotLoopBench(b, "aegis", true,
 
 // BenchmarkHotLoopTraced is the flight-recorder pin: full metrics
 // instrumentation plus a live recorder ring, still 0 allocs/op — the
-// CI smoke greps for it (the hard per-path assertion lives in
+// CI bench smoke asserts it (the hard per-path assertion lives in
 // soc.TestHotLoopZeroAllocsTraced).
 func BenchmarkHotLoopTraced(b *testing.B) { hotLoopBench(b, "aegis", true, true) }
 
@@ -167,7 +169,7 @@ func BenchmarkHotLoopTraced(b *testing.B) { hotLoopBench(b, "aegis", true, true)
 // (64 KiB L2, AEGIS engine at the outer boundary, counter-tree
 // verifier installed) with the first run outside the timer as warmup,
 // so allocs/op is allocations per reference on the L2 miss path — the
-// CI smoke asserts it prints "0 allocs/op" (the hard per-path
+// CI bench smoke asserts it prints "0 allocs/op" (the hard per-path
 // assertion lives in soc.TestHotLoopZeroAllocsL2).
 func BenchmarkHotLoopL2(b *testing.B) {
 	eng, err := core.MustEntry("aegis").Build()
@@ -233,11 +235,10 @@ func BenchmarkAuthTreeVerifiedRun(b *testing.B) {
 	reportPerRef(b, 20000)
 }
 
-// BenchmarkReprolintAnalyze tracks the static-contract linter's full
+// BenchmarkReprolintAnalyze measures the static-contract linter's full
 // cost — module load, devirtualized call-graph construction, and every
-// analyzer — in the perf trajectory, so graph growth that pushes lint
-// toward the CI wall-time cap surfaces as a benchmark regression before
-// it surfaces as a red build.
+// analyzer — so graph growth that pushes lint toward the CI wall-time
+// cap can be profiled before it surfaces as a red build.
 func BenchmarkReprolintAnalyze(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prog, err := analysis.Load(".", "./...")

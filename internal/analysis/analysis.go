@@ -4,10 +4,11 @@
 // byte-identical determinism of campaign output — plus the metrics
 // discipline that keeps the observability layer off the hot path.
 //
-// The dynamic pins (AllocsPerRun, jobs-determinism smokes, benchtrend)
-// prove the contracts hold on the paths the tests exercise; these
-// analyzers prove the *code shape* can't violate them, and fail in
-// seconds with a file:line pointer instead of hours later with a diff.
+// The dynamic pins (AllocsPerRun, CI's 0 allocs/op bench assertion,
+// jobs-determinism smokes) prove the contracts hold on the paths the
+// tests exercise; these analyzers prove the *code shape* can't violate
+// them, and fail in seconds with a file:line pointer instead of hours
+// later with a diff.
 //
 // Everything is built on go/ast + go/types with stdlib go/importer
 // loading (golang.org/x/tools is deliberately not a dependency), so the

@@ -224,17 +224,20 @@ func ParseList(s string) []string {
 func ParseIntList(s string) ([]int, error) {
 	var out []int
 	for _, item := range ParseList(s) {
-		mult := 1
+		mult, digits := 1, item
 		upper := strings.ToUpper(item)
 		switch {
 		case strings.HasSuffix(upper, "K"):
-			mult, item = 1<<10, item[:len(item)-1]
+			mult, digits = 1<<10, item[:len(item)-1]
 		case strings.HasSuffix(upper, "M"):
-			mult, item = 1<<20, item[:len(item)-1]
+			mult, digits = 1<<20, item[:len(item)-1]
 		}
-		n, err := strconv.Atoi(strings.TrimSpace(item))
+		n, err := strconv.Atoi(strings.TrimSpace(digits))
 		if err != nil {
-			return nil, fmt.Errorf("campaign: bad integer %q in list", item)
+			return nil, fmt.Errorf("campaign: bad integer %q in list", digits)
+		}
+		if n > math.MaxInt/mult || n < math.MinInt/mult {
+			return nil, fmt.Errorf("campaign: integer %q in list overflows int", item)
 		}
 		out = append(out, n*mult)
 	}

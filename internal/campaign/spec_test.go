@@ -79,8 +79,14 @@ func TestParseLists(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{4 << 10, 16 << 10, 1 << 20, 32}) {
 		t.Errorf("ParseIntList = %v", got)
 	}
-	if _, err := ParseIntList("12Q"); err == nil {
-		t.Error("bad suffix should error")
+	for _, bad := range []string{
+		"12Q",               // unknown suffix
+		"9007199254740992K", // 2^53·2^10 = 2^63 overflows int
+		"17592186044417M",   // (2^44+1)·2^20 wraps to 2^20 without a check
+	} {
+		if got, err := ParseIntList(bad); err == nil {
+			t.Errorf("ParseIntList(%q) = %v, want error", bad, got)
+		}
 	}
 }
 

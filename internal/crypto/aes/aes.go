@@ -1,10 +1,9 @@
 // Package aes implements the AES block cipher (FIPS-197) from scratch.
 //
-// It exists so that the bus-encryption engine models in this repository
-// (XOM's pipelined AES, AEGIS's AES-CBC unit) can reason about the cipher
-// at round granularity: a hardware pipeline maps one round per stage, so
-// the package exposes both the usual whole-block Encrypt/Decrypt and a
-// per-round API (EncryptRound, DecryptRound) used by the timing models.
+// It is the block cipher behind the bus-encryption engine models in this
+// repository (XOM's pipelined AES, AEGIS's AES-CBC unit). The package
+// exposes whole-block Encrypt/Decrypt only; how many cycles a hardware
+// core spends per block is modelled separately by edu.PipelineTiming.
 //
 // The S-box and round constants are derived programmatically from GF(2^8)
 // arithmetic rather than pasted as literal tables; correctness is
@@ -113,8 +112,7 @@ func New(key []byte) (*Cipher, error) {
 // BlockSize returns the AES block size, 16 bytes.
 func (c *Cipher) BlockSize() int { return BlockSize }
 
-// Rounds returns the number of cipher rounds (10, 12 or 14); the hardware
-// pipeline models use it as the pipeline depth.
+// Rounds returns the number of cipher rounds (10, 12 or 14).
 func (c *Cipher) Rounds() int { return c.rounds }
 
 func (c *Cipher) expandKey(key []byte) {
@@ -303,49 +301,4 @@ func (c *Cipher) Decrypt(dst, src []byte) {
 	s.invShiftRows()
 	s.addRoundKey(c.dec[4*c.rounds : 4*c.rounds+4])
 	s.store(dst)
-}
-
-// RoundState is an in-flight block inside the round-level API. A hardware
-// pipeline holds one RoundState per occupied stage.
-type RoundState struct {
-	s     state
-	round int // rounds already applied
-}
-
-// BeginEncrypt starts the round-level encryption of one block: it applies
-// the initial AddRoundKey (pipeline stage 0) and returns the state.
-func (c *Cipher) BeginEncrypt(src []byte) *RoundState {
-	if len(src) < BlockSize {
-		panic("aes: input not full block")
-	}
-	s := loadState(src)
-	s.addRoundKey(c.enc[0:4])
-	return &RoundState{s: s}
-}
-
-// EncryptRound advances rs by exactly one cipher round (one pipeline
-// stage). It reports whether the block is complete; once complete,
-// Finish extracts the ciphertext.
-func (c *Cipher) EncryptRound(rs *RoundState) bool {
-	if rs.round >= c.rounds {
-		return true
-	}
-	rs.round++
-	rs.s.subBytes(&sbox)
-	rs.s.shiftRows()
-	if rs.round < c.rounds {
-		rs.s.mixColumns()
-	}
-	rs.s.addRoundKey(c.enc[4*rs.round : 4*rs.round+4])
-	return rs.round >= c.rounds
-}
-
-// Finish writes the completed block held in rs into dst. It panics if the
-// block has not passed through all rounds: the pipeline model must drain
-// stages in order, and finishing early is a scheduling bug.
-func (c *Cipher) Finish(rs *RoundState, dst []byte) {
-	if rs.round != c.rounds {
-		panic(fmt.Sprintf("aes: Finish after %d of %d rounds", rs.round, c.rounds))
-	}
-	rs.s.store(dst)
 }

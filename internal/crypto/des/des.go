@@ -4,9 +4,9 @@
 // DES is the cipher of record for most of the engines the survey covers:
 // the General Instrument patent (3-DES in CBC mode), the Dallas DS5240
 // ("a true DES or 3-DES block cipher"), and Gilmont's pipelined
-// triple-DES. As with the AES package, a per-round API is exposed so the
-// hardware pipeline models can map one Feistel round per pipeline stage
-// (16 stages for DES, 48 for EDE3 3-DES). Correctness is cross-checked
+// triple-DES. The engine models take their pipeline depth from the
+// Rounds constant (16 stages for DES, 48 for EDE3 3-DES); the timing
+// itself lives in edu.PipelineTiming. Correctness is cross-checked
 // against crypto/des in the tests.
 package des
 
@@ -240,47 +240,6 @@ func (c *Cipher) crypt(dst, src []byte, decrypt bool) {
 	putBeUint64(dst, out)
 }
 
-// RoundState is an in-flight block within the per-round API, used by the
-// pipelined hardware models (one Feistel round per stage).
-type RoundState struct {
-	l, r    uint32
-	round   int
-	decrypt bool
-}
-
-// Begin starts the round-level processing of one block in the given
-// direction, applying the initial permutation (stage 0 of the pipeline).
-func (c *Cipher) Begin(src []byte, decrypt bool) *RoundState {
-	if len(src) < BlockSize {
-		panic("des: input not full block")
-	}
-	v := permute(beUint64(src), 64, initialPermutation[:])
-	return &RoundState{l: uint32(v >> 32), r: uint32(v), decrypt: decrypt}
-}
-
-// Round advances rs by one Feistel round, reporting completion.
-func (c *Cipher) Round(rs *RoundState) bool {
-	if rs.round >= Rounds {
-		return true
-	}
-	k := c.subkeys[rs.round]
-	if rs.decrypt {
-		k = c.subkeys[Rounds-1-rs.round]
-	}
-	rs.l, rs.r = rs.r, rs.l^feistel(rs.r, k)
-	rs.round++
-	return rs.round >= Rounds
-}
-
-// Finish writes the completed block to dst; it panics if rounds remain.
-func (c *Cipher) Finish(rs *RoundState, dst []byte) {
-	if rs.round != Rounds {
-		panic(fmt.Sprintf("des: Finish after %d of %d rounds", rs.round, Rounds))
-	}
-	out := permute(uint64(rs.r)<<32|uint64(rs.l), 64, finalPermutation[:])
-	putBeUint64(dst, out)
-}
-
 // TripleCipher is EDE triple DES. With a 16-byte key it runs EDE2
 // (K1,K2,K1); with a 24-byte key, EDE3 (K1,K2,K3). Both variants appear
 // in the surveyed products.
@@ -315,10 +274,6 @@ func NewTriple(key []byte) (*TripleCipher, error) {
 
 // BlockSize returns 8.
 func (t *TripleCipher) BlockSize() int { return BlockSize }
-
-// Rounds returns the total Feistel round count (48), the pipeline depth
-// of a fully unrolled 3-DES core such as Gilmont's.
-func (t *TripleCipher) Rounds() int { return 3 * Rounds }
 
 // Encrypt performs EDE encryption of one block.
 func (t *TripleCipher) Encrypt(dst, src []byte) {

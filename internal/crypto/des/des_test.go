@@ -140,55 +140,6 @@ func TestKeySizeErrors(t *testing.T) {
 	}
 }
 
-func TestRoundAPIMatchesWholeBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	key := make([]byte, 8)
-	rng.Read(key)
-	ci, _ := New(key)
-	for trial := 0; trial < 50; trial++ {
-		pt := make([]byte, 8)
-		rng.Read(pt)
-		want := make([]byte, 8)
-		ci.Encrypt(want, pt)
-
-		rs := ci.Begin(pt, false)
-		n := 0
-		for done := false; !done; {
-			done = ci.Round(rs)
-			n++
-		}
-		if n != Rounds {
-			t.Fatalf("round API took %d rounds, want %d", n, Rounds)
-		}
-		got := make([]byte, 8)
-		ci.Finish(rs, got)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("round API mismatch got %x want %x", got, want)
-		}
-
-		// And decryption direction.
-		rsd := ci.Begin(want, true)
-		for !ci.Round(rsd) {
-		}
-		back := make([]byte, 8)
-		ci.Finish(rsd, back)
-		if !bytes.Equal(back, pt) {
-			t.Fatal("round API decrypt mismatch")
-		}
-	}
-}
-
-func TestFinishEarlyPanics(t *testing.T) {
-	ci, _ := New(make([]byte, 8))
-	rs := ci.Begin(make([]byte, 8), false)
-	defer func() {
-		if recover() == nil {
-			t.Error("early Finish did not panic")
-		}
-	}()
-	ci.Finish(rs, make([]byte, 8))
-}
-
 func TestRoundtripProperty(t *testing.T) {
 	ci, _ := New([]byte("propkey!"))
 	tri, _ := NewTriple([]byte("propkey!propkey@propkey#"))
