@@ -159,6 +159,38 @@ func BenchmarkHotLoopPlaintext(b *testing.B)    { hotLoopBench(b, "", false, fal
 func BenchmarkHotLoopAegis(b *testing.B)        { hotLoopBench(b, "aegis", false, false) }
 func BenchmarkHotLoopInstrumented(b *testing.B) { hotLoopBench(b, "aegis", true, false) }
 
+// BenchmarkHotLoopDS5240 puts a 3-DES engine (the registry's ds5240,
+// 16-byte EDE2 key) under the CI bench smoke's 0 allocs/op gate: its
+// blocks reach crypto/des through cipher.Block, which the static call
+// graph does not follow. One op is a whole warmed 20k-reference run, as
+// in BenchmarkAuthTreeVerifiedRun, because at -benchtime 1x a single
+// reference never reaches the engine's encrypt path, and the gate would
+// not see an allocation there.
+func BenchmarkHotLoopDS5240(b *testing.B) {
+	eng, err := core.MustEntry("ds5240").Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := soc.DefaultConfig()
+	cfg.Engine = eng
+	s, err := soc.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := trace.SequentialSource(trace.Config{
+		Refs: 20000, Seed: 1,
+		LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7,
+	})
+	s.Run(src) // warm DRAM pages
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Run(src)
+	}
+	b.StopTimer()
+	reportPerRef(b, 20000)
+}
+
 // BenchmarkHotLoopTraced is the flight-recorder pin: full metrics
 // instrumentation plus a live recorder ring, still 0 allocs/op — the
 // CI bench smoke asserts it (the hard per-path assertion lives in

@@ -74,6 +74,36 @@ func TestEverySurveyedEngineHidesTheImage(t *testing.T) {
 	}
 }
 
+// TestEverySurveyedEngineZeroAllocs pins the allocation-free hot loop
+// for every catalogued engine, not only the ones the soc tests build.
+// The DES engines reach crypto/des through cipher.Block, an edge the
+// static call graph does not resolve, so this is the check that a buffer
+// handed to the cipher stays off the heap.
+func TestEverySurveyedEngineZeroAllocs(t *testing.T) {
+	for _, entry := range Survey() {
+		t.Run(entry.Key, func(t *testing.T) {
+			eng, err := entry.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := soc.DefaultConfig()
+			cfg.Engine = eng
+			s, err := soc.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := trace.SequentialSource(trace.Config{
+				Refs: 5000, Seed: 1, LoadFraction: 0.35, WriteFraction: 0.3,
+				JumpRate: 0.03, Locality: 0.7,
+			})
+			s.Run(src) // warm DRAM pages and engine state
+			if avg := testing.AllocsPerRun(3, func() { s.Run(src) }); avg != 0 {
+				t.Errorf("Run allocated %.1f times per 5k-ref run, want 0", avg)
+			}
+		})
+	}
+}
+
 // TestEnginesDoNotPerturbCacheBehaviour: the EDU sits outside the cache,
 // so hit/miss streams must be identical with and without it.
 func TestEnginesDoNotPerturbCacheBehaviour(t *testing.T) {

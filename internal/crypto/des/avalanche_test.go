@@ -7,7 +7,7 @@ import (
 
 // Avalanche property: one plaintext bit flip should change roughly half
 // of the 64 ciphertext bits — the diffusion the 16 Feistel rounds exist
-// to provide, and a sensitive detector of table transcription errors.
+// to provide.
 func TestPlaintextAvalanche(t *testing.T) {
 	ci, err := New([]byte("aval-key"))
 	if err != nil {

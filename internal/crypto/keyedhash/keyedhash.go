@@ -10,6 +10,7 @@
 package keyedhash
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -219,9 +220,13 @@ func Equal(a, b []byte) bool {
 // hash for the General Instrument engine: the message is padded with
 // zeros to a block multiple and run through DES-CBC with a zero IV; the
 // final ciphertext block is the 8-byte tag. Only safe for fixed-length
-// messages (cache lines are), which the engine layer guarantees.
+// messages (cache lines are), which the engine layer guarantees. A
+// CBCMAC is not safe for concurrent use.
 type CBCMAC struct {
-	c *des.Cipher
+	c cipher.Block
+	// acc is the chaining value. It lives in the struct because a stack
+	// buffer passed through the cipher.Block call would escape to the heap.
+	acc [TagSize]byte
 }
 
 // NewCBCMAC builds a DES-CBC-MAC with an 8-byte key.
@@ -230,7 +235,7 @@ func NewCBCMAC(key []byte) (*CBCMAC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keyedhash: %w", err)
 	}
-	return &CBCMAC{c}, nil
+	return &CBCMAC{c: c}, nil
 }
 
 // TagSize is the CBC-MAC tag length (one DES block).
@@ -238,19 +243,20 @@ const TagSize = des.BlockSize
 
 // Sum returns the 8-byte tag for msg.
 func (m *CBCMAC) Sum(msg []byte) [TagSize]byte {
-	var acc [TagSize]byte
+	acc := m.acc[:]
+	clear(acc)
 	for off := 0; off < len(msg); off += TagSize {
 		var blk [TagSize]byte
 		copy(blk[:], msg[off:])
 		for i := range acc {
 			acc[i] ^= blk[i]
 		}
-		m.c.Encrypt(acc[:], acc[:])
+		m.c.Encrypt(acc, acc)
 	}
 	if len(msg) == 0 {
-		m.c.Encrypt(acc[:], acc[:])
+		m.c.Encrypt(acc, acc)
 	}
-	return acc
+	return m.acc
 }
 
 // Verify recomputes the tag for msg and compares in constant time.

@@ -14,6 +14,7 @@
 package gilmont
 
 import (
+	"crypto/cipher"
 	"fmt"
 
 	"repro/internal/crypto/des"
@@ -41,7 +42,7 @@ type Config struct {
 // Engine is a configured Gilmont unit.
 type Engine struct {
 	cfg  Config
-	tdes *des.TripleCipher
+	tdes cipher.Block
 	// predicted is the line address the prediction unit has pre-deciphered.
 	predicted uint64
 	hasPred   bool

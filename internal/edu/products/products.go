@@ -87,9 +87,8 @@ func AEGIS(key []byte, ivMode modes.IVMode, salt uint64) (edu.Engine, error) {
 // fetch must also obtain the predecessor ciphertext block to restart the
 // chain, and the MAC check serializes on the line.
 type GeneralInstrument struct {
-	tdes *des.TripleCipher
-	cbc  *modes.BlockCBC // chain restart uses address-bound IVs
-	mac  *keyedhash.CBCMAC
+	cbc *modes.BlockCBC // chain restart uses address-bound IVs
+	mac *keyedhash.CBCMAC
 	// timing
 	timing edu.PipelineTiming
 	// chain state: last line address fetched, to detect random access
@@ -111,7 +110,6 @@ func NewGeneralInstrument(desKey, macKey []byte) (*GeneralInstrument, error) {
 		return nil, fmt.Errorf("products: gi: %w", err)
 	}
 	return &GeneralInstrument{
-		tdes:   t,
 		cbc:    modes.NewBlockCBC(t, modes.IVRandom, 0x6131),
 		mac:    m,
 		timing: edu.PipelineTiming{Latency: 3 * des.Rounds, II: 3 * des.Rounds}, // iterative core
