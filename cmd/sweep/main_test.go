@@ -350,6 +350,15 @@ func TestSpecFileErrors(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, "unknown field") {
 		t.Errorf("typoed spec field: code=%d stderr=%q", code, stderr)
 	}
+	// Five axes of 8192 entries are 2^65 tasks: refused, not expanded.
+	huge := filepath.Join(t.TempDir(), "huge.json")
+	ones := strings.TrimSuffix(strings.Repeat("1,", 8192), ",")
+	os.WriteFile(huge, fmt.Appendf(nil, `{"engines":["aegis"],"workloads":["sequential"],"refs":[%[1]s],`+
+		`"cache_sizes":[%[1]s],"line_sizes":[%[1]s],"bus_widths":[%[1]s],"attack_rates":[%[1]s]}`, ones), 0o644)
+	_, stderr, code = run(t, "-spec", huge)
+	if code == 0 || !strings.Contains(stderr, "more than") {
+		t.Errorf("overflowing grid: code=%d stderr=%q", code, stderr)
+	}
 }
 
 func TestBadTraceCapExitsNonzero(t *testing.T) {

@@ -111,6 +111,9 @@ func (s *Spec) Fill() {
 // simulation runs, so a typo fails the whole sweep immediately.
 func (s *Spec) Validate() error {
 	s.Fill()
+	if _, ok := s.size(); !ok {
+		return fmt.Errorf("campaign: grid expands to more than %d tasks", math.MaxInt)
+	}
 	for _, key := range s.Engines {
 		if _, err := core.Entry(key); err != nil {
 			return fmt.Errorf("campaign: %w", err)
@@ -186,12 +189,33 @@ func ParseSpecJSON(r io.Reader) (Spec, error) {
 	return spec, nil
 }
 
-// Size returns the number of tasks the grid expands to.
+// Size returns the number of tasks the grid expands to. Validate
+// rejects a grid whose size overflows int, so Size is exact for every
+// valid spec; on an unvalidated one it saturates at math.MaxInt.
 func (s *Spec) Size() int {
 	s.Fill()
-	return len(s.Engines) * len(s.Auths) * len(s.AttackRates) * len(s.Placements) *
-		len(s.Workloads) * len(s.Refs) *
-		len(s.CacheSizes) * len(s.L2Sizes) * len(s.LineSizes) * len(s.BusWidths)
+	n, ok := s.size()
+	if !ok {
+		return math.MaxInt
+	}
+	return n
+}
+
+// size is the product of the axis lengths, and false when it overflows
+// int.
+func (s *Spec) size() (int, bool) {
+	n := 1
+	for _, k := range []int{
+		len(s.Engines), len(s.Auths), len(s.AttackRates), len(s.Placements),
+		len(s.Workloads), len(s.Refs),
+		len(s.CacheSizes), len(s.L2Sizes), len(s.LineSizes), len(s.BusWidths),
+	} {
+		if k != 0 && n > math.MaxInt/k {
+			return 0, false
+		}
+		n *= k
+	}
+	return n, true
 }
 
 // WorkloadNames lists the sweepable workloads in stable order.

@@ -1,7 +1,9 @@
 package campaign
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -36,6 +38,26 @@ func TestSpecValidateRejectsTypos(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: invalid spec passed validation", i)
 		}
+	}
+}
+
+func TestValidateRejectsOverflowingGrid(t *testing.T) {
+	// Five axes of 8192 entries are 2^65 tasks: an int product wraps to
+	// 0, which passes any task-count limit.
+	ones := make([]int, 8192)
+	for i := range ones {
+		ones[i] = 1
+	}
+	s := Spec{
+		Engines: []string{"aegis"}, Workloads: []string{"sequential"},
+		Refs: ones, CacheSizes: ones, LineSizes: ones, BusWidths: ones,
+		AttackRates: make([]float64, 8192),
+	}
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Errorf("Validate = %v, want a grid-size overflow error", err)
+	}
+	if got := s.Size(); got != math.MaxInt {
+		t.Errorf("Size = %d, want saturation at math.MaxInt", got)
 	}
 }
 

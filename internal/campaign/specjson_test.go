@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,4 +188,38 @@ func TestSpecFlagsEmptyAndErrors(t *testing.T) {
 	if _, err := sf2.Spec(); err == nil {
 		t.Error("bad -refs value accepted")
 	}
+}
+
+// FuzzParseSpecJSON holds every spec ParseSpecJSON accepts to two
+// properties: it re-encodes to JSON that parses back to an equal spec,
+// and Size is the exact product of its axis lengths. The seed corpus is
+// testdata/fuzz/FuzzParseSpecJSON.
+func FuzzParseSpecJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		spec, err := ParseSpecJSON(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		again, err := ParseSpecJSON(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("re-encoded spec rejected: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(again, spec) {
+			t.Fatalf("round trip changed the spec:\ngot  %+v\nwant %+v", again, spec)
+		}
+		// Every Spec field is an axis, so the product runs over all of
+		// them: an axis Size forgets fails here.
+		want := big.NewInt(1)
+		v := reflect.ValueOf(spec)
+		for i := range v.NumField() {
+			want.Mul(want, big.NewInt(int64(v.Field(i).Len())))
+		}
+		if got := spec.Size(); !want.IsInt64() || want.Int64() != int64(got) {
+			t.Fatalf("Size = %d, want the product of the axis lengths %s", got, want)
+		}
+	})
 }

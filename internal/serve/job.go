@@ -21,9 +21,10 @@ const (
 )
 
 // Status is the wire form of a sweep's progress — GET /sweeps/{id}.
-// The counters come from the sweep's private obs registry (the PR-5
-// campaign gauges), so progress reporting rides the same metrics
-// inventory the CLI's -progress flag does.
+// While the sweep runs, the counters come from its private obs
+// registry (the campaign gauges), so progress reporting rides the same
+// metrics inventory the CLI's -progress flag does. A finished sweep
+// answers with its final sample, frozen.
 type Status struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
@@ -48,18 +49,20 @@ type Status struct {
 
 // sweepJob is one admitted sweep: its runner (sharing the server
 // store), its private metrics registry, the canonical-order result
-// re-sequencer the NDJSON stream reads, and the final report.
+// re-sequencer the NDJSON stream reads, and the final report. The
+// runner, registry, task list and done flags serve only the run:
+// finalize drops them, and a finished sweep keeps its report and the
+// final Status sample.
 type sweepJob struct {
 	id     string
 	spec   campaign.Spec
 	runner *campaign.Runner
-	reg    *obs.Registry
-	tracer *campaign.Tracer
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu    sync.Mutex
 	state string
+	reg   *obs.Registry
 	tasks []campaign.Task
 	out   []campaign.Result
 	done  []bool
@@ -70,7 +73,10 @@ type sweepJob struct {
 	avail  int
 	notify chan struct{}
 	report *campaign.Report
-	err    error
+	// final is the Status sample finalize took; status serves it once
+	// report is set.
+	final Status
+	err   error
 }
 
 func newSweepJob(id string, runner *campaign.Runner, reg *obs.Registry) *sweepJob {
@@ -144,6 +150,8 @@ func (j *sweepJob) finalize() {
 	} else {
 		j.state = StateDone
 	}
+	j.final = j.sample()
+	j.runner, j.reg, j.tasks, j.done = nil, nil, nil, nil
 	j.broadcast()
 }
 
@@ -155,23 +163,33 @@ func (j *sweepJob) finished() bool {
 	return j.report != nil
 }
 
-// status samples the job for GET /sweeps/{id}.
+// status samples the job for GET /sweeps/{id}: the frozen final
+// sample once the sweep is terminal, a live one before.
 func (j *sweepJob) status() Status {
 	j.mu.Lock()
-	state, avail, nTasks := j.state, j.avail, len(j.tasks)
+	defer j.mu.Unlock()
+	if j.report != nil {
+		return j.final
+	}
+	return j.sample()
+}
+
+// sample reads the job's state and its live registry; callers hold
+// j.mu.
+func (j *sweepJob) sample() Status {
+	nTasks := len(j.tasks)
+	if j.state == StateQueued {
+		nTasks = j.spec.Size()
+	}
 	var errStr string
 	if j.err != nil {
 		errStr = j.err.Error()
 	}
-	j.mu.Unlock()
-	if state == StateQueued {
-		nTasks = j.spec.Size()
-	}
 	return Status{
 		ID:          j.id,
-		State:       state,
+		State:       j.state,
 		Tasks:       nTasks,
-		Rows:        avail,
+		Rows:        j.avail,
 		TasksDone:   j.reg.Counter("campaign.tasks_done").Load(),
 		TaskErrors:  j.reg.Counter("campaign.task_errors").Load(),
 		MemoHits:    j.reg.Counter("campaign.memo_hits").Load(),

@@ -241,9 +241,11 @@ func (s *Server) dispatch() {
 // Runner.Exec, which fires the job's record hook; after the last
 // submitted task drains, the job finalizes into its canonical report.
 func (s *Server) runJob(j *sweepJob) {
-	j.begin(j.runner.Plan())
+	runner := j.runner
+	tasks := runner.Plan()
+	j.begin(tasks)
 	var wg sync.WaitGroup
-	for _, t := range j.tasks {
+	for _, t := range tasks {
 		if j.ctx.Err() != nil {
 			break
 		}
@@ -252,7 +254,7 @@ func (s *Server) runJob(j *sweepJob) {
 			if j.ctx.Err() != nil {
 				return
 			}
-			j.runner.Exec(t)
+			runner.Exec(t)
 		}
 		wg.Add(1)
 		select {
@@ -334,9 +336,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	j := newSweepJob(s.newID(spec), runner, jreg)
 	runner.OnResult(j.record)
 	if s.cfg.TraceCap > 0 {
-		j.tracer = &campaign.Tracer{Cap: s.cfg.TraceCap}
-		runner.Trace(j.tracer)
-		s.lastTraced = j.tracer
+		tr := &campaign.Tracer{Cap: s.cfg.TraceCap}
+		runner.Trace(tr)
+		s.lastTraced = tr
 	}
 	select {
 	case s.queue <- j:

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,12 +11,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // startServer builds a fabric + HTTP front end and tears both down
@@ -59,6 +62,36 @@ func getStatus(t *testing.T, base, id string) Status {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func listSweeps(t *testing.T, base string) []Status {
+	t.Helper()
+	body, code := getBody(t, base+"/sweeps")
+	var list []Status
+	if err := json.Unmarshal([]byte(body), &list); err != nil || code != http.StatusOK {
+		t.Fatalf("GET /sweeps = %d %s (err %v)", code, body, err)
+	}
+	return list
+}
+
+// cancelSweep sends DELETE /sweeps/{id} and returns the Status it
+// answers with.
+func cancelSweep(t *testing.T, base, id string) Status {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, base+"/sweeps/"+id, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE = %d", resp.StatusCode)
+	}
 	var st Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -244,6 +277,7 @@ func TestCancelKeepsPartialStateAndMemoIntact(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
+	reg := liveRegistry(t, s, st.ID)
 
 	// Subscribe and cancel as soon as the first row is out.
 	resp, err := http.Get(ts.URL + "/sweeps/" + st.ID + "/results")
@@ -255,16 +289,7 @@ func TestCancelKeepsPartialStateAndMemoIntact(t *testing.T) {
 	if !sc.Scan() {
 		t.Fatal("stream ended before first row")
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sweeps/"+st.ID, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, dresp.Body)
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE = %d", dresp.StatusCode)
-	}
+	cancelSweep(t, ts.URL, st.ID)
 	// The stream must terminate (rows for every slot, completed or
 	// placeholder, then EOF).
 	rows := 1
@@ -304,6 +329,12 @@ func TestCancelKeepsPartialStateAndMemoIntact(t *testing.T) {
 	if rows != len(rep.Results) {
 		t.Errorf("stream delivered %d rows, report has %d", rows, len(rep.Results))
 	}
+	last := lastSample(reg, Status{ID: st.ID, State: StateCanceled,
+		Tasks: len(rep.Results), Rows: len(rep.Results), Err: context.Canceled.Error()})
+	if last.TasksDone != uint64(completed) {
+		t.Errorf("last live sample counts %d tasks done, report has %d completed", last.TasksDone, completed)
+	}
+	checkFrozen(t, ts.URL, last)
 
 	// The shared store holds only the completed points — no canceled
 	// placeholder may have leaked in.
@@ -317,12 +348,117 @@ func TestCancelKeepsPartialStateAndMemoIntact(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit POST = %d", code)
 	}
+	reg2 := liveRegistry(t, s, st2.ID)
 	final2 := waitTerminal(t, ts.URL, st2.ID)
 	if final2.State != StateDone {
 		t.Fatalf("resubmit state = %s", final2.State)
 	}
 	if final2.MemoHits < uint64(completed) {
 		t.Errorf("resubmit memo hits = %d, want >= %d", final2.MemoHits, completed)
+	}
+	last2 := lastSample(reg2, Status{ID: st2.ID, State: StateDone,
+		Tasks: len(rep.Results), Rows: len(rep.Results)})
+	if last2.TasksDone != uint64(len(rep.Results)) {
+		t.Errorf("last live sample counts %d tasks done, want %d", last2.TasksDone, len(rep.Results))
+	}
+	checkFrozen(t, ts.URL, last2)
+}
+
+// liveRegistry returns a sweep's metrics registry while the sweep
+// runs. Finalize drops the job's reference; the caller's keeps the
+// registry readable as the sweep's last live sample.
+func liveRegistry(t *testing.T, s *Server, id string) *obs.Registry {
+	t.Helper()
+	j := s.job(id)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.reg == nil {
+		t.Fatalf("sweep %s finished before its registry was read", id)
+	}
+	return j.reg
+}
+
+// lastSample completes st with the counters reg holds: the Status a
+// live read would return after the sweep's last task.
+func lastSample(reg *obs.Registry, st Status) Status {
+	st.TasksDone = reg.Counter("campaign.tasks_done").Load()
+	st.TaskErrors = reg.Counter("campaign.task_errors").Load()
+	st.MemoHits = reg.Counter("campaign.memo_hits").Load()
+	st.RefsPlanned = reg.Gauge("campaign.refs_planned").Load()
+	st.RefsDone = reg.Counter("soc.refs").Load()
+	return st
+}
+
+// checkFrozen asserts that a finished sweep reports want, its last
+// live sample, on GET /sweeps/{id} and in GET /sweeps, and that a
+// DELETE after completion changes nothing.
+func checkFrozen(t *testing.T, base string, want Status) {
+	t.Helper()
+	if got := getStatus(t, base, want.ID); got != want {
+		t.Errorf("GET /sweeps/%s = %+v, want the last live sample %+v", want.ID, got, want)
+	}
+	found := false
+	for _, got := range listSweeps(t, base) {
+		if got.ID == want.ID {
+			found = true
+			if got != want {
+				t.Errorf("GET /sweeps lists %+v, want the last live sample %+v", got, want)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("GET /sweeps does not list %s", want.ID)
+	}
+	if got := cancelSweep(t, base, want.ID); got != want {
+		t.Errorf("DELETE after completion answers %+v, want %+v", got, want)
+	}
+	if got := getStatus(t, base, want.ID); got != want {
+		t.Errorf("GET /sweeps/%s after DELETE = %+v, want %+v", want.ID, got, want)
+	}
+}
+
+// TestFinishedSweepFootprint bounds the heap a finished sweep keeps:
+// its report and final Status, not the runner, task list or metrics
+// registry that served its run.
+func TestFinishedSweepFootprint(t *testing.T) {
+	s := New(Config{Workers: 2})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	submit := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweeps", strings.NewReader(smallSpec)))
+		var st Status
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != http.StatusAccepted {
+			t.Fatalf("POST = %d %s", rec.Code, rec.Body)
+		}
+		// The stream ends once the sweep is finalized.
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/sweeps/"+st.ID+"/results", nil))
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	submit() // simulates both cells; every later sweep is memo-served
+	const sweeps = 1000
+	const maxPerSweep = 3584
+	before := heap()
+	for range sweeps {
+		submit()
+	}
+	perSweep := (heap() - before) / sweeps
+	t.Logf("retained heap per finished sweep: %d B", perSweep)
+	if perSweep > maxPerSweep {
+		t.Errorf("each finished sweep retains %d B of heap, want <= %d", perSweep, maxPerSweep)
+	}
+	if hits := s.Store().ResultHits(); hits != 2*sweeps {
+		t.Errorf("store served %d memo hits, want %d", hits, 2*sweeps)
 	}
 }
 
@@ -465,6 +601,23 @@ func TestAdmissionErrors(t *testing.T) {
 	}
 }
 
+func TestOverflowingGridRefused(t *testing.T) {
+	// Five axes of 8192 entries are 2^65 tasks, which wraps int to 0.
+	// Unstarted, so nothing would expand a grid that got through.
+	ones := strings.TrimSuffix(strings.Repeat("1,", 8192), ",")
+	body := fmt.Sprintf(`{"engines":["aegis"],"workloads":["sequential"],"refs":[%[1]s],`+
+		`"cache_sizes":[%[1]s],"line_sizes":[%[1]s],"bus_widths":[%[1]s],"attack_rates":[%[1]s]}`, ones)
+	s := New(Config{})
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweeps", strings.NewReader(body)))
+	if rec.Code/100 != 4 {
+		t.Fatalf("POST of an overflowing grid = %d, want 4xx: %s", rec.Code, rec.Body)
+	}
+	if !json.Valid(rec.Body.Bytes()) {
+		t.Errorf("error body is not JSON: %s", rec.Body)
+	}
+}
+
 func TestResultBeforeDoneConflicts(t *testing.T) {
 	// Unstarted server: the sweep stays queued, so /result must 409.
 	s := New(Config{})
@@ -481,10 +634,8 @@ func TestResultBeforeDoneConflicts(t *testing.T) {
 		t.Errorf("bad format = %d, want 400", code)
 	}
 	// List shows the queued sweep.
-	body, _ := getBody(t, ts.URL+"/sweeps")
-	var list []Status
-	if err := json.Unmarshal([]byte(body), &list); err != nil || len(list) != 1 {
-		t.Errorf("list = %s (err %v)", body, err)
+	if list := listSweeps(t, ts.URL); len(list) != 1 || list[0].State != StateQueued {
+		t.Errorf("list = %+v, want the one queued sweep", list)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
