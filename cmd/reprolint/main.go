@@ -8,17 +8,12 @@
 //
 //	go run ./cmd/reprolint ./...
 //	go run ./cmd/reprolint -json ./internal/sim/...
-//	go run ./cmd/reprolint -sarif lint.sarif ./...
-//	go run ./cmd/reprolint -graph callgraph.dot ./...
 //	go run ./cmd/reprolint -timing ./...
 //
 // Exit status: 0 when the tree is clean, 1 on findings, 2 on usage or
 // load errors. Every //repro:allow suppression that was exercised is
-// reported so waivers stay visible. -sarif writes the diagnostics as a
-// SARIF 2.1.0 log (for CI artifact upload and code-scanning viewers),
-// -graph dumps the devirtualized call graph rooted at the contract
-// markers as Graphviz DOT, and -timing prints per-analyzer wall time
-// to stderr so lint cost stays a visible, bounded quantity.
+// reported so waivers stay visible. -timing prints per-analyzer wall
+// time to stderr so lint cost stays a visible, bounded quantity.
 package main
 
 import (
@@ -32,15 +27,6 @@ import (
 
 	"repro/internal/analysis"
 )
-
-// writeFileOrStdout writes data to path, or to stdout when path is "-".
-func writeFileOrStdout(path string, stdout io.Writer, data []byte) error {
-	if path == "-" {
-		_, err := stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -73,11 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	dir := fs.String("C", ".", "run as if invoked from this directory")
-	sarifPath := fs.String("sarif", "", "also write diagnostics as SARIF 2.1.0 to this file")
-	graphPath := fs.String("graph", "", "write the devirtualized call graph (DOT) to this file and exit")
 	timing := fs.Bool("timing", false, "print per-analyzer wall time to stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: reprolint [-json] [-sarif file] [-graph file] [-timing] [-C dir] [packages]\n")
+		fmt.Fprintf(stderr, "usage: reprolint [-json] [-timing] [-C dir] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -103,14 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return filename
 	}
 
-	if *graphPath != "" {
-		if err := writeFileOrStdout(*graphPath, stdout, []byte(prog.DotGraph())); err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-		return 0
-	}
-
 	res := prog.Analyze()
 
 	if *timing {
@@ -120,22 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			total += tm.Elapsed
 		}
 		fmt.Fprintf(stderr, "reprolint: %-18s %8.1fms\n", "total", float64(total.Microseconds())/1000)
-	}
-
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "reprolint:", err)
-			return 2
-		}
-		werr := writeSARIF(f, res, rel)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "reprolint:", werr)
-			return 2
-		}
 	}
 
 	if *jsonOut {

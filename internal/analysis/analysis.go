@@ -1,8 +1,9 @@
 // Package analysis implements reprolint: a small, dependency-free
 // go/analysis-style framework that statically enforces this repo's two
 // load-bearing contracts — the 0 allocs/ref hot loop and the
-// byte-identical determinism of campaign output — plus the metrics
-// discipline that keeps the observability layer off the hot path.
+// byte-identical determinism of campaign output — plus the metrics and
+// recorder discipline that keeps the observability layer off the hot
+// path, and a ban on the race-prone function-style atomics.
 //
 // The dynamic pins (AllocsPerRun, CI's 0 allocs/op bench assertion,
 // jobs-determinism smokes) prove the contracts hold on the paths the
@@ -45,7 +46,7 @@ type Analyzer struct {
 }
 
 // All is the full reprolint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, ShardPurity, AtomicDiscipline, MetricsDiscipline, RecDiscipline, Devirt}
+var All = []*Analyzer{HotPathAlloc, Determinism, ShardPurity, AtomicDiscipline, Devirt}
 
 // Timing records one analyzer's wall-clock cost, so lint runtime is a
 // tracked quantity (surfaced by the driver, guarded in CI) rather than

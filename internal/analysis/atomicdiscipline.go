@@ -1,220 +1,41 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"path/filepath"
-	"strconv"
-)
+import "go/types"
 
-// AtomicDiscipline enforces all-or-nothing atomicity per memory
-// location: once any code passes a variable's address to a sync/atomic
-// function, every access to that variable anywhere in the module must
-// go through sync/atomic. A single plain load or store against an
-// otherwise-atomic field is a data race the race detector only catches
-// when the interleaving cooperates, and on weakly ordered hardware it
-// can read torn or stale values in a way amd64 testing never shows.
+// AtomicDiscipline bans the function-style sync/atomic API
+// (atomic.AddUint64(&x, 1) and friends) in module code. Those functions
+// take the address of a plain variable, so nothing stops another line
+// from reading or writing the same variable plainly: a data race the
+// race detector only catches when the interleaving cooperates. The
+// typed atomics (atomic.Uint64, atomic.Int64, atomic.Pointer[T], ...)
+// make that mixed access a compile error, so requiring them covers the
+// all-or-nothing rule by construction.
 //
 // Unlike the contract analyzers this pass is whole-program rather than
-// root-driven: a mixed-access race is a bug wherever it sits, marked
-// path or not. Composite-literal field initialization is exempt —
-// construction happens-before publication, matching the sync/atomic
-// convention that initialization may be plain. The typed atomics
-// (atomic.Uint64 and friends) enforce this discipline in the type
-// system and are the repo's preferred form; this analyzer exists to
-// keep the function-style escape hatch honest.
+// root-driven: a racy atomic is a bug wherever it sits. Every
+// reference to a package-level sync/atomic function is flagged, called
+// or taken as a value.
 var AtomicDiscipline = &Analyzer{
 	Name: "atomicdiscipline",
-	Doc:  "flags plain reads/writes of variables that are elsewhere accessed via sync/atomic",
+	Doc:  "flags function-style sync/atomic calls: use a typed atomic",
 	Run:  runAtomicDiscipline,
 }
 
 func runAtomicDiscipline(prog *Program) []Diagnostic {
-	// Pass 1: every variable whose address reaches a sync/atomic call,
-	// with the first such site for the diagnostic text.
-	atomicAt := make(map[*types.Var]token.Position)
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				v := atomicCallTarget(pkg, call)
-				if v == nil {
-					return true
-				}
-				pos := prog.Fset.Position(call.Pos())
-				if prev, ok := atomicAt[v]; !ok || posLess(pos, prev) {
-					atomicAt[v] = pos
-				}
-				return true
-			})
-		}
-	}
-	if len(atomicAt) == 0 {
-		return nil
-	}
-
-	// Pass 2: flag every plain (non-atomic-position) use of those vars.
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			inspectStack(file, func(n ast.Node, stack []ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				v, ok := pkg.Info.Uses[id].(*types.Var)
-				if !ok {
-					return true
-				}
-				firstAtomic, hot := atomicAt[v]
-				if !hot || atomicPosition(pkg, id, stack) || compositeLitKey(id, stack) {
-					return true
-				}
-				access := "read"
-				if isWriteUse(id, stack) {
-					access = "write"
-				}
-				diags = append(diags, Diagnostic{
-					Pos:      prog.Fset.Position(id.Pos()),
-					Analyzer: "atomicdiscipline",
-					Message: "plain " + access + " of " + v.Name() +
-						": the variable is accessed atomically at " + shortPos(firstAtomic) +
-						"; mixing plain and atomic access is a data race — use sync/atomic (or a typed atomic) everywhere",
-				})
-				return true
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || fn.Type().(*types.Signature).Recv() != nil {
+				continue
+			}
+			diags = append(diags, Diagnostic{
+				Pos:      prog.Fset.Position(id.Pos()),
+				Analyzer: "atomicdiscipline",
+				Message: "function-style atomic." + fn.Name() +
+					" leaves the variable open to plain access: use a typed atomic (atomic.Int64, atomic.Uint64, ...)",
 			})
 		}
 	}
-	sortDiags(diags)
 	return diags
-}
-
-// atomicCallTarget returns the variable whose address call hands to a
-// sync/atomic operation, or nil for any other call. Only the
-// function-style API takes addresses; the typed atomics are methods and
-// make mixed access inexpressible, so they need no tracking.
-func atomicCallTarget(pkg *Package, call *ast.CallExpr) *types.Var {
-	callee := calleeOf(pkg, call)
-	if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	if sig, ok := callee.Type().(*types.Signature); !ok || sig.Recv() != nil {
-		return nil
-	}
-	if len(call.Args) == 0 {
-		return nil
-	}
-	return addrTarget(pkg, call.Args[0])
-}
-
-// addrTarget resolves &expr to the variable or field being addressed.
-func addrTarget(pkg *Package, e ast.Expr) *types.Var {
-	u, ok := ast.Unparen(e).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil
-	}
-	switch x := ast.Unparen(u.X).(type) {
-	case *ast.SelectorExpr:
-		v, _ := pkg.Info.Uses[x.Sel].(*types.Var)
-		return v
-	case *ast.Ident:
-		v, _ := pkg.Info.Uses[x].(*types.Var)
-		return v
-	case *ast.IndexExpr:
-		// &slots[i]: the collection is the tracked location.
-		switch b := ast.Unparen(x.X).(type) {
-		case *ast.SelectorExpr:
-			v, _ := pkg.Info.Uses[b.Sel].(*types.Var)
-			return v
-		case *ast.Ident:
-			v, _ := pkg.Info.Uses[b].(*types.Var)
-			return v
-		}
-	}
-	return nil
-}
-
-// atomicPosition reports whether the identifier use sits inside the
-// address argument of a sync/atomic call — the one sanctioned access
-// form.
-func atomicPosition(pkg *Package, id *ast.Ident, stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		call, ok := stack[i].(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if v := atomicCallTarget(pkg, call); v != nil {
-			// Confirm the ident is under the first argument, not an
-			// operand of old/new value expressions.
-			if len(call.Args) > 0 && call.Args[0].Pos() <= id.Pos() && id.Pos() < call.Args[0].End() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// compositeLitKey reports whether id is the key of a composite-literal
-// element (S{counter: 0}): initialization happens-before publication
-// and is exempt, per the sync/atomic convention.
-func compositeLitKey(id *ast.Ident, stack []ast.Node) bool {
-	if len(stack) == 0 {
-		return false
-	}
-	kv, ok := stack[len(stack)-1].(*ast.KeyValueExpr)
-	if !ok || kv.Key != id {
-		return false
-	}
-	if len(stack) < 2 {
-		return false
-	}
-	_, inLit := stack[len(stack)-2].(*ast.CompositeLit)
-	return inLit
-}
-
-// isWriteUse reports whether the identifier use is a store: the ident
-// (or a selector/index chain rooted at it) appears on the left of an
-// assignment or under ++/--.
-func isWriteUse(id *ast.Ident, stack []ast.Node) bool {
-	var node ast.Node = id
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch parent := stack[i].(type) {
-		case *ast.SelectorExpr, *ast.ParenExpr:
-			node = parent.(ast.Expr)
-		case *ast.IndexExpr:
-			if parent.X != node {
-				return false // ident is the index, not the target
-			}
-			node = parent
-		case *ast.AssignStmt:
-			for _, lhs := range parent.Lhs {
-				if lhs == node {
-					return true
-				}
-			}
-			return false
-		case *ast.IncDecStmt:
-			return parent.X == node
-		case *ast.UnaryExpr:
-			if parent.Op == token.AND {
-				// Address taken outside an atomic call: the pointer can
-				// be stored/loaded plainly anywhere; treat as a write.
-				return true
-			}
-			return false
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// shortPos renders file:line with just the base filename, keeping
-// diagnostic text independent of the checkout directory.
-func shortPos(p token.Position) string {
-	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }

@@ -10,47 +10,6 @@ import (
 	"strings"
 )
 
-// edgeKind records how a call edge was resolved, so the -graph dump and
-// the soundness story can distinguish a plain call from a devirtualized
-// one.
-type edgeKind uint8
-
-const (
-	// edgeStatic is a directly resolved call: plain function, qualified
-	// package function, or method on a concrete receiver.
-	edgeStatic edgeKind = iota
-	// edgeIface is a class-hierarchy-resolved interface-method call:
-	// one edge per in-module concrete type implementing the interface.
-	edgeIface
-	// edgeFuncVal is a function-value call resolved through the
-	// flow-insensitive assignment scan: one edge per func literal or
-	// function reference ever assigned to the called slot.
-	edgeFuncVal
-	// edgeContains links a function to a literal defined inside it: a
-	// closure created on a marked path is conservatively assumed to run
-	// on it.
-	edgeContains
-)
-
-func (k edgeKind) String() string {
-	switch k {
-	case edgeIface:
-		return "iface"
-	case edgeFuncVal:
-		return "funcval"
-	case edgeContains:
-		return "contains"
-	default:
-		return "static"
-	}
-}
-
-// edge is one resolved call target.
-type edge struct {
-	to   *FuncInfo
-	kind edgeKind
-}
-
 // callGraph is the devirtualized, whole-program call graph over module
 // functions — declarations and function literals alike. Three edge
 // sources: statically resolved calls; interface-method call sites
@@ -63,14 +22,14 @@ type edge struct {
 // all and are recorded as opaque sites, which the devirt analyzer turns
 // into diagnostics rather than silence.
 type callGraph struct {
-	callees map[*FuncInfo][]edge
+	callees map[*FuncInfo][]*FuncInfo
 	// opaque records reflect call positions per enclosing function.
 	opaque map[*FuncInfo][]token.Pos
 }
 
 func buildCallGraph(prog *Program) *callGraph {
 	g := &callGraph{
-		callees: make(map[*FuncInfo][]edge),
+		callees: make(map[*FuncInfo][]*FuncInfo),
 		opaque:  make(map[*FuncInfo][]token.Pos),
 	}
 	dv := newDevirtualizer(prog)
@@ -88,17 +47,19 @@ func buildCallGraph(prog *Program) *callGraph {
 // call target.
 func (g *callGraph) buildEdges(prog *Program, dv *devirtualizer, fi *FuncInfo) {
 	seen := make(map[*FuncInfo]bool)
-	add := func(to *FuncInfo, kind edgeKind) {
+	add := func(to *FuncInfo) {
 		if to == nil || to.Body() == nil || seen[to] {
 			return
 		}
 		seen[to] = true
-		g.callees[fi] = append(g.callees[fi], edge{to: to, kind: kind})
+		g.callees[fi] = append(g.callees[fi], to)
 	}
 	inspectShallow(fi.Body(), func(n ast.Node, stack []ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
-			add(prog.markers.lits[node], edgeContains)
+			// A closure created on a marked path is conservatively
+			// assumed to run on it.
+			add(prog.markers.lits[node])
 		case *ast.CallExpr:
 			g.resolveCall(prog, dv, fi, node, add)
 		}
@@ -107,7 +68,7 @@ func (g *callGraph) buildEdges(prog *Program, dv *devirtualizer, fi *FuncInfo) {
 }
 
 // resolveCall classifies one call site and adds its edges.
-func (g *callGraph) resolveCall(prog *Program, dv *devirtualizer, fi *FuncInfo, call *ast.CallExpr, add func(*FuncInfo, edgeKind)) {
+func (g *callGraph) resolveCall(prog *Program, dv *devirtualizer, fi *FuncInfo, call *ast.CallExpr, add func(*FuncInfo)) {
 	pkg := fi.Pkg
 	if isConversion(pkg, call) || builtinName(pkg, call) != "" {
 		return
@@ -123,7 +84,7 @@ func (g *callGraph) resolveCall(prog *Program, dv *devirtualizer, fi *FuncInfo, 
 		if sel, ok := pkg.Info.Selections[selx]; ok {
 			if m, ok := sel.Obj().(*types.Func); ok && methodIface(m) != nil {
 				for _, impl := range dv.implementersOf(methodIface(m), m.Name()) {
-					add(impl, edgeIface)
+					add(impl)
 				}
 				return
 			}
@@ -135,13 +96,13 @@ func (g *callGraph) resolveCall(prog *Program, dv *devirtualizer, fi *FuncInfo, 
 			g.opaque[fi] = append(g.opaque[fi], call.Pos())
 			return
 		}
-		add(dv.declFor(callee), edgeStatic)
+		add(dv.declFor(callee))
 		return
 	}
 
 	// Immediately invoked literal: func(){...}().
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		add(prog.markers.lits[lit], edgeStatic)
+		add(prog.markers.lits[lit])
 		return
 	}
 
@@ -149,7 +110,7 @@ func (g *callGraph) resolveCall(prog *Program, dv *devirtualizer, fi *FuncInfo, 
 	// or indexed collection) through the assignment-flow scan.
 	if slot := slotObj(pkg, fun); slot != nil {
 		for _, target := range dv.flows[slot] {
-			add(target, edgeFuncVal)
+			add(target)
 		}
 	}
 }
@@ -257,12 +218,12 @@ func (p *Program) reachableFrom(roots []*FuncInfo) []reached {
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		for _, e := range p.graph.callees[fn] {
-			if rootOf[e.to] != nil {
+		for _, to := range p.graph.callees[fn] {
+			if rootOf[to] != nil {
 				continue
 			}
-			rootOf[e.to] = rootOf[fn]
-			queue = append(queue, e.to)
+			rootOf[to] = rootOf[fn]
+			queue = append(queue, to)
 		}
 	}
 	var out []reached

@@ -148,12 +148,14 @@ func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, "determfix", Determinism)
 }
 
+// TestRecDisciplineFixture and TestMetricsDisciplineFixture check the
+// offPath and metric-cell rules, which run inside HotPathAlloc's walk.
 func TestRecDisciplineFixture(t *testing.T) {
-	runFixture(t, "recfix", RecDiscipline)
+	runFixture(t, "recfix", HotPathAlloc)
 }
 
 func TestMetricsDisciplineFixture(t *testing.T) {
-	runFixture(t, "metricsfix", MetricsDiscipline)
+	runFixture(t, "metricsfix", HotPathAlloc)
 }
 
 // TestShardPurityFixture also runs Devirt: shardfix carries the

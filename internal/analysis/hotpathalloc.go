@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotPathAlloc enforces the 0 allocs/ref contract: functions marked
@@ -16,6 +17,14 @@ import (
 // capturing closures; go statements; defer inside a loop; value-to-
 // interface boxing at calls/assignments/returns; and make/new/&T{}/
 // slice/map literals that escape per the heuristic in escape.go.
+//
+// The same walk enforces the observability rules of DESIGN.md §8 and
+// §10, which hold even where no allocation can be proved: hot paths
+// publish through pre-registered obs cells held by value, so a call
+// into the offPath table (registry methods, obs.NewRegistry,
+// Histogram.Snapshot, every rec call but Recorder.Emit and
+// Recorder.Stamp) and a map lookup that fetches a metric cell are
+// flagged too.
 //
 // Deliberately NOT flagged: value composite literals (T{} is a register/
 // stack construct), non-escaping constant-size make, non-capturing
@@ -71,7 +80,7 @@ func checkAllocFree(prog *Program, r reached) []Diagnostic {
 		}
 		switch node := n.(type) {
 		case *ast.CallExpr:
-			checkCall(pkg, fi, node, stack, blessed, report)
+			checkCall(prog, fi, node, stack, blessed, report)
 		case *ast.BinaryExpr:
 			if node.Op == token.ADD && isStringType(typeOf(pkg, node)) && !isConstExpr(pkg, node) {
 				report(node.OpPos, "string concatenation allocates")
@@ -89,6 +98,10 @@ func checkAllocFree(prog *Program, r reached) []Diagnostic {
 				}
 			}
 			checkAssignBoxing(pkg, node, report)
+		case *ast.IndexExpr:
+			if t := typeOf(pkg, node.X); isMapType(t) && isObsCellPtr(t.Underlying().(*types.Map).Elem(), prog.ModPath+"/internal/obs") {
+				report(node.Pos(), "metric cell fetched through a map on the hot path: hold the cell by value")
+			}
 		case *ast.IncDecStmt:
 			if idx, ok := ast.Unparen(node.X).(*ast.IndexExpr); ok && isMapType(typeOf(pkg, idx.X)) {
 				report(idx.Lbrack, "map write may allocate (grow/insert)")
@@ -107,9 +120,11 @@ func checkAllocFree(prog *Program, r reached) []Diagnostic {
 	return diags
 }
 
-// checkCall handles the call-shaped rules: fmt, conversions, append
-// discipline, make/new allocation, and argument boxing.
-func checkCall(pkg *Package, fi *FuncInfo, call *ast.CallExpr, stack []ast.Node, blessed map[*ast.CallExpr]bool, report func(token.Pos, string)) {
+// checkCall handles the call-shaped rules: fmt, the offPath table,
+// conversions, append discipline, make/new allocation, and argument
+// boxing.
+func checkCall(prog *Program, fi *FuncInfo, call *ast.CallExpr, stack []ast.Node, blessed map[*ast.CallExpr]bool, report func(token.Pos, string)) {
+	pkg := fi.Pkg
 	if isConversion(pkg, call) {
 		checkConversion(pkg, call, report)
 		return
@@ -133,8 +148,74 @@ func checkCall(pkg *Package, fi *FuncInfo, call *ast.CallExpr, stack []ast.Node,
 			report(call.Pos(), "call to fmt."+callee.Name()+" allocates (formats into fresh storage)")
 			return
 		}
+		if rel, ok := strings.CutPrefix(callee.Pkg().Path(), prog.ModPath+"/"); ok {
+			if msg := offPathMessage(rel, receiverTypeName(callee), callee.Name()); msg != "" {
+				report(call.Pos(), msg)
+			}
+		}
 	}
 	checkArgBoxing(pkg, call, report)
+}
+
+// offPath lists the setup- and reader-side obs and flight-recorder APIs
+// that hot-path code must not call, keyed by package (relative to the
+// module), receiver type name ("" for plain functions) and callee name.
+// "*" matches any receiver or name; an empty message marks an allowed
+// callee. A %s in a message stands for the callee name.
+var offPath = map[[3]string]string{
+	{"internal/obs", "Registry", "*"}:         "obs.Registry.%s on the hot path: publishers must hold cells by value, registered at setup",
+	{"internal/obs", "Histogram", "Snapshot"}: "Histogram.Snapshot on the hot path: snapshots are reader-side",
+	{"internal/obs", "", "NewRegistry"}:       "obs.NewRegistry on the hot path: registries are built at setup",
+	{"internal/obs/rec", "Recorder", "Emit"}:  "",
+	{"internal/obs/rec", "Recorder", "Stamp"}: "",
+	{"internal/obs/rec", "Recorder", "*"}:     "rec.Recorder.%s on the hot path: only Emit and Stamp are writer-side; seal and read after the run",
+	{"internal/obs/rec", "*", "*"}:            "rec.%s on the hot path: recorder setup and export are off-path; rings are built before the run",
+}
+
+// offPathMessage returns the diagnostic for a call into the offPath
+// table, most specific key first, or "" when the callee is allowed.
+func offPathMessage(pkg, recv, name string) string {
+	for _, k := range [][3]string{{pkg, recv, name}, {pkg, recv, "*"}, {pkg, "*", "*"}} {
+		if msg, ok := offPath[k]; ok {
+			return strings.ReplaceAll(msg, "%s", name)
+		}
+	}
+	return ""
+}
+
+// receiverTypeName returns the bare receiver type name of a method
+// ("Registry" for *obs.Registry), or "" for plain functions.
+func receiverTypeName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
+// isObsCellPtr reports whether t is *obs.Counter, *obs.Gauge, or
+// *obs.Histogram.
+func isObsCellPtr(t types.Type, obsPath string) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := p.Elem().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != obsPath {
+		return false
+	}
+	switch named.Obj().Name() {
+	case "Counter", "Gauge", "Histogram":
+		return true
+	}
+	return false
 }
 
 // checkConversion flags string<->byte/rune-slice conversions, which

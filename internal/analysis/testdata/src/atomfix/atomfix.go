@@ -1,69 +1,46 @@
-// Package atomfix is the atomic-discipline fixture: any variable whose
-// address reaches a sync/atomic function must be accessed atomically
-// everywhere — a single plain load or store against it is a data race.
-// Composite-literal initialization is exempt (happens-before
-// publication), and variables never touched atomically are untracked.
+// Package atomfix is the atomic-discipline fixture: module code uses
+// the typed atomics, whose plain access is a compile error, and every
+// reference to a function-style sync/atomic operation is flagged,
+// whether it is called or taken as a value.
 package atomfix
 
 import "sync/atomic"
 
 type cell struct {
 	n    uint64
-	cold uint64
+	hits atomic.Uint64 // typed: clean
 }
 
 func (c *cell) bump() {
-	atomic.AddUint64(&c.n, 1) // sanctioned access form: clean
+	atomic.AddUint64(&c.n, 1) // want `function-style atomic\.AddUint64 .*use a typed atomic`
 }
 
-func (c *cell) racyRead() uint64 {
-	return c.n // want `plain read of n: the variable is accessed atomically at atomfix\.go:\d+`
+func (c *cell) read() uint64 {
+	return atomic.LoadUint64(&c.n) // want `function-style atomic\.LoadUint64`
 }
 
-func (c *cell) racyWrite() {
-	c.n = 0 // want `plain write of n`
-}
-
-func (c *cell) cleanRead() uint64 {
-	return atomic.LoadUint64(&c.n)
+func (c *cell) reset() {
+	atomic.StoreUint64(&c.n, 0) // want `function-style atomic\.StoreUint64`
 }
 
 func (c *cell) casLoop(old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&c.n, old, new)
+	return atomic.CompareAndSwapUint64(&c.n, old, new) // want `function-style atomic\.CompareAndSwapUint64`
 }
 
-func (c *cell) coldPath() uint64 {
-	c.cold++ // never accessed atomically: untracked, clean
-	return c.cold
+var flag int32
+
+func swap() int32 {
+	return atomic.SwapInt32(&flag, 1) // want `function-style atomic\.SwapInt32`
 }
 
-// newCell initializes the field in a composite literal: construction
-// happens-before publication, so plain initialization is exempt.
-func newCell() *cell {
-	return &cell{n: 0, cold: 0}
-}
+// add takes the function as a value: the reference is flagged too.
+var add = atomic.AddInt64 // want `function-style atomic\.AddInt64`
 
-var hits uint64
-
-func observe() {
-	atomic.AddUint64(&hits, 1)
-}
-
-func racyGlobalRead() uint64 {
-	return hits // want `plain read of hits`
-}
-
-func racyGlobalWrite() {
-	hits = 0 // want `plain write of hits`
-}
-
-func cleanGlobalRead() uint64 {
-	return atomic.LoadUint64(&hits)
-}
-
-// escape hands out the address outside an atomic call: every later
-// access through the pointer is invisible to the checker, so the
-// address-taking itself is flagged as a write-class access.
-func escape() *uint64 {
-	return &hits // want `plain write of hits`
+// typed uses only the method API of the typed atomics: clean.
+func (c *cell) typed() uint64 {
+	c.hits.Add(1)
+	c.hits.CompareAndSwap(1, 2)
+	var p atomic.Pointer[cell]
+	p.Store(c)
+	return c.hits.Load() + p.Load().n
 }

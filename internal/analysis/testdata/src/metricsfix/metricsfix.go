@@ -1,4 +1,5 @@
-// Package metricsfix is the metricsdiscipline fixture: publishers must
+// Package metricsfix is the fixture for hotpathalloc's metrics rules,
+// run under HotPathAlloc alone: publishers must
 // hold pre-registered obs cells by value; the registry is setup-side.
 package metricsfix
 

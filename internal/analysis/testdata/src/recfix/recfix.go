@@ -1,4 +1,5 @@
-// Package recfix is the recdiscipline fixture: hot-path code touches
+// Package recfix is the fixture for hotpathalloc's recorder rules, run
+// under HotPathAlloc alone: hot-path code touches
 // the flight recorder only through Emit and Stamp; construction,
 // sealing and export are setup/reader-side.
 package recfix

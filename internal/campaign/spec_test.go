@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"math"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,6 +111,43 @@ func TestParseLists(t *testing.T) {
 			t.Errorf("ParseIntList(%q) = %v, want error", bad, got)
 		}
 	}
+}
+
+// FuzzParseIntList holds ParseIntList to exact arithmetic: an accepted
+// list carries, item for item, the item's digits times its K/M
+// multiplier computed in math/big, so no value can have wrapped. A
+// list is rejected only when one of its items is bad syntax or out of
+// int range, and the error says which of the two. The seed corpus is
+// testdata/fuzz/FuzzParseIntList.
+func FuzzParseIntList(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseIntList(s)
+		for i, item := range ParseList(s) {
+			digits, mult := item, int64(1)
+			switch item[len(item)-1] {
+			case 'k', 'K':
+				digits, mult = item[:len(item)-1], 1<<10
+			case 'm', 'M':
+				digits, mult = item[:len(item)-1], 1<<20
+			}
+			want, ok := new(big.Int).SetString(strings.TrimSpace(digits), 10)
+			if !ok || want.Mul(want, big.NewInt(mult)).Cmp(big.NewInt(math.MaxInt)) > 0 || want.Cmp(big.NewInt(math.MinInt)) < 0 {
+				// strconv reports an over-long digit run as a range
+				// error even when a bad character follows it, so
+				// either reason may name an invalid item.
+				if err == nil || !strings.Contains(err.Error(), "bad integer") && !strings.Contains(err.Error(), "overflows int") {
+					t.Fatalf("ParseIntList(%q) = %v, %v; want an error for item %q", s, got, err, item)
+				}
+				return
+			}
+			if err == nil && int64(got[i]) != want.Int64() {
+				t.Fatalf("ParseIntList(%q)[%d] = %d, want %s", s, i, got[i], want)
+			}
+		}
+		if err != nil {
+			t.Fatalf("ParseIntList(%q) failed on a list of valid items: %v", s, err)
+		}
+	})
 }
 
 func TestHashStability(t *testing.T) {

@@ -140,6 +140,12 @@ func (s *Store) SaveFile(path string) error {
 		return err
 	}
 	err = s.WriteSnapshot(tmp)
+	if err == nil {
+		// The bytes must reach stable storage before the rename
+		// publishes them: otherwise a crash after the rename can leave
+		// an empty file in place of the good checkpoint.
+		err = tmp.Sync()
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

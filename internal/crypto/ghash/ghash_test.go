@@ -2,6 +2,8 @@ package ghash
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
@@ -80,6 +82,48 @@ func TestFastMatchesBitwiseReference(t *testing.T) {
 			if fast != slow {
 				t.Fatalf("trial %d len %d: fast %x != slow %x (h=%x)", trial, n, fast, slow, h)
 			}
+		}
+	}
+}
+
+// TestMatchesStdlibGCM checks Sum against crypto/cipher's AES-GCM as an
+// independent oracle. With no associated data a GCM tag is
+// GHASH_H(C) ⊕ E_K(J0), where H = E_K(0¹²⁸) and J0 = nonce ‖ 0³¹1 for
+// a 12-byte nonce, so Sum over the ciphertext must rebuild the tag
+// Seal appends. Lengths 0–200 cover empty input, whole blocks and
+// every ragged tail.
+func TestMatchesStdlibGCM(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 0; n <= 200; n++ {
+		key := make([]byte, []int{16, 24, 32}[n%3])
+		nonce := make([]byte, 12)
+		plain := make([]byte, n)
+		rng.Read(key)
+		rng.Read(nonce)
+		rng.Read(plain)
+
+		block, err := aes.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gcm, err := cipher.NewGCM(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := gcm.Seal(nil, nonce, plain, nil)
+		ct, want := sealed[:n], sealed[n:]
+
+		var h, j0, ekj0 [16]byte
+		block.Encrypt(h[:], h[:])
+		copy(j0[:], nonce)
+		j0[15] = 1
+		block.Encrypt(ekj0[:], j0[:])
+		tag := NewKey(h[:]).Sum(ct)
+		for i := range tag {
+			tag[i] ^= ekj0[i]
+		}
+		if !bytes.Equal(tag[:], want) {
+			t.Fatalf("len %d: GHASH(C) ⊕ E_K(J0) = %x, GCM tag = %x", n, tag, want)
 		}
 	}
 }

@@ -3,15 +3,17 @@
 // writers iterate slices in order, never maps — because traced sweeps
 // inherit the campaign's contract that -jobs 1 and -jobs 8 emit
 // identical bytes. Never reachable from //repro:hotpath roots
-// (reprolint recdiscipline).
+// (reprolint hotpathalloc's recorder rule).
 //
 //repro:deterministic
 package rec
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Lane numbers group events into per-track rows ("threads" in the
@@ -97,8 +99,8 @@ func WriteChrome(w io.Writer, tr *Trace) error {
 	for pid := range tr.Streams {
 		st := &tr.Streams[pid]
 		sep()
-		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%q,"dropped":%d}}`,
-			pid, st.Track, st.Dropped)
+		fmt.Fprintf(bw, `{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%s,"dropped":%d}}`,
+			pid, jsonString(st.Track), st.Dropped)
 		// Name each lane on first use; lane usage is a pure function of
 		// the event sequence, so the metadata is as deterministic as the
 		// events themselves.
@@ -123,6 +125,18 @@ func WriteChrome(w io.Writer, tr *Trace) error {
 	}
 	io.WriteString(bw, "\n]}\n")
 	return bw.Flush()
+}
+
+// jsonString renders s as a JSON string literal. Track names are
+// caller-chosen, and %q's Go escapes (\x01, \a) are not JSON, so a
+// control character in a name would make the trace undecodable. For
+// printable names the bytes equal %q's.
+func jsonString(s string) string {
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.Encode(s)
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
 // eventArgs renders the lossless record payload embedded in every

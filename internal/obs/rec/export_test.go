@@ -3,6 +3,7 @@ package rec
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -179,4 +180,28 @@ func TestLaneMapping(t *testing.T) {
 		}
 		seen[name] = true
 	}
+}
+
+// FuzzDecodeChrome feeds DecodeChrome arbitrary bytes: it must never
+// panic, and any trace it accepts must re-export through WriteChrome
+// and decode to an equal Trace. The seed corpus under
+// testdata/fuzz/FuzzDecodeChrome includes a small traced sweep.
+func FuzzDecodeChrome(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := DecodeChrome(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteChrome(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeChrome(&out)
+		if err != nil {
+			t.Fatalf("re-exported trace does not decode: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\ngot  %+v\nwant %+v", again, tr)
+		}
+	})
 }

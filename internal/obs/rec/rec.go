@@ -18,8 +18,8 @@
 // Reader side (after or between runs): Seal copies the ring out into a
 // Stream in sequence order; exporters (Chrome trace_event JSON, CSV)
 // and the decoder live in export.go/decode.go and must never be
-// reachable from //repro:hotpath roots — reprolint's recdiscipline
-// analyzer enforces exactly that split.
+// reachable from //repro:hotpath roots — reprolint's hotpathalloc
+// analyzer enforces exactly that split (its offPath table).
 //
 //repro:deterministic
 package rec
@@ -272,7 +272,7 @@ type Stream struct {
 
 // Seal copies the ring out into a Stream in sequence order. Reader
 // side: allocates, must not be called from the hot path (enforced by
-// reprolint's recdiscipline analyzer).
+// reprolint's hotpathalloc analyzer).
 func (r *Recorder) Seal(track string) Stream {
 	st := Stream{Track: track}
 	if r == nil || r.seq == 0 {
