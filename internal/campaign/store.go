@@ -105,11 +105,13 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot seeds the store from a snapshot written by
-// WriteSnapshot. Result keys are re-derived from each value's own
-// embedded TaskConfig rather than trusted from the file, so an edited
-// snapshot cannot alias a result onto the wrong grid point; baseline
-// keys are taken as written (a baseline report does not embed its
-// config). Entries already present in the store win.
+// WriteSnapshot. A result loads only if its file key equals the key its
+// own embedded TaskConfig derives, so an edited snapshot can neither
+// alias a result onto the wrong grid point nor, with two entries that
+// derive one key, load a different one on each boot (WriteSnapshot
+// always writes derived keys). Baseline keys are taken as written (a
+// baseline report does not embed its config). Entries already present
+// in the store win.
 func (s *Store) ReadSnapshot(r io.Reader) error {
 	var snap storeSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -119,14 +121,12 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("campaign: store snapshot version %d (this build reads %d)",
 			snap.Version, SnapshotVersion)
 	}
-	results := make(map[string]Result, len(snap.Results))
-	for _, v := range snap.Results {
-		if v.Err != "" {
-			continue
+	for k, v := range snap.Results {
+		if v.Err != "" || v.Key() != k {
+			delete(snap.Results, k)
 		}
-		results[v.Key()] = v
 	}
-	s.results.seed(results)
+	s.results.seed(snap.Results)
 	s.baselines.seed(snap.Baselines)
 	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sim/soc"
 )
 
 func cancelSpec() Spec {
@@ -276,9 +278,10 @@ func TestStoreSnapshotRejectsVersionMismatch(t *testing.T) {
 }
 
 func TestStoreSnapshotRederivesKeys(t *testing.T) {
-	// Result map keys in the file are untrusted: ReadSnapshot re-keys
-	// every value from its own embedded TaskConfig, so an edited
-	// snapshot cannot alias a result onto a different grid point.
+	// Result map keys in the file are untrusted: ReadSnapshot checks
+	// every key against the one its value's embedded TaskConfig derives,
+	// so an edited snapshot cannot alias a result onto a different grid
+	// point. Entries under foreign keys are dropped and resimulated.
 	spec := Spec{Engines: []string{"aegis"}, Workloads: []string{"sequential"}, Refs: []int{1000}}
 	s := NewStore()
 	r, _ := NewRunnerWith(spec, s)
@@ -307,12 +310,50 @@ func TestStoreSnapshotRederivesKeys(t *testing.T) {
 	if err := restored.ReadSnapshot(bytes.NewReader(edited)); err != nil {
 		t.Fatal(err)
 	}
+	if _, nr := restored.Len(); nr != 0 {
+		t.Fatalf("restored %d results filed under foreign keys, want 0", nr)
+	}
 	r2, _ := NewRunnerWith(spec, restored)
 	if got := emitJSON(t, r2.Run(1)); got != want {
-		t.Error("re-keyed snapshot served wrong bytes")
+		t.Error("resimulated report differs from the original")
 	}
-	if runs := restored.ResultRuns(); runs != 0 {
-		t.Errorf("mangled keys broke the restore: %d points resimulated", runs)
+	if runs := restored.ResultRuns(); runs != 1 {
+		t.Errorf("resimulated %d points, want the 1 dropped", runs)
+	}
+}
+
+// Two file entries whose TaskConfigs derive the same key (an unset Auth
+// spells "none") must not race on map order: only the entry filed under
+// its own derived key loads, on every boot.
+func TestStoreSnapshotCollidingKeysLoadDeterministically(t *testing.T) {
+	own := Result{TaskConfig: TaskConfig{
+		Engine: "aegis", Auth: "none", Workload: "sequential",
+		Refs: 1000, CacheSize: 4096, LineSize: 32, BusWidth: 4,
+	}, Cycles: 111}
+	alias := own
+	alias.Auth = ""
+	alias.Cycles = 222
+	key := own.Key()
+	if alias.Key() != key {
+		t.Fatal("fixture entries must derive the same key")
+	}
+	file, err := json.Marshal(storeSnapshot{
+		Version:   SnapshotVersion,
+		Baselines: map[string]soc.Report{},
+		Results:   map[string]Result{key: own, "hand-edited": alias},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for boot := 0; boot < 50; boot++ {
+		s := NewStore()
+		if err := s.ReadSnapshot(bytes.NewReader(file)); err != nil {
+			t.Fatal(err)
+		}
+		got := s.results.snapshot()
+		if len(got) != 1 || got[key].Cycles != own.Cycles {
+			t.Fatalf("boot %d loaded %+v, want only the entry filed under its own key", boot, got)
+		}
 	}
 }
 
@@ -344,4 +385,30 @@ func TestStoreSaveLoadFile(t *testing.T) {
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing checkpoint: err = %v, want ErrNotExist", err)
 	}
+}
+
+// FuzzReadSnapshot: checkpoint files are untrusted. Loading arbitrary
+// bytes must not panic, and whatever loads must write back to a
+// fixpoint: write, read into a fresh store, write again, same bytes.
+func FuzzReadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := NewStore()
+		if err := s.ReadSnapshot(bytes.NewReader(in)); err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.WriteSnapshot(&first); err != nil {
+			t.Fatalf("accepted snapshot does not write: %v", err)
+		}
+		again := NewStore()
+		if err := again.ReadSnapshot(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("written snapshot rejected: %v\n%s", err, first.Bytes())
+		}
+		if err := again.WriteSnapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write is not a fixpoint:\nfirst  %s\nsecond %s", first.Bytes(), second.Bytes())
+		}
+	})
 }

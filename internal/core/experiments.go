@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"math/rand"
@@ -709,25 +710,9 @@ func (s *spyTap) Intercept(m keyexchange.Message) { s.msgs = append(s.msgs, m) }
 func (s *spyTap) sawPlain(software []byte) bool {
 	probe := software[:16]
 	for _, m := range s.msgs {
-		if containsSub(m.Body, probe) {
+		if bytes.Contains(m.Body, probe) {
 			return true
 		}
-	}
-	return false
-}
-
-func containsSub(hay, needle []byte) bool {
-	if len(needle) == 0 || len(hay) < len(needle) {
-		return false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(hay); i++ {
-		for j := range needle {
-			if hay[i+j] != needle[j] {
-				continue outer
-			}
-		}
-		return true
 	}
 	return false
 }

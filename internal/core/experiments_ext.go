@@ -7,6 +7,7 @@ package core
 // performance loss").
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/attack"
@@ -278,23 +279,11 @@ func E19KeyManagement(refs int) (*Table, error) {
 	b2, _ := trace.MultiProcessConfig{}.ProcessRegion(1)
 	multi.EncryptLine(b1+0x40, ctA, line)
 	multi.EncryptLine(b2+0x40, ctB, line)
-	isolated := !bytesEqual(ctA, ctB)
+	isolated := !bytes.Equal(ctA, ctB)
 	t.AddRow("isolation", "-", "-", fmt.Sprintf("cross-domain ciphertexts differ: %v", isolated))
 	t.Notes = append(t.Notes,
 		"switch counts are floored by cross-domain writeback interleaving, not just quantum boundaries",
 		"short quanta amplify the key-reload tax; realistic quanta (thousands of refs) make it negligible",
 		"the single-key baseline is cheaper but lets any process's probe observations correlate across all domains")
 	return t, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

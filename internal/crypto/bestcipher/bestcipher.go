@@ -137,8 +137,3 @@ func (c *Cipher) DecryptAt(addr uint64, dst, src []byte) {
 		dst[i] = c.invSub[tmp[i]] - shift
 	}
 }
-
-// BlockSizeBytes reports the cipher's block size; the name avoids
-// clashing with the Block interface's BlockSize while making clear this
-// cipher is address-dependent and so does not satisfy modes.Block.
-func (c *Cipher) BlockSizeBytes() int { return BlockSize }

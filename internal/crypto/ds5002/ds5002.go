@@ -83,10 +83,6 @@ func (d *DS5002) DecryptByte(addr uint16, b byte) byte {
 	return x ^ k
 }
 
-// BusAddress returns the scrambled external address used for CPU address
-// addr.
-func (d *DS5002) BusAddress(addr uint16) uint16 { return d.scrambleAddr(addr) }
-
 // MemSize is the external SRAM image size: the part's full 16-bit
 // address space. Store and Load require images of exactly this size so
 // the address scrambler stays collision-free.

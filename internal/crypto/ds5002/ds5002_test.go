@@ -88,7 +88,7 @@ func TestAddressScramblerIsPermutation(t *testing.T) {
 	d := newPart(t)
 	seen := make([]bool, 1<<16)
 	for a := 0; a < 1<<16; a++ {
-		s := d.BusAddress(uint16(a))
+		s := d.scrambleAddr(uint16(a))
 		if seen[s] {
 			t.Fatalf("address scrambler collides at %#x", a)
 		}

@@ -1,9 +1,12 @@
-// Package modes implements the block-cipher operating modes the survey
-// discusses: ECB (the "obvious" mode whose determinism leaks patterns),
-// CBC (robust but hostile to random access), CTR (the counter mode that
-// lets a pad be precomputed from the address), and the AEGIS-style
-// per-cache-block CBC whose initialization vector is derived from the
-// block address plus a random value or a write counter.
+// Package modes implements the block-cipher operating modes the bus
+// engines run: ECB (the "obvious" mode whose determinism leaks
+// patterns), CTR (the counter mode that lets a pad be precomputed from
+// the address), and the AEGIS-style per-cache-block CBC whose
+// initialization vector is derived from the block address plus a random
+// value or a write counter. CBC over a whole message is deliberately
+// absent: the survey notes its use "proves limited in a
+// processor-memory system due to the random data access problem (JUMP
+// instructions)", so every engine chains within one cache block.
 //
 // All modes operate on whole multiples of the cipher's block size; the
 // bus-engine layer is responsible for the read-modify-write dance on
@@ -56,30 +59,10 @@ func (e *ECB) Decrypt(dst, src []byte) {
 	}
 }
 
-// CBC is Cipher Block Chaining over a whole message with an explicit IV.
-// Each ciphertext block depends on all previous plaintext blocks, which
-// is why the survey notes its use "proves limited in a processor-memory
-// system due to the random data access problem (JUMP instructions)".
-type CBC struct {
-	b  Block
-	iv []byte
-}
-
-// NewCBC wraps b in CBC mode with the given IV (length = block size).
-func NewCBC(b Block, iv []byte) (*CBC, error) {
-	if b.BlockSize() > maxBlockSize {
-		return nil, fmt.Errorf("modes: block size %d exceeds %d", b.BlockSize(), maxBlockSize)
-	}
-	if len(iv) != b.BlockSize() {
-		return nil, fmt.Errorf("modes: IV length %d != block size %d", len(iv), b.BlockSize())
-	}
-	return &CBC{b, append([]byte{}, iv...)}, nil
-}
-
-// cbcEncrypt is the one copy of the CBC encryption chain: xor each
-// plaintext block with the previous ciphertext block (iv first) into
-// scratch (a block-size buffer the caller owns — stack or persistent,
-// which is what keeps the hot path allocation-free), then encipher.
+// cbcEncrypt is the CBC encryption chain: xor each plaintext block with
+// the previous ciphertext block (iv first) into scratch (a block-size
+// buffer the caller keeps in its struct, which is what keeps the hot
+// path allocation-free), then encipher.
 func cbcEncrypt(b Block, iv, scratch, dst, src []byte) {
 	bs := b.BlockSize()
 	checkLen(len(src), bs)
@@ -93,8 +76,8 @@ func cbcEncrypt(b Block, iv, scratch, dst, src []byte) {
 	}
 }
 
-// cbcDecrypt is the one copy of the CBC decryption chain. dst and src
-// must not alias: the chain needs the previous *ciphertext* block.
+// cbcDecrypt is the CBC decryption chain. dst and src must not alias:
+// the chain needs the previous *ciphertext* block.
 func cbcDecrypt(b Block, iv, dst, src []byte) {
 	bs := b.BlockSize()
 	checkLen(len(src), bs)
@@ -106,35 +89,6 @@ func cbcDecrypt(b Block, iv, dst, src []byte) {
 		}
 		prev = src[i : i+bs]
 	}
-}
-
-// Encrypt enciphers src into dst as one chained message.
-func (c *CBC) Encrypt(dst, src []byte) {
-	var x [maxBlockSize]byte
-	cbcEncrypt(c.b, c.iv, x[:c.b.BlockSize()], dst, src)
-}
-
-// Decrypt deciphers src into dst. dst and src must not alias, because the
-// chain needs the previous *ciphertext* block.
-func (c *CBC) Decrypt(dst, src []byte) {
-	cbcDecrypt(c.b, c.iv, dst, src)
-}
-
-// DecryptFrom deciphers only the chain suffix beginning at block index
-// start, given the ciphertext of block start-1 (or the IV for start==0).
-// It models the random-access property: you can land anywhere, but only
-// with the previous ciphertext block in hand — which on a bus means
-// fetching one extra block. The engines use it for jump-target costing.
-func (c *CBC) DecryptFrom(dst, src []byte, start int, prevCT []byte) {
-	bs := c.b.BlockSize()
-	prev := prevCT
-	if start == 0 {
-		prev = c.iv
-	}
-	if len(prev) != bs {
-		panic("modes: DecryptFrom needs previous ciphertext block")
-	}
-	cbcDecrypt(c.b, prev, dst, src)
 }
 
 // IVMode selects how BlockCBC derives per-cache-block IVs.
@@ -207,13 +161,6 @@ func (a *BlockCBC) iv(addr uint64, freshen bool) []byte {
 	iv := a.ivBuf[:bs]
 	a.b.Encrypt(iv, src)
 	return iv
-}
-
-// IVFor exposes the current IV for a block address (no counter advance);
-// the birthday-attack experiment samples it. The result is a copy the
-// caller may retain.
-func (a *BlockCBC) IVFor(addr uint64) []byte {
-	return append([]byte(nil), a.iv(addr, false)...)
 }
 
 // EncryptBlockAt enciphers one cache block stored at addr, advancing the

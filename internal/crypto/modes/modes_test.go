@@ -4,6 +4,7 @@ import (
 	"bytes"
 	stdaes "crypto/aes"
 	stdcipher "crypto/cipher"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,40 +59,36 @@ func TestECBLeaksCBCHides(t *testing.T) {
 		t.Error("ECB: identical plaintext blocks should encrypt identically")
 	}
 
-	iv := make([]byte, 16)
-	cbc, err := NewCBC(b, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cbc.Encrypt(ct, pt)
+	NewBlockCBC(b, IVRandom, 0).EncryptBlockAt(0, ct, pt)
 	if bytes.Equal(ct[0:16], ct[16:32]) {
 		t.Error("CBC: identical plaintext blocks should differ")
 	}
 }
 
+// The chain round-trips a line of any whole number of blocks.
 func TestCBCRoundtrip(t *testing.T) {
-	b := newAES(t)
-	iv := []byte("iviviviviviviviv")
+	a := NewBlockCBC(newAES(t), IVCounter, 3)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		n := 16 * (1 + rng.Intn(16))
 		pt := make([]byte, n)
 		rng.Read(pt)
-		enc, _ := NewCBC(b, iv)
-		dec, _ := NewCBC(b, iv)
+		addr := uint64(rng.Intn(1<<16)) * 16
 		ct := make([]byte, n)
-		enc.Encrypt(ct, pt)
+		a.EncryptBlockAt(addr, ct, pt)
 		back := make([]byte, n)
-		dec.Decrypt(back, ct)
+		a.DecryptBlockAt(addr, back, ct)
 		if !bytes.Equal(back, pt) {
-			t.Fatalf("trial %d: CBC roundtrip failed", trial)
+			t.Fatalf("trial %d: CBC roundtrip of %d bytes failed", trial, n)
 		}
 	}
 }
 
+// A BlockCBC line is plain CBC under IV = E_K(addr ‖ salt), where salt
+// is the random vector or, under IVCounter, the vector plus the line's
+// write count: crypto/cipher's CBC must reproduce both directions.
 func TestCBCMatchesStdlib(t *testing.T) {
 	key := []byte("0123456789abcdef")
-	iv := []byte("fedcba9876543210")
 	ours, err := aes.New(key)
 	if err != nil {
 		t.Fatal(err)
@@ -101,50 +98,36 @@ func TestCBCMatchesStdlib(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	pt := make([]byte, 256)
-	rng.Read(pt)
+	const salt = 0xfedcba98
+	for _, mode := range []IVMode{IVRandom, IVCounter} {
+		a := NewBlockCBC(ours, mode, salt)
+		for trial := 0; trial < 20; trial++ {
+			addr := uint64(rng.Intn(4)) * 64 // revisit lines to advance counters
+			pt := make([]byte, 16*(1+rng.Intn(8)))
+			rng.Read(pt)
+			got := make([]byte, len(pt))
+			a.EncryptBlockAt(addr, got, pt)
 
-	cbc, _ := NewCBC(ours, iv)
-	got := make([]byte, len(pt))
-	cbc.Encrypt(got, pt)
-
-	want := make([]byte, len(pt))
-	stdcipher.NewCBCEncrypter(std, iv).CryptBlocks(want, pt)
-	if !bytes.Equal(got, want) {
-		t.Error("CBC encryption disagrees with crypto/cipher")
-	}
-}
-
-func TestCBCBadIV(t *testing.T) {
-	if _, err := NewCBC(newAES(t), make([]byte, 8)); err == nil {
-		t.Error("NewCBC with wrong IV length: want error")
-	}
-}
-
-// DecryptFrom with the true previous ciphertext block recovers the chain
-// suffix; this is the mechanism behind the one-extra-block jump cost.
-func TestCBCDecryptFrom(t *testing.T) {
-	b := newAES(t)
-	iv := make([]byte, 16)
-	pt := make([]byte, 16*8)
-	rand.New(rand.NewSource(3)).Read(pt)
-	enc, _ := NewCBC(b, iv)
-	ct := make([]byte, len(pt))
-	enc.Encrypt(ct, pt)
-
-	// Jump to block 3: decrypt blocks 3..7 given ciphertext of block 2.
-	dec, _ := NewCBC(b, iv)
-	suffix := make([]byte, 16*5)
-	dec.DecryptFrom(suffix, ct[16*3:], 3, ct[16*2:16*3])
-	if !bytes.Equal(suffix, pt[16*3:]) {
-		t.Error("DecryptFrom did not recover chain suffix")
-	}
-
-	// From block 0 the IV substitutes for the previous block.
-	full := make([]byte, len(pt))
-	dec.DecryptFrom(full, ct, 0, nil)
-	if !bytes.Equal(full, pt) {
-		t.Error("DecryptFrom(0) did not recover full message")
+			ivSalt := uint64(salt)
+			if mode == IVCounter {
+				ivSalt += a.counters[addr]
+			}
+			iv := make([]byte, 16)
+			binary.BigEndian.PutUint64(iv[:8], addr)
+			binary.BigEndian.PutUint64(iv[8:], ivSalt)
+			std.Encrypt(iv, iv)
+			want := make([]byte, len(pt))
+			stdcipher.NewCBCEncrypter(std, iv).CryptBlocks(want, pt)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("mode %d addr %#x: CBC line disagrees with crypto/cipher", mode, addr)
+			}
+			back := make([]byte, len(pt))
+			a.DecryptBlockAt(addr, back, want)
+			stdcipher.NewCBCDecrypter(std, iv).CryptBlocks(want, want)
+			if !bytes.Equal(back, want) || !bytes.Equal(back, pt) {
+				t.Fatalf("mode %d addr %#x: CBC line decrypt disagrees with crypto/cipher", mode, addr)
+			}
+		}
 	}
 }
 

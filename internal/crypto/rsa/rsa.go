@@ -132,27 +132,3 @@ func Decrypt(priv *PrivateKey, ct []byte) ([]byte, error) {
 	}
 	return append([]byte{}, frame[2:2+n]...), nil
 }
-
-// Sign produces a textbook signature over digest (sig = digest^D mod N).
-// Used by the Fig. 1 protocol extension where the manufacturer signs the
-// public key it distributes.
-func Sign(priv *PrivateKey, digest []byte) []byte {
-	m := new(big.Int).SetBytes(digest)
-	m.Mod(m, priv.N)
-	s := new(big.Int).Exp(m, priv.D, priv.N)
-	out := make([]byte, (priv.Bits()+7)/8)
-	s.FillBytes(out)
-	return out
-}
-
-// Verify checks a Sign signature against digest.
-func Verify(pub *PublicKey, digest, sig []byte) bool {
-	s := new(big.Int).SetBytes(sig)
-	if s.Cmp(pub.N) >= 0 {
-		return false
-	}
-	m := new(big.Int).Exp(s, pub.E, pub.N)
-	d := new(big.Int).SetBytes(digest)
-	d.Mod(d, pub.N)
-	return m.Cmp(d) == 0
-}

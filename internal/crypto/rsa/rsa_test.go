@@ -109,23 +109,6 @@ func TestWrongKeyFailsToDecrypt(t *testing.T) {
 	}
 }
 
-func TestSignVerify(t *testing.T) {
-	key := genTestKey(t, 512)
-	digest := []byte("32-byte-digest-of-the-public-key")
-	sig := Sign(key, digest)
-	if !Verify(&key.PublicKey, digest, sig) {
-		t.Error("valid signature rejected")
-	}
-	bad := append([]byte{}, sig...)
-	bad[0] ^= 1
-	if Verify(&key.PublicKey, digest, bad) {
-		t.Error("tampered signature accepted")
-	}
-	if Verify(&key.PublicKey, []byte("other digest"), sig) {
-		t.Error("signature verified against the wrong digest")
-	}
-}
-
 func TestDeterministicKeygen(t *testing.T) {
 	a, _ := GenerateKey(rand.New(rand.NewSource(5)), 256)
 	b, _ := GenerateKey(rand.New(rand.NewSource(5)), 256)

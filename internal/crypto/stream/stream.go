@@ -4,17 +4,17 @@
 // generation can be parallelised with external data fetch"; the engine
 // models in internal/edu/streamengine exploit exactly that property.
 //
-// Three generators are provided, in increasing robustness:
+// Two generators are provided, the ones the stream engines run:
 //
 //   - LFSR: a single Fibonacci linear-feedback shift register. Fast and
 //     tiny in hardware, but linear — recoverable from 2·deg output bits
 //     (Berlekamp–Massey); kept as the known-weak baseline.
 //   - Geffe: three LFSRs nonlinearly combined. Historically proposed,
 //     still correlation-attackable; a middle robustness point.
-//   - RC4: the byte-oriented software stream cipher the survey names.
 //
-// All generators implement Keystream, and the address-seeded PadSource
-// turns any of them into a random-access pad for bus lines.
+// Both implement Keystream, and the address-seeded PadSource turns
+// either into a random-access pad for bus lines; the engines XOR the
+// pad into the line themselves.
 package stream
 
 import "fmt"
@@ -26,14 +26,6 @@ type Keystream interface {
 	// Reset rewinds the generator to a fresh state derived from seed,
 	// so the deciphering side can reproduce the stream.
 	Reset(seed uint64)
-}
-
-// XORKeyStream enciphers (or deciphers — same operation) src into dst
-// with ks, Figure 2a's XOR gate.
-func XORKeyStream(ks Keystream, dst, src []byte) {
-	for i, b := range src {
-		dst[i] = b ^ ks.Next()
-	}
 }
 
 // LFSR is a Fibonacci linear-feedback shift register with a fixed
@@ -123,61 +115,6 @@ func (g *Geffe) Next() byte {
 	return out
 }
 
-// RC4 is the classic byte-oriented stream cipher named in §1 of the
-// survey. Kept faithful to the original key-scheduling and PRGA; like
-// everything in this repository it is for modeling, not for new designs.
-type RC4 struct {
-	s    [256]byte
-	i, j byte
-	key  []byte
-	// seedKey is preallocated scratch for Reset's per-seed re-key, so
-	// address-seeded pad derivation stays allocation-free.
-	seedKey []byte
-}
-
-// NewRC4 builds an RC4 generator from key (1–256 bytes).
-func NewRC4(key []byte) (*RC4, error) {
-	if len(key) == 0 || len(key) > 256 {
-		return nil, fmt.Errorf("stream: RC4 key length %d out of range [1,256]", len(key))
-	}
-	r := &RC4{key: append([]byte{}, key...), seedKey: make([]byte, len(key))}
-	r.schedule()
-	return r, nil
-}
-
-func (r *RC4) schedule() {
-	for i := 0; i < 256; i++ {
-		r.s[i] = byte(i)
-	}
-	var j byte
-	for i := 0; i < 256; i++ {
-		j += r.s[i] + r.key[i%len(r.key)]
-		r.s[i], r.s[j] = r.s[j], r.s[i]
-	}
-	r.i, r.j = 0, 0
-}
-
-// Next returns the next PRGA byte.
-func (r *RC4) Next() byte {
-	r.i++
-	r.j += r.s[r.i]
-	r.s[r.i], r.s[r.j] = r.s[r.j], r.s[r.i]
-	return r.s[r.s[r.i]+r.s[r.j]]
-}
-
-// Reset re-keys the cipher with the original key XOR-folded with seed;
-// this gives RC4 the address-seeded interface the pad source needs.
-func (r *RC4) Reset(seed uint64) {
-	copy(r.seedKey, r.key)
-	for i := 0; i < 8 && i < len(r.seedKey); i++ {
-		r.seedKey[i] ^= byte(seed >> (8 * uint(i)))
-	}
-	saved := r.key
-	r.key = r.seedKey
-	r.schedule()
-	r.key = saved
-}
-
 // PadSource derives a random-access pad from a generator factory: the
 // pad for bus line address A is the first lineSize bytes of the stream
 // seeded with secret‖A. This is what both the Fig. 7b cache-side EDU and
@@ -214,15 +151,6 @@ func (p *PadSource) Pad(dst []byte, addr uint64) {
 	p.gen.Reset(p.secret ^ mix(line))
 	for i := range dst {
 		dst[i] = p.gen.Next()
-	}
-}
-
-// XORLine applies the pad for addr to src into dst.
-func (p *PadSource) XORLine(dst, src []byte, addr uint64) {
-	pad := make([]byte, p.lineSize)
-	p.Pad(pad, addr)
-	for i := range src {
-		dst[i] = src[i] ^ pad[i]
 	}
 }
 

@@ -2,10 +2,7 @@ package stream
 
 import (
 	"bytes"
-	stdrc4 "crypto/rc4"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLFSRDeterministicAndNonTrivial(t *testing.T) {
@@ -85,90 +82,6 @@ func TestGeffeResetReproduces(t *testing.T) {
 	}
 }
 
-func TestRC4MatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 50; trial++ {
-		key := make([]byte, 5+rng.Intn(27))
-		rng.Read(key)
-		ours, err := NewRC4(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := stdrc4.NewCipher(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt := make([]byte, 128)
-		rng.Read(pt)
-		want := make([]byte, 128)
-		ref.XORKeyStream(want, pt)
-		got := make([]byte, 128)
-		XORKeyStream(ours, got, pt)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("RC4 disagrees with crypto/rc4 for key %x", key)
-		}
-	}
-}
-
-func TestRC4KeyLengthValidation(t *testing.T) {
-	if _, err := NewRC4(nil); err == nil {
-		t.Error("empty key accepted")
-	}
-	if _, err := NewRC4(make([]byte, 257)); err == nil {
-		t.Error("257-byte key accepted")
-	}
-}
-
-func TestRC4ResetIsSeedDependent(t *testing.T) {
-	r, _ := NewRC4([]byte("buskey"))
-	r.Reset(1)
-	a := make([]byte, 16)
-	for i := range a {
-		a[i] = r.Next()
-	}
-	r.Reset(2)
-	b := make([]byte, 16)
-	for i := range b {
-		b[i] = r.Next()
-	}
-	if bytes.Equal(a, b) {
-		t.Error("different seeds gave identical streams")
-	}
-	r.Reset(1)
-	c := make([]byte, 16)
-	for i := range c {
-		c[i] = r.Next()
-	}
-	if !bytes.Equal(a, c) {
-		t.Error("same seed did not reproduce stream")
-	}
-}
-
-func TestXORKeyStreamRoundtrip(t *testing.T) {
-	for name, mk := range map[string]func() Keystream{
-		"lfsr":  func() Keystream { return NewLFSR(5) },
-		"geffe": func() Keystream { return NewGeffe(5) },
-		"rc4": func() Keystream {
-			r, _ := NewRC4([]byte("key!"))
-			return r
-		},
-	} {
-		enc := mk()
-		dec := mk()
-		pt := []byte("the processor-memory bus is the weakest point of the system")
-		ct := make([]byte, len(pt))
-		XORKeyStream(enc, ct, pt)
-		if bytes.Equal(ct, pt) {
-			t.Errorf("%s: ciphertext equals plaintext", name)
-		}
-		back := make([]byte, len(ct))
-		XORKeyStream(dec, back, ct)
-		if !bytes.Equal(back, pt) {
-			t.Errorf("%s: roundtrip failed", name)
-		}
-	}
-}
-
 func TestPadSourceProperties(t *testing.T) {
 	p := NewPadSource(NewGeffe(0), 0x5ec7e7, 32)
 
@@ -191,20 +104,6 @@ func TestPadSourceProperties(t *testing.T) {
 	p.Pad(b, 0x1020)
 	if bytes.Equal(a, b) {
 		t.Error("adjacent lines share a pad")
-	}
-}
-
-func TestPadSourceXORLineRoundtrip(t *testing.T) {
-	p := NewPadSource(NewLFSR(0), 777, 16)
-	f := func(data [16]byte, addr uint64) bool {
-		ct := make([]byte, 16)
-		p.XORLine(ct, data[:], addr)
-		back := make([]byte, 16)
-		p.XORLine(back, ct, addr)
-		return bytes.Equal(back, data[:])
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -254,13 +153,5 @@ func BenchmarkGeffePad(b *testing.B) {
 	b.SetBytes(32)
 	for i := 0; i < b.N; i++ {
 		p.Pad(pad, uint64(i)*32)
-	}
-}
-
-func BenchmarkRC4(b *testing.B) {
-	r, _ := NewRC4([]byte("benchkey"))
-	b.SetBytes(1)
-	for i := 0; i < b.N; i++ {
-		r.Next()
 	}
 }

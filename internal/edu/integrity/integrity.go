@@ -23,6 +23,7 @@
 package integrity
 
 import (
+	"crypto/hmac"
 	"encoding/binary"
 	"fmt"
 
@@ -73,8 +74,12 @@ type Config struct {
 // with the ciphertext in external memory (tags are themselves covered
 // by the address binding); the freshness counters live on-chip.
 type Engine struct {
-	cfg      Config
-	hmac     keyedhash.MAC             // reusable key schedule; zero allocs per tag
+	cfg  Config
+	hmac keyedhash.MAC // reusable key schedule; zero allocs per tag
+	// hdr is the (addr ‖ version) MAC header. It lives in the struct
+	// because a stack array passed through the hash.Hash interface call
+	// escapes to the heap.
+	hdr      [16]byte
 	tags     map[uint64][TagBytes]byte // external tag memory (modeled here)
 	versions map[uint64]uint64         // on-chip counter table
 	// Violations counts failed verifications — the detection events the
@@ -153,11 +158,10 @@ func (e *Engine) Gates() int {
 //
 //repro:hotpath
 func (e *Engine) mac(addr, version uint64, line []byte) [TagBytes]byte {
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[0:8], addr)
-	binary.BigEndian.PutUint64(hdr[8:16], version)
+	binary.BigEndian.PutUint64(e.hdr[0:8], addr)
+	binary.BigEndian.PutUint64(e.hdr[8:16], version)
 	e.hmac.Reset()
-	e.hmac.Write(hdr[:])
+	e.hmac.Write(e.hdr[:])
 	e.hmac.Write(line)
 	full := e.hmac.SumFixed()
 	var tag [TagBytes]byte
@@ -193,18 +197,12 @@ func (e *Engine) DecryptLine(addr uint64, dst, src []byte) {
 		return
 	}
 	want := e.mac(addr, e.versions[addr], dst)
-	if !keyedhash.Equal(want[:], tag[:]) {
+	if !hmac.Equal(want[:], tag[:]) {
 		e.Violations++
-		zero(dst)
+		clear(dst)
 		return
 	}
 	e.Verified++
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }
 
 // TamperTag lets the attack harness overwrite a stored tag (the tag

@@ -21,7 +21,6 @@ import (
 	"repro/internal/crypto/bestcipher"
 	"repro/internal/crypto/des"
 	"repro/internal/crypto/ds5002"
-	"repro/internal/crypto/keyedhash"
 	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/blockengine"
@@ -85,10 +84,12 @@ func AEGIS(key []byte, ivMode modes.IVMode, salt uint64) (edu.Engine, error) {
 // sequential lines with a keyed-hash authenticator. Chaining beyond one
 // line is what makes random access expensive: a non-sequential line
 // fetch must also obtain the predecessor ciphertext block to restart the
-// chain, and the MAC check serializes on the line.
+// chain, and the MAC check serializes on the line. The CBC-MAC itself is
+// modelled by its cost alone: ReadExtraCycles and WriteExtraCycles
+// serialize it on the line and GIGates counts its datapath; no tag is
+// computed.
 type GeneralInstrument struct {
 	cbc *modes.BlockCBC // chain restart uses address-bound IVs
-	mac *keyedhash.CBCMAC
 	// timing
 	timing edu.PipelineTiming
 	// chain state: last line address fetched, to detect random access
@@ -99,19 +100,17 @@ type GeneralInstrument struct {
 }
 
 // NewGeneralInstrument builds the engine from a 3-DES key (16/24 bytes)
-// and an 8-byte MAC key.
+// and an 8-byte (one DES block) MAC key, which is checked but unused.
 func NewGeneralInstrument(desKey, macKey []byte) (*GeneralInstrument, error) {
 	t, err := des.NewTriple(desKey)
 	if err != nil {
 		return nil, fmt.Errorf("products: gi: %w", err)
 	}
-	m, err := keyedhash.NewCBCMAC(macKey)
-	if err != nil {
-		return nil, fmt.Errorf("products: gi: %w", err)
+	if len(macKey) != des.BlockSize {
+		return nil, fmt.Errorf("products: gi: MAC key: %w", des.KeySizeError(len(macKey)))
 	}
 	return &GeneralInstrument{
 		cbc:    modes.NewBlockCBC(t, modes.IVRandom, 0x6131),
-		mac:    m,
 		timing: edu.PipelineTiming{Latency: 3 * des.Rounds, II: 3 * des.Rounds}, // iterative core
 	}, nil
 }
@@ -136,15 +135,6 @@ func (g *GeneralInstrument) EncryptLine(addr uint64, dst, src []byte) {
 // DecryptLine implements edu.Engine.
 func (g *GeneralInstrument) DecryptLine(addr uint64, dst, src []byte) {
 	g.cbc.DecryptBlockAt(addr, dst, src)
-}
-
-// MAC returns the authenticator tag for a line's plaintext; the SoC-side
-// verify path and the attack experiments use it.
-func (g *GeneralInstrument) MAC(line []byte) [keyedhash.TagSize]byte { return g.mac.Sum(line) }
-
-// VerifyMAC checks a line against its tag.
-func (g *GeneralInstrument) VerifyMAC(line []byte, tag [keyedhash.TagSize]byte) bool {
-	return g.mac.Verify(line, tag)
 }
 
 // PerAccessCycles implements edu.Engine.

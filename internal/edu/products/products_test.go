@@ -2,9 +2,11 @@ package products
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/crypto/des"
 	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 )
@@ -159,17 +161,29 @@ func TestGIChainRestartPenalty(t *testing.T) {
 	}
 }
 
+// GI's CBC-MAC is modelled by its cost and its key alone: the
+// constructor takes exactly one DES block of MAC key (16 and 24 bytes
+// are valid 3-DES keys, not MAC keys), and the write path pays the MAC
+// pass on top of the CBC pass.
 func TestGIMAC(t *testing.T) {
-	g, _ := NewGeneralInstrument(make([]byte, 24), make([]byte, 8))
-	line := []byte("a line of external memory bytes!")
-	tag := g.MAC(line)
-	if !g.VerifyMAC(line, tag) {
-		t.Error("valid MAC rejected")
+	for _, n := range []int{0, 7, 9, 16, 24} {
+		_, err := NewGeneralInstrument(make([]byte, 24), make([]byte, n))
+		var kse des.KeySizeError
+		if !errors.As(err, &kse) || int(kse) != n {
+			t.Errorf("%d-byte MAC key: err = %v, want a des.KeySizeError(%d)", n, err, n)
+		}
 	}
-	mod := append([]byte{}, line...)
-	mod[3] ^= 1
-	if g.VerifyMAC(mod, tag) {
-		t.Error("tampered line accepted — the keyed hash must catch it")
+	g, err := NewGeneralInstrument(make([]byte, 24), make([]byte, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const line = 32
+	cbcPass := uint64(line / des.BlockSize * g.timing.Latency)
+	if got := g.WriteExtraCycles(0, line); got != 2*cbcPass {
+		t.Errorf("GI write = %d cycles, want CBC + MAC passes = %d", got, 2*cbcPass)
+	}
+	if g.Gates() != GIGates {
+		t.Errorf("GI gates = %d, want %d", g.Gates(), GIGates)
 	}
 }
 
