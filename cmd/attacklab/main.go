@@ -15,58 +15,61 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment: e4, e9, e13 or e15 (default: all)")
-	engine := flag.String("engine", "", "tamper-test one engine[+authenticator] combination, e.g. xom, aegis+tree (authenticators: "+strings.Join(core.AuthKeys(), ", ")+")")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("attacklab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "run a single experiment: e4, e9, e13 or e15 (default: all)")
+	engine := fs.String("engine", "", "tamper-test one engine[+authenticator] combination, e.g. xom, aegis+tree (authenticators: "+strings.Join(core.AuthKeys(), ", ")+")")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *engine != "" {
 		if *only != "" {
-			// Same convention as sweep's -suite: conflicting modes are
-			// an error, not a silent preference.
-			fmt.Fprintln(os.Stderr, "attacklab: -engine runs the tamper table only; drop -only")
-			os.Exit(1)
+			// Conflicting modes are an error, not a silent preference.
+			fmt.Fprintln(stderr, "attacklab: -engine runs the tamper table only; drop -only")
+			return 1
 		}
 		tbl, err := core.TamperTable(*engine)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "attacklab:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "attacklab:", err)
+			return 1
 		}
-		fmt.Println(tbl)
-		return
+		fmt.Fprintln(stdout, tbl)
+		return 0
 	}
 
-	type step struct {
-		key string
-		run func() (*core.Table, error)
-	}
-	steps := []step{
-		{"e4", core.E4ECBLeakage},
-		{"e9", core.E9Kuhn},
-		{"e13", core.E13BruteForce},
-		{"e15", core.E15Best},
-	}
-	ran := 0
-	for _, s := range steps {
-		if *only != "" && *only != s.key {
-			continue
+	// The passive attacks are the registry's E4, E9, E13 and E15.
+	ids := []string{"e4", "e9", "e13", "e15"}
+	if *only != "" {
+		if !slices.Contains(ids, *only) {
+			fmt.Fprintf(stderr, "attacklab: unknown experiment %q (want e4, e9, e13 or e15)\n", *only)
+			return 1
 		}
-		tbl, err := s.run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "attacklab:", err)
-			os.Exit(1)
-		}
-		fmt.Println(tbl)
-		ran++
+		ids = []string{*only}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "attacklab: unknown experiment %q (want e4, e9, e13 or e15)\n", *only)
-		os.Exit(1)
+	tables, err := campaign.RunSuite(ids, core.DefaultRefs, 1)
+	for _, tbl := range tables {
+		fmt.Fprintln(stdout, tbl)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "attacklab:", err)
+		return 1
+	}
+	return 0
 }

@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim/soc"
@@ -21,77 +23,80 @@ import (
 )
 
 func main() {
-	var (
-		engineKey = flag.String("engine", "aegis", "surveyed engine key (see -list)")
-		workload  = flag.String("workload", "sequential", "workload generator name")
-		refs      = flag.Int("refs", 100000, "trace length")
-		jump      = flag.Float64("jump", 0.03, "jump rate (code workloads)")
-		writes    = flag.Float64("writes", 0.3, "write fraction (data workloads)")
-		loads     = flag.Float64("loads", 0.35, "data-access fraction")
-		locality  = flag.Float64("locality", 0.7, "data locality")
-		codeSize  = flag.Uint64("codesize", 1<<20, "code footprint in bytes")
-		seed      = flag.Int64("seed", 1, "trace seed")
-		list      = flag.Bool("list", false, "list engines and workloads, then exit")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bussim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	engineKey := fs.String("engine", "aegis", "surveyed engine key (see -list)")
+	workload := fs.String("workload", "sequential", "workload generator name")
+	refs := fs.Int("refs", 100000, "trace length")
+	jump := fs.Float64("jump", 0.03, "jump rate (code workloads)")
+	writes := fs.Float64("writes", 0.3, "write fraction (data workloads)")
+	loads := fs.Float64("loads", 0.35, "data-access fraction")
+	locality := fs.Float64("locality", 0.7, "data locality")
+	codeSize := fs.Uint64("codesize", 1<<20, "code footprint in bytes")
+	seed := fs.Int64("seed", 1, "trace seed")
+	list := fs.Bool("list", false, "list engines and workloads, then exit")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *list {
-		fmt.Println("engines:")
+		fmt.Fprintln(stdout, "engines:")
 		for _, e := range core.Survey() {
-			fmt.Printf("  %-8s %s (%s, %s)\n", e.Key, e.Name, e.Cipher, e.Origin)
+			fmt.Fprintf(stdout, "  %-8s %s (%s, %s)\n", e.Key, e.Name, e.Cipher, e.Origin)
 		}
-		fmt.Println("workloads:")
-		var names []string
-		for n := range trace.Sources {
-			names = append(names, n)
+		fmt.Fprintln(stdout, "workloads:")
+		for _, n := range slices.Sorted(maps.Keys(trace.Sources)) {
+			fmt.Fprintf(stdout, "  %s\n", n)
 		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("  %s\n", n)
-		}
-		return
+		return 0
 	}
 
 	mkSource, ok := trace.Sources[*workload]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "bussim: unknown workload %q (try -list)\n", *workload)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bussim: unknown workload %q (try -list)\n", *workload)
+		return 1
 	}
 	src := mkSource(trace.Config{
-		Refs: *refs, Seed: *seed, JumpRate: *jump,
+		Refs: *refs, Seed: *seed, JumpRate: *jump, CodeSize: *codeSize,
 		WriteFraction: *writes, LoadFraction: *loads, Locality: *locality,
-		CodeSize: *codeSize,
 	})
 
 	entry, err := core.Entry(*engineKey)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bussim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "bussim:", err)
+		return 1
 	}
 	eng, err := entry.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bussim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "bussim:", err)
+		return 1
 	}
 
 	base, with, err := soc.Compare(soc.DefaultConfig(), eng, src)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bussim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "bussim:", err)
+		return 1
 	}
 
-	fmt.Printf("engine     : %s (%s, %s)\n", entry.Name, entry.Cipher, entry.ModeDesc)
-	fmt.Printf("area       : %d gate equivalents\n", eng.Gates())
-	fmt.Printf("workload   : %s (%d refs, %d instructions)\n", src.Label(), with.Refs, with.Instructions)
-	fmt.Printf("baseline   : %d cycles (CPI %.2f)\n", base.Cycles, base.CPI())
-	fmt.Printf("with engine: %d cycles (CPI %.2f)\n", with.Cycles, with.CPI())
-	fmt.Printf("overhead   : %.2f%%\n", 100*with.OverheadVs(base))
-	fmt.Printf("engine stalls: %d cycles (%.1f%% of total)\n",
+	fmt.Fprintf(stdout, "engine     : %s (%s, %s)\n", entry.Name, entry.Cipher, entry.ModeDesc)
+	fmt.Fprintf(stdout, "area       : %d gate equivalents\n", eng.Gates())
+	fmt.Fprintf(stdout, "workload   : %s (%d refs, %d instructions)\n", src.Label(), with.Refs, with.Instructions)
+	fmt.Fprintf(stdout, "baseline   : %d cycles (CPI %.2f)\n", base.Cycles, base.CPI())
+	fmt.Fprintf(stdout, "with engine: %d cycles (CPI %.2f)\n", with.Cycles, with.CPI())
+	fmt.Fprintf(stdout, "overhead   : %.2f%%\n", 100*with.OverheadVs(base))
+	fmt.Fprintf(stdout, "engine stalls: %d cycles (%.1f%% of total)\n",
 		with.EngineStalls, 100*float64(with.EngineStalls)/float64(with.Cycles))
-	fmt.Printf("cache      : %.2f%% miss rate, %d writebacks, %d flushed at end\n",
+	fmt.Fprintf(stdout, "cache      : %.2f%% miss rate, %d writebacks, %d flushed at end\n",
 		100*with.Cache.MissRate(), with.Cache.Writebacks, with.FlushedLines)
-	fmt.Printf("bus        : %d transactions, %d bytes\n", with.BusTxns, with.BusBytes)
+	fmt.Fprintf(stdout, "bus        : %d transactions, %d bytes\n", with.BusTxns, with.BusBytes)
 	if with.RMWEvents > 0 {
-		fmt.Printf("RMW events : %d (sub-block writes)\n", with.RMWEvents)
+		fmt.Fprintf(stdout, "RMW events : %d (sub-block writes)\n", with.RMWEvents)
 	}
+	return 0
 }

@@ -2,29 +2,15 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
 	"strings"
 	"testing"
 )
 
-func runCLI(t *testing.T, args ...string) (string, string, int) {
-	t.Helper()
-	bin := t.TempDir() + "/cli"
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, args...)
+// cli runs the command in-process and returns stdout, stderr and the
+// exit code main would pass to os.Exit.
+func cli(args ...string) (string, string, int) {
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	code := 0
-	if err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatal(err)
-		}
-		code = ee.ExitCode()
-	}
+	code := run(args, &stdout, &stderr)
 	return stdout.String(), stderr.String(), code
 }
 
@@ -33,7 +19,7 @@ func TestErrorPathsToStderr(t *testing.T) {
 		{"-no-such-flag"},
 		{"-workload", "no-such-workload"},
 	} {
-		stdout, stderr, code := runCLI(t, tc...)
+		stdout, stderr, code := cli(tc...)
 		if code == 0 {
 			t.Errorf("%v exited 0", tc)
 		}
@@ -47,8 +33,15 @@ func TestErrorPathsToStderr(t *testing.T) {
 }
 
 func TestUnknownWorkloadSuggestsList(t *testing.T) {
-	_, stderr, _ := runCLI(t, "-workload", "no-such-workload")
+	_, stderr, _ := cli("-workload", "no-such-workload")
 	if !strings.Contains(stderr, "-list") {
 		t.Errorf("stderr does not point at -list: %q", stderr)
+	}
+}
+
+func TestHelpExitsZero(t *testing.T) {
+	stdout, stderr, code := cli("-h")
+	if code != 0 || stdout != "" || !strings.Contains(stderr, "-engine") {
+		t.Errorf("-h: code=%d stdout=%q stderr=%q", code, stdout, stderr)
 	}
 }

@@ -1,15 +1,14 @@
-// Command survey prints the full experiment suite (E1-E22): the
-// survey's comparison table, every quantitative claim reproduced on the
-// simulated SoC, and the extension experiments. Experiments are
-// submitted through the campaign scheduler, so -jobs N runs them on N
-// workers (tables still print in suite order — each experiment is
-// deterministic in isolation). Use -refs to trade accuracy for speed
-// and -only to run a single experiment.
+// Command survey prints the experiment suite (E1-E22): the survey's
+// comparison table, every quantitative claim reproduced on the
+// simulated SoC, and the extension experiments. -jobs N runs them on N
+// campaign workers; tables print in suite order, or in the order -only
+// lists them (-only E1,E6,E17), and -refs trades accuracy for speed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/campaign"
@@ -17,26 +16,29 @@ import (
 )
 
 func main() {
-	refs := flag.Int("refs", core.DefaultRefs, "trace length per simulation")
-	only := flag.String("only", "", "run a single experiment by id (e.g. E6, e17)")
-	jobs := flag.Int("jobs", campaign.DefaultJobs(), "experiment scheduler worker count")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var ids []string
-	if *only != "" {
-		if _, ok := core.ExperimentByID(*only); !ok {
-			fmt.Fprintf(os.Stderr, "survey: unknown experiment %q (want %s)\n", *only, core.ExperimentIDRange())
-			os.Exit(1)
-		}
-		ids = []string{*only}
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("survey", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	refs := fs.Int("refs", core.DefaultRefs, "trace length per simulation")
+	only := fs.String("only", "", "run only these experiments, comma-separated ids (e.g. E6 or E1,e17)")
+	jobs := fs.Int("jobs", campaign.DefaultJobs(), "experiment scheduler worker count")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
-	tables, err := campaign.RunSuite(ids, *refs, *jobs)
+	// RunSuite checks every id before it runs anything.
+	tables, err := campaign.RunSuite(campaign.ParseList(*only), *refs, *jobs)
 	for _, t := range tables {
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "survey:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "survey:", err)
+		return 1
 	}
+	return 0
 }

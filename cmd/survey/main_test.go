@@ -2,32 +2,15 @@ package main
 
 import (
 	"bytes"
-	"os/exec"
 	"strings"
 	"testing"
 )
 
-// runCLI builds and runs this command with args, returning stdout,
-// stderr, and exit code — error-path contracts (stderr + nonzero
-// exit) are only provable on the real binary.
-func runCLI(t *testing.T, args ...string) (string, string, int) {
-	t.Helper()
-	bin := t.TempDir() + "/cli"
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, args...)
+// cli runs the command in-process and returns stdout, stderr and the
+// exit code main would pass to os.Exit.
+func cli(args ...string) (string, string, int) {
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	code := 0
-	if err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatal(err)
-		}
-		code = ee.ExitCode()
-	}
+	code := run(args, &stdout, &stderr)
 	return stdout.String(), stderr.String(), code
 }
 
@@ -35,8 +18,9 @@ func TestErrorPathsToStderr(t *testing.T) {
 	for _, tc := range [][]string{
 		{"-no-such-flag"},
 		{"-only", "E99"},
+		{"-only", "E1,E99"},
 	} {
-		stdout, stderr, code := runCLI(t, tc...)
+		stdout, stderr, code := cli(tc...)
 		if code == 0 {
 			t.Errorf("%v exited 0", tc)
 		}
@@ -50,8 +34,27 @@ func TestErrorPathsToStderr(t *testing.T) {
 }
 
 func TestUnknownExperimentNamesRange(t *testing.T) {
-	_, stderr, _ := runCLI(t, "-only", "E99")
-	if !strings.Contains(stderr, "E99") {
-		t.Errorf("stderr does not name the bad experiment: %q", stderr)
+	_, stderr, _ := cli("-only", "E1,E99")
+	if !strings.Contains(stderr, "E99") || !strings.Contains(stderr, "E1..E22") {
+		t.Errorf("stderr does not name the bad experiment and the range: %q", stderr)
+	}
+}
+
+func TestHelpExitsZero(t *testing.T) {
+	stdout, stderr, code := cli("-h")
+	if code != 0 || stdout != "" || !strings.Contains(stderr, "-only") {
+		t.Errorf("-h: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+}
+
+// -only takes a comma list; the tables print in the order given.
+func TestOnlyList(t *testing.T) {
+	stdout, stderr, code := cli("-only", "e13, E4", "-refs", "2000", "-jobs", "2")
+	if code != 0 {
+		t.Fatalf("exited %d: %s", code, stderr)
+	}
+	e13, e4 := strings.Index(stdout, "== E13:"), strings.Index(stdout, "== E4:")
+	if e13 < 0 || e4 < 0 || e13 > e4 {
+		t.Errorf("want E13 then E4 tables:\n%s", stdout)
 	}
 }

@@ -14,13 +14,11 @@
 //	sweep -l2 64K -placement l1-l2,l2-dram            # Fig. 7 placement sweep
 //	sweep -authtree none,tree,ctree -engines xom      # authentication axis
 //	sweep -authtree tree -attack 1,4,16 -format csv   # active-adversary sweep
-//	sweep -suite -jobs 4            # run the E1-E22 suite instead
 //	sweep -jobs 8 -progress         # live refs/sec + ETA on stderr
 //	sweep -progress-json 2>prog.ndjson                # machine-readable progress
 //	sweep -pprof localhost:6060     # net/http/pprof + /metrics + /trace snapshots
 //	sweep -format json -o results.json                # write results to a file
-//	sweep -spec grid.json -format csv                 # grid from a JSON spec file
-//	                                                  # (the exact sweepd POST payload)
+//	sweep -spec grid.json -format csv                 # grid from a sweepd POST payload
 //	sweep -trace out.json           # flight-recorder trace (open in Perfetto)
 //	sweep -trace out.csv -trace-cap 1M                # CSV export, bigger rings
 //
@@ -36,97 +34,77 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 )
 
 func main() {
-	specFlags := campaign.RegisterSpecFlags(flag.CommandLine)
-	specPath := flag.String("spec", "", "read the grid spec from this JSON file (the exact payload sweepd's POST /sweeps accepts) instead of grid axis flags")
-	jobs := flag.Int("jobs", campaign.DefaultJobs(), "worker pool size")
-	format := flag.String("format", "table", "output format: table, csv or json")
-	suite := flag.Bool("suite", false, "run the E1-E22 experiment suite through the pool instead of a grid")
-	experiments := flag.String("experiments", "", "experiment ids for -suite, e.g. E1,E6,E17 (default: all)")
-	suiteRefs := flag.Int("suite-refs", core.DefaultRefs, "trace length for -suite experiments")
-	quiet := flag.Bool("q", false, "suppress the stderr progress line")
-	progress := flag.Bool("progress", false, "stream live progress lines (refs/sec, ETA) to stderr; stdout is untouched")
-	progressJSON := flag.Bool("progress-json", false, "emit -progress lines as JSON objects")
-	progressInterval := flag.Duration("progress-interval", time.Second, "period between -progress lines")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics + /trace JSON snapshots on this address (e.g. localhost:6060)")
-	outPath := flag.String("o", "", "write results to this file instead of stdout")
-	tracePath := flag.String("trace", "", "record a flight-recorder trace and write it here (.csv = CSV, else Chrome trace_event JSON for Perfetto)")
-	traceCap := flag.String("trace-cap", "", fmt.Sprintf("per-task trace ring capacity in events, K/M suffixes ok (default: %d)", campaign.DefaultTraceCap))
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *suite {
-		// Suite mode prints experiment tables: the grid axes and the
-		// structured emitters do not apply, and silently ignoring them
-		// would mislead scripted callers.
-		if !specFlags.Empty() || *specPath != "" {
-			fatal(fmt.Errorf("-suite ignores grid axes; drop -engines/-workloads/-refs/-cache/-l2/-placement/-line/-bus/-authtree/-attack/-spec (use -experiments and -suite-refs)"))
-		}
-		if *format != "table" {
-			fatal(fmt.Errorf("-suite emits experiment tables only; -format %s is not supported", *format))
-		}
-		if *progress || *progressJSON || *pprofAddr != "" || *outPath != "" || *tracePath != "" || *traceCap != "" {
-			fatal(fmt.Errorf("-suite does not support -progress/-progress-json/-pprof/-o/-trace/-trace-cap; run a grid sweep for live observability"))
-		}
-		start := time.Now()
-		tables, err := campaign.RunSuite(campaign.ParseList(*experiments), *suiteRefs, *jobs)
-		for _, t := range tables {
-			fmt.Println(t)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "sweep: %d experiments, jobs=%d, %s\n",
-				len(tables), *jobs, time.Since(start).Round(time.Millisecond))
-		}
-		return
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	specFlags := campaign.RegisterSpecFlags(fs)
+	specPath := fs.String("spec", "", "read the grid spec from this JSON file (the exact payload sweepd's POST /sweeps accepts) instead of grid axis flags")
+	jobs := fs.Int("jobs", campaign.DefaultJobs(), "worker pool size")
+	format := fs.String("format", "table", "output format: table, csv or json")
+	quiet := fs.Bool("q", false, "suppress the stderr progress line")
+	progress := fs.Bool("progress", false, "stream live progress lines (refs/sec, ETA) to stderr; stdout is untouched")
+	progressJSON := fs.Bool("progress-json", false, "emit -progress lines as JSON objects")
+	progressInterval := fs.Duration("progress-interval", time.Second, "period between -progress lines")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and /metrics + /trace JSON snapshots on this address (e.g. localhost:6060)")
+	outPath := fs.String("o", "", "write results to this file instead of stdout")
+	tracePath := fs.String("trace", "", "record a flight-recorder trace and write it here (.csv = CSV, else Chrome trace_event JSON for Perfetto)")
+	traceCap := fs.String("trace-cap", "", fmt.Sprintf("per-task trace ring capacity in events, K/M suffixes ok (default: %d)", campaign.DefaultTraceCap))
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sweep:", err)
+		return 1
 	}
 
 	// The grid comes from one place: either the shared axis flags or a
 	// -spec file carrying the exact JSON payload the sweepd service
 	// accepts — so a campaign is portable between CLI and service runs.
-	var spec campaign.Spec
-	var err error
+	spec, err := specFlags.Spec()
 	if *specPath != "" {
 		if !specFlags.Empty() {
-			fatal(fmt.Errorf("-spec replaces the grid axis flags; drop -engines/-workloads/-refs/-cache/-l2/-placement/-line/-bus/-authtree/-attack"))
+			return fail(fmt.Errorf("-spec replaces the grid axis flags; drop -engines/-workloads/-refs/-cache/-l2/-placement/-line/-bus/-authtree/-attack"))
 		}
-		f, ferr := os.Open(*specPath)
-		if ferr != nil {
-			fatal(ferr)
+		var data []byte
+		if data, err = os.ReadFile(*specPath); err == nil {
+			spec, err = campaign.ParseSpecJSON(bytes.NewReader(data))
 		}
-		spec, err = campaign.ParseSpecJSON(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else if spec, err = specFlags.Spec(); err != nil {
-		fatal(err)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	if !slices.Contains(campaign.Formats, *format) {
-		fatal(fmt.Errorf("unknown format %q (want %s)", *format, strings.Join(campaign.Formats, ", ")))
+		return fail(fmt.Errorf("unknown format %q (want %s)", *format, strings.Join(campaign.Formats, ", ")))
 	}
 	runner, err := campaign.NewRunner(spec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	// Observability is opt-in and stderr/HTTP-only: the result stream on
@@ -142,7 +120,7 @@ func main() {
 	if *traceCap != "" {
 		caps, err := campaign.ParseIntList(*traceCap)
 		if err != nil || len(caps) != 1 || caps[0] <= 0 {
-			fatal(fmt.Errorf("-trace-cap wants one positive event count, got %q", *traceCap))
+			return fail(fmt.Errorf("-trace-cap wants one positive event count, got %q", *traceCap))
 		}
 		ringCap = caps[0]
 	}
@@ -151,13 +129,27 @@ func main() {
 		tracer = &campaign.Tracer{Cap: ringCap}
 		runner.Trace(tracer)
 	}
+
 	if *pprofAddr != "" {
-		serveDebug(*pprofAddr, reg, tracer)
+		stop, err := serveDebug(*pprofAddr, reg, tracer, stderr)
+		if err != nil {
+			return fail(err)
+		}
+		defer stop()
+	}
+	out := stdout
+	var outFile *os.File
+	if *outPath != "" {
+		if outFile, err = os.Create(*outPath); err != nil {
+			return fail(err)
+		}
+		defer outFile.Close()
+		out = outFile
 	}
 	var prog *obs.Progress
 	if *progress || *progressJSON {
 		prog = obs.StartProgress(obs.ProgressConfig{
-			W:        os.Stderr,
+			W:        stderr,
 			Interval: *progressInterval,
 			JSON:     *progressJSON,
 			Unit:     "refs",
@@ -165,40 +157,33 @@ func main() {
 		})
 	}
 
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-
 	start := time.Now()
-	rep := runner.Run(*jobs)
+	rep, err := runner.RunContext(ctx, *jobs)
 	elapsed := time.Since(start)
 	if prog != nil {
 		prog.Stop()
 	}
-	if err := campaign.Emit(out, rep, *format); err != nil {
-		fatal(err)
+	if err != nil {
+		return fail(err)
 	}
-	if *outPath != "" {
-		if err := out.Close(); err != nil {
-			fatal(err)
-		}
+	err = campaign.Emit(out, rep, *format)
+	if outFile != nil {
+		err = errors.Join(err, outFile.Close())
+	}
+	if err != nil {
+		return fail(err)
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, campaign.TraceOf(rep)); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "sweep: %d points, jobs=%d, baselines simulated=%d cached-hits=%d, %s\n",
+		fmt.Fprintf(stderr, "sweep: %d points, jobs=%d, baselines simulated=%d cached-hits=%d, %s\n",
 			len(rep.Results), *jobs, runner.BaselineRuns(), runner.BaselineHits(),
 			elapsed.Round(time.Millisecond))
 	}
+	return 0
 }
 
 // sampleCampaign reads the progress quantities from the registry's
@@ -225,44 +210,35 @@ func writeTrace(path string, tr *rec.Trace) error {
 	if err != nil {
 		return err
 	}
+	write := rec.WriteChrome
 	if strings.HasSuffix(path, ".csv") {
-		err = rec.WriteCSV(f, tr)
-	} else {
-		err = rec.WriteChrome(f, tr)
+		write = rec.WriteCSV
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return errors.Join(write(f, tr), f.Close())
 }
 
 // serveDebug starts the diagnostics endpoint: net/http/pprof under
 // /debug/pprof/, the registry's JSON snapshot at /metrics, and the
 // live flight-recorder snapshot at /trace. The listener binds before
-// the sweep starts (a bad address should fail fast), then serves for
-// the life of the process.
-func serveDebug(addr string, reg *obs.Registry, tracer *campaign.Tracer) {
+// the sweep starts (a bad address should fail fast); the returned stop
+// closes the server and waits for it, so it never outlives the run.
+func serveDebug(addr string, reg *obs.Registry, tracer *campaign.Tracer, stderr io.Writer) (func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // net/http/pprof's handlers
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/trace", tracer.Handler())
-	fmt.Fprintf(os.Stderr, "sweep: pprof+metrics+trace on http://%s\n", ln.Addr())
-	go func() {
-		if err := http.Serve(ln, mux); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep: debug server:", err)
+	fmt.Fprintf(stderr, "sweep: pprof+metrics+trace on http://%s\n", ln.Addr())
+	srv := &http.Server{Handler: mux}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	return func() {
+		srv.Close()
+		if err := <-errc; err != http.ErrServerClosed {
+			fmt.Fprintln(stderr, "sweep: debug server:", err)
 		}
-	}()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
+	}, nil
 }

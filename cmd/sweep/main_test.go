@@ -3,11 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,47 +18,16 @@ import (
 	"repro/internal/obs/rec"
 )
 
-// sweepBin is the compiled CLI under test, built once in TestMain so
-// every case exercises the real binary: exit codes, stream separation
-// and flag handling, not just library calls.
-var sweepBin string
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "sweep-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	sweepBin = filepath.Join(dir, "sweep")
-	out, err := exec.Command("go", "build", "-o", sweepBin, ".").CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "building sweep: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	os.Exit(m.Run())
-}
-
-// run executes the binary and returns stdout, stderr and the exit code.
-func run(t *testing.T, args ...string) (string, string, int) {
-	t.Helper()
-	cmd := exec.Command(sweepBin, args...)
+// cli runs the command in-process and returns stdout, stderr and the
+// exit code main would pass to os.Exit.
+func cli(args ...string) (string, string, int) {
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	code := 0
-	if err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("running sweep: %v", err)
-		}
-		code = ee.ExitCode()
-	}
+	code := run(context.Background(), args, &stdout, &stderr)
 	return stdout.String(), stderr.String(), code
 }
 
 func TestBadFlagExitsNonzero(t *testing.T) {
-	stdout, stderr, code := run(t, "-no-such-flag")
+	stdout, stderr, code := cli("-no-such-flag")
 	if code == 0 {
 		t.Error("bad flag exited 0")
 	}
@@ -68,8 +39,15 @@ func TestBadFlagExitsNonzero(t *testing.T) {
 	}
 }
 
+func TestHelpExitsZero(t *testing.T) {
+	stdout, stderr, code := cli("-h")
+	if code != 0 || stdout != "" || !strings.Contains(stderr, "-spec") {
+		t.Errorf("-h: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+}
+
 func TestBadOutputPathExitsNonzero(t *testing.T) {
-	stdout, stderr, code := run(t,
+	stdout, stderr, code := cli(
 		"-engines", "aegis", "-workloads", "sequential", "-refs", "1000",
 		"-o", filepath.Join(t.TempDir(), "missing-dir", "out.json"))
 	if code == 0 {
@@ -83,24 +61,6 @@ func TestBadOutputPathExitsNonzero(t *testing.T) {
 	}
 }
 
-func TestSuiteRejectsObservabilityFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-suite", "-progress"},
-		{"-suite", "-pprof", "localhost:0"},
-		{"-suite", "-o", "x.json"},
-		{"-suite", "-trace", "x.json"},
-		{"-suite", "-trace-cap", "64K"},
-	} {
-		_, stderr, code := run(t, args...)
-		if code == 0 {
-			t.Errorf("%v exited 0", args)
-		}
-		if !strings.Contains(stderr, "-suite does not support") {
-			t.Errorf("%v stderr: %q", args, stderr)
-		}
-	}
-}
-
 // The determinism contract with live progress on: a -jobs 8 -progress
 // run must emit stdout byte-identical to -jobs 1 -progress (progress is
 // stderr-only), and the stream must carry at least the final line.
@@ -110,11 +70,11 @@ func TestProgressStdoutDeterministic(t *testing.T) {
 		"-refs", "3000", "-format", "json", "-q",
 		"-progress", "-progress-interval", "10ms",
 	}
-	out1, err1, code := run(t, append([]string{"-jobs", "1"}, grid...)...)
+	out1, err1, code := cli(append([]string{"-jobs", "1"}, grid...)...)
 	if code != 0 {
 		t.Fatalf("jobs=1 exited %d: %s", code, err1)
 	}
-	out8, err8, code := run(t, append([]string{"-jobs", "8"}, grid...)...)
+	out8, err8, code := cli(append([]string{"-jobs", "8"}, grid...)...)
 	if code != 0 {
 		t.Fatalf("jobs=8 exited %d: %s", code, err8)
 	}
@@ -129,7 +89,7 @@ func TestProgressStdoutDeterministic(t *testing.T) {
 }
 
 func TestProgressJSONLines(t *testing.T) {
-	_, stderr, code := run(t,
+	_, stderr, code := cli(
 		"-engines", "aegis", "-workloads", "sequential", "-refs", "2000",
 		"-progress-json", "-q")
 	if code != 0 {
@@ -161,40 +121,42 @@ func TestProgressJSONLines(t *testing.T) {
 	}
 }
 
-// -pprof serves the live /metrics snapshot while the sweep runs.
+// -pprof serves the live /metrics snapshot while the sweep runs, and
+// the server stops when run returns.
 func TestPprofMetricsEndpoint(t *testing.T) {
-	cmd := exec.Command(sweepBin,
-		"-engines", "aegis,xom,gi,gilmont", "-workloads", "sequential,streaming",
-		"-refs", "2000000", "-jobs", "2", "-q", "-pprof", "127.0.0.1:0")
-	cmd.Stdout = nil
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	pr, pw := io.Pipe()
+	var code int
+	done := make(chan struct{})
+	go func() {
+		// Hundreds of short cells: the sweep outlasts the requests
+		// below, and cancellation lands within one cell.
+		code = run(ctx, []string{
+			"-engines", "ds5002,gilmont", "-workloads", "sequential,streaming",
+			"-refs", "20000,40000", "-cache", "1K,2K,4K,8K,16K,32K,64K,128K",
+			"-line", "16,32,64", "-bus", "2,4,8", "-jobs", "2", "-q", "-pprof", "127.0.0.1:0",
+		}, io.Discard, pw)
+		pw.Close()
+		close(done)
+	}()
 	defer func() {
-		cmd.Process.Kill()
-		cmd.Wait()
+		cancel()
+		<-done
 	}()
 
 	// The debug server announces its bound address before the sweep runs.
-	sc := bufio.NewScanner(stderr)
+	sc := bufio.NewScanner(pr)
 	var addr string
 	for sc.Scan() {
-		if _, ok := strings.CutPrefix(sc.Text(), "sweep: pprof+metrics+trace on "); ok {
-			addr, _ = strings.CutPrefix(sc.Text(), "sweep: pprof+metrics+trace on ")
+		if rest, ok := strings.CutPrefix(sc.Text(), "sweep: pprof+metrics+trace on "); ok {
+			addr = rest
 			break
 		}
 	}
+	go io.Copy(io.Discard, pr) // drain so run never blocks on stderr
 	if addr == "" {
 		t.Fatalf("no debug-server address on stderr (scan err %v)", sc.Err())
 	}
-	go func() { // drain so the child never blocks on a full pipe
-		for sc.Scan() {
-		}
-	}()
 
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(addr + "/metrics")
@@ -239,6 +201,17 @@ func TestPprofMetricsEndpoint(t *testing.T) {
 	if err := rec.Validate(snapTrace); err != nil {
 		t.Errorf("/trace snapshot invalid: %v", err)
 	}
+
+	// Once run returns, the debug server is gone with it.
+	cancel()
+	<-done
+	if code != 1 {
+		t.Errorf("canceled sweep exited %d, want 1", code)
+	}
+	if conn, err := net.Dial("tcp", strings.TrimPrefix(addr, "http://")); err == nil {
+		conn.Close()
+		t.Error("debug server still accepts connections after run returned")
+	}
 }
 
 // -trace output is part of the determinism contract: the canonical
@@ -254,7 +227,7 @@ func TestTraceOutputDeterministicAndDecodable(t *testing.T) {
 	traced := func(name string, jobs int) []byte {
 		t.Helper()
 		path := filepath.Join(dir, name)
-		stdout, stderr, code := run(t, append([]string{"-jobs", fmt.Sprint(jobs), "-trace", path}, grid...)...)
+		stdout, stderr, code := cli(append([]string{"-jobs", fmt.Sprint(jobs), "-trace", path}, grid...)...)
 		if code != 0 {
 			t.Fatalf("jobs=%d exited %d: %s", jobs, code, stderr)
 		}
@@ -287,7 +260,7 @@ func TestTraceOutputDeterministicAndDecodable(t *testing.T) {
 	}
 
 	csvPath := filepath.Join(dir, "out.csv")
-	_, stderr, code := run(t, append([]string{"-trace", csvPath, "-trace-cap", "1K"}, grid...)...)
+	_, stderr, code := cli(append([]string{"-trace", csvPath, "-trace-cap", "1K"}, grid...)...)
 	if code != 0 {
 		t.Fatalf("csv trace run exited %d: %s", code, stderr)
 	}
@@ -309,11 +282,11 @@ func TestSpecFileMatchesAxisFlags(t *testing.T) {
 	), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fromSpec, stderr, code := run(t, "-spec", specPath, "-format", "csv", "-q")
+	fromSpec, stderr, code := cli("-spec", specPath, "-format", "csv", "-q")
 	if code != 0 {
 		t.Fatalf("-spec exited %d: %s", code, stderr)
 	}
-	fromFlags, stderr, code := run(t,
+	fromFlags, stderr, code := cli(
 		"-engines", "aegis,xom", "-workloads", "sequential", "-refs", "2000",
 		"-cache", "4K", "-format", "csv", "-q")
 	if code != 0 {
@@ -330,23 +303,18 @@ func TestSpecFileErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mixing -spec with axis flags is ambiguous, not merged.
-	stdout, stderr, code := run(t, "-spec", specPath, "-engines", "xom")
+	stdout, stderr, code := cli("-spec", specPath, "-engines", "xom")
 	if code == 0 || stdout != "" || !strings.Contains(stderr, "-spec replaces") {
 		t.Errorf("-spec + axis flags: code=%d stdout=%q stderr=%q", code, stdout, stderr)
 	}
-	// -suite rejects -spec like any other grid input.
-	_, stderr, code = run(t, "-suite", "-spec", specPath)
-	if code == 0 || !strings.Contains(stderr, "-suite ignores grid axes") {
-		t.Errorf("-suite -spec: code=%d stderr=%q", code, stderr)
-	}
 	// Missing and malformed files fail before any simulation.
-	_, stderr, code = run(t, "-spec", filepath.Join(t.TempDir(), "absent.json"))
+	_, stderr, code = cli("-spec", filepath.Join(t.TempDir(), "absent.json"))
 	if code == 0 || !strings.Contains(stderr, "sweep:") {
 		t.Errorf("missing spec file: code=%d stderr=%q", code, stderr)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(bad, []byte(`{"engins":["aegis"]}`), 0o644)
-	_, stderr, code = run(t, "-spec", bad)
+	_, stderr, code = cli("-spec", bad)
 	if code == 0 || !strings.Contains(stderr, "unknown field") {
 		t.Errorf("typoed spec field: code=%d stderr=%q", code, stderr)
 	}
@@ -355,7 +323,7 @@ func TestSpecFileErrors(t *testing.T) {
 	ones := strings.TrimSuffix(strings.Repeat("1,", 8192), ",")
 	os.WriteFile(huge, fmt.Appendf(nil, `{"engines":["aegis"],"workloads":["sequential"],"refs":[%[1]s],`+
 		`"cache_sizes":[%[1]s],"line_sizes":[%[1]s],"bus_widths":[%[1]s],"attack_rates":[%[1]s]}`, ones), 0o644)
-	_, stderr, code = run(t, "-spec", huge)
+	_, stderr, code = cli("-spec", huge)
 	if code == 0 || !strings.Contains(stderr, "more than") {
 		t.Errorf("overflowing grid: code=%d stderr=%q", code, stderr)
 	}
@@ -363,7 +331,7 @@ func TestSpecFileErrors(t *testing.T) {
 
 func TestBadTraceCapExitsNonzero(t *testing.T) {
 	for _, bad := range []string{"0", "-5", "4,8", "nope"} {
-		stdout, stderr, code := run(t,
+		stdout, stderr, code := cli(
 			"-engines", "aegis", "-workloads", "sequential", "-refs", "1000",
 			"-trace", filepath.Join(t.TempDir(), "t.json"), "-trace-cap", bad)
 		if code == 0 {
@@ -376,7 +344,7 @@ func TestBadTraceCapExitsNonzero(t *testing.T) {
 			t.Errorf("-trace-cap %q stderr: %q", bad, stderr)
 		}
 		// A malformed value is rejected even with no tracer armed.
-		_, stderr, code = run(t,
+		_, stderr, code = cli(
 			"-engines", "aegis", "-workloads", "sequential", "-refs", "1000",
 			"-trace-cap", bad)
 		if code == 0 || !strings.Contains(stderr, "-trace-cap") {

@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -38,22 +39,39 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "localhost:8344", "listen address")
-	workers := flag.Int("workers", campaign.DefaultJobs(), "shared simulation worker pool size")
-	queueDepth := flag.Int("queue", 16, "admission queue depth (sweeps waiting to execute; overflow answers 429)")
-	maxActive := flag.Int("max-active", 2, "sweeps feeding the worker pool concurrently")
-	maxTasks := flag.Int("max-tasks", 65536, "largest grid expansion accepted (413 beyond)")
-	storePath := flag.String("store", "", "shared-store checkpoint file: loaded at boot, rewritten after every sweep and at shutdown")
-	traceCap := flag.String("trace-cap", "", "arm per-sweep flight recording with this per-task ring capacity in events, K/M suffixes ok (debugging; default off)")
-	warmJobs := flag.Int("warm-jobs", 0, "worker count for the warm-up sweep (default: -workers)")
-	specFlags := campaign.RegisterSpecFlags(flag.CommandLine)
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run serves until ctx is done, then drains. Nothing goes to stdout.
+func run(ctx context.Context, args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "localhost:8344", "listen address")
+	workers := fs.Int("workers", campaign.DefaultJobs(), "shared simulation worker pool size (also runs the warm-up sweep)")
+	queueDepth := fs.Int("queue", 16, "admission queue depth (sweeps waiting to execute; overflow answers 429)")
+	maxActive := fs.Int("max-active", 2, "sweeps feeding the worker pool concurrently")
+	maxTasks := fs.Int("max-tasks", 65536, "largest grid expansion accepted (413 beyond)")
+	storePath := fs.String("store", "", "shared-store checkpoint file: loaded at boot, rewritten after every sweep and at shutdown")
+	traceCap := fs.String("trace-cap", "", "arm per-sweep flight recording with this per-task ring capacity in events, K/M suffixes ok (debugging; default off)")
+	specFlags := campaign.RegisterSpecFlags(fs)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sweepd:", err)
+		return 1
+	}
 
 	ringCap := 0
 	if *traceCap != "" {
 		caps, err := campaign.ParseIntList(*traceCap)
 		if err != nil || len(caps) != 1 || caps[0] <= 0 {
-			fatal(fmt.Errorf("-trace-cap wants one positive event count, got %q", *traceCap))
+			return fail(fmt.Errorf("-trace-cap wants one positive event count, got %q", *traceCap))
 		}
 		ringCap = caps[0]
 	}
@@ -67,8 +85,9 @@ func main() {
 		SnapshotPath: *storePath,
 	})
 	if err := srv.Start(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	defer srv.Close()
 
 	// The optional warm-up sweep primes the shared store before traffic
 	// arrives: every grid its users later POST that overlaps these axes
@@ -76,19 +95,18 @@ func main() {
 	if !specFlags.Empty() {
 		spec, err := specFlags.Spec()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		runner, err := campaign.NewRunnerWith(spec, srv.Store())
 		if err != nil {
-			fatal(err)
-		}
-		jobs := *warmJobs
-		if jobs <= 0 {
-			jobs = *workers
+			return fail(err)
 		}
 		start := time.Now()
-		rep := runner.Run(jobs)
-		fmt.Fprintf(os.Stderr, "sweepd: warm-up %d points, baselines simulated=%d, %s\n",
+		rep, err := runner.RunContext(ctx, *workers)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "sweepd: warm-up %d points, baselines simulated=%d, %s\n",
 			len(rep.Results), runner.BaselineRuns(), time.Since(start).Round(time.Millisecond))
 	}
 
@@ -96,35 +114,29 @@ func main() {
 	// stderr for the live address — including a kernel-assigned :0 port.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "sweepd: serving on http://%s\n", ln.Addr())
+	fmt.Fprintf(stderr, "sweepd: serving on http://%s\n", ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		fatal(err)
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "sweepd: %v: draining\n", got)
+		return fail(err)
+	case <-ctx.Done():
+		fmt.Fprintln(stderr, "sweepd: shutting down: draining")
 	}
 	// Close the fabric first: admission flips to 503, live sweeps cancel
 	// and finalize (so streaming subscribers reach end-of-stream), the
 	// checkpoint is written — then the HTTP side drains cleanly.
 	closeErr := srv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	httpSrv.Shutdown(ctx)
+	httpSrv.Shutdown(shutdownCtx)
 	if closeErr != nil {
-		fatal(closeErr)
+		return fail(closeErr)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweepd:", err)
-	os.Exit(1)
+	return 0
 }

@@ -3,77 +3,52 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/campaign"
 )
 
-// The e2e contract: a campaign POSTed to the sweepd binary produces the
-// same bytes the sweep binary emits for the same spec file. Both real
-// binaries are built once here.
-var (
-	sweepdBin string
-	sweepBin  string
-)
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "sweepd-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	sweepdBin = filepath.Join(dir, "sweepd")
-	sweepBin = filepath.Join(dir, "sweep")
-	for bin, pkg := range map[string]string{sweepdBin: ".", sweepBin: "../sweep"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "building %s: %v\n%s", pkg, err, out)
-			os.Exit(1)
-		}
-	}
-	os.Exit(m.Run())
-}
-
-// startDaemon launches sweepd on an ephemeral port and returns its base
-// URL once the binary announces it. The daemon is killed with the test.
-func startDaemon(t *testing.T, args ...string) (*exec.Cmd, string) {
+// daemon runs sweepd in-process on an ephemeral port and returns its
+// base URL once run announces it. stop cancels run's context, standing
+// in for SIGTERM, and returns its exit code; cleanup calls it too, so
+// no server outlives its test.
+func daemon(t *testing.T, args ...string) (base string, stop func() int) {
 	t.Helper()
-	cmd := exec.Command(sweepdBin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	pr, pw := io.Pipe()
+	var code int
+	done := make(chan struct{})
+	go func() {
+		code = run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, pw)
+		pw.Close()
+		close(done)
+	}()
+	stop = func() int {
+		cancel()
+		<-done
+		return code
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	sc := bufio.NewScanner(stderr)
-	var base string
+	t.Cleanup(func() { stop() })
+	sc := bufio.NewScanner(pr)
 	for sc.Scan() {
 		if rest, ok := strings.CutPrefix(sc.Text(), "sweepd: serving on "); ok {
 			base = rest
 			break
 		}
 	}
+	go io.Copy(io.Discard, pr) // drain so run never blocks on stderr
 	if base == "" {
 		t.Fatalf("no serving address on stderr (scan err %v)", sc.Err())
 	}
-	go func() { // drain so the child never blocks on a full pipe
-		for sc.Scan() {
-		}
-	}()
-	return cmd, base
+	return base, stop
 }
 
 func postSpec(t *testing.T, base, specJSON string) string {
@@ -116,7 +91,7 @@ func get(t *testing.T, url string) string {
 const e2eSpec = `{"engines":["aegis","xom","gi"],"workloads":["sequential"],"refs":[2000]}`
 
 func TestServerReportMatchesCLIByteForByte(t *testing.T) {
-	_, base := startDaemon(t)
+	base, _ := daemon(t)
 
 	// Server side: POST, drain the live NDJSON stream, fetch the report.
 	id := postSpec(t, base, e2eSpec)
@@ -138,28 +113,30 @@ func TestServerReportMatchesCLIByteForByte(t *testing.T) {
 		}
 	}
 
-	// CLI side: the same spec via `sweep -spec`, same formats.
-	specPath := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(specPath, []byte(e2eSpec), 0o644); err != nil {
+	// CLI side: what `sweep -spec` emits for the same spec.
+	spec, err := campaign.ParseSpecJSON(strings.NewReader(e2eSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := campaign.Sweep(spec, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, format := range []string{"table", "csv", "json"} {
-		var stdout, stderrBuf bytes.Buffer
-		cli := exec.Command(sweepBin, "-spec", specPath, "-format", format, "-q")
-		cli.Stdout, cli.Stderr = &stdout, &stderrBuf
-		if err := cli.Run(); err != nil {
-			t.Fatalf("sweep -spec: %v\n%s", err, stderrBuf.String())
+		var cli bytes.Buffer
+		if err := campaign.Emit(&cli, rep, format); err != nil {
+			t.Fatal(err)
 		}
 		server := get(t, base+"/sweeps/"+id+"/result?format="+format)
-		if server != stdout.String() {
+		if server != cli.String() {
 			t.Errorf("format %s: server and CLI reports differ\nserver:\n%s\nCLI:\n%s",
-				format, server, stdout.String())
+				format, server, cli.String())
 		}
 	}
 }
 
 func TestOverlappingSweepsShareWork(t *testing.T) {
-	_, base := startDaemon(t, "-workers", "2", "-max-active", "2")
+	base, _ := daemon(t, "-workers", "2", "-max-active", "2")
 
 	// Two POSTs of one grid: the second must be served from the shared
 	// store, not resimulated.
@@ -190,16 +167,13 @@ func TestOverlappingSweepsShareWork(t *testing.T) {
 
 func TestGracefulShutdownWritesCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "store.json")
-	cmd, base := startDaemon(t, "-store", ckpt)
+	base, stop := daemon(t, "-store", ckpt)
 
 	id := postSpec(t, base, `{"engines":["xom"],"workloads":["sequential"],"refs":[1000]}`)
 	get(t, base+"/sweeps/"+id+"/results")
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("SIGTERM exit: %v", err)
+	if code := stop(); code != 0 {
+		t.Fatalf("shutdown exited %d", code)
 	}
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
@@ -218,7 +192,7 @@ func TestGracefulShutdownWritesCheckpoint(t *testing.T) {
 
 	// A restarted daemon warm-starts from the checkpoint: the same grid
 	// is pure memo hits, zero new simulations.
-	_, base2 := startDaemon(t, "-store", ckpt)
+	base2, _ := daemon(t, "-store", ckpt)
 	id2 := postSpec(t, base2, `{"engines":["xom"],"workloads":["sequential"],"refs":[1000]}`)
 	get(t, base2+"/sweeps/"+id2+"/results")
 	var snap2 struct {
@@ -235,7 +209,7 @@ func TestGracefulShutdownWritesCheckpoint(t *testing.T) {
 func TestWarmupAxesPrimeTheStore(t *testing.T) {
 	// Grid axis flags run a warm-up sweep before serving: the first POST
 	// of an overlapping grid is served from memo.
-	_, base := startDaemon(t, "-engines", "aegis", "-workloads", "sequential", "-refs", "1500")
+	base, _ := daemon(t, "-engines", "aegis", "-workloads", "sequential", "-refs", "1500")
 	id := postSpec(t, base, `{"engines":["aegis"],"workloads":["sequential"],"refs":[1500]}`)
 	get(t, base+"/sweeps/"+id+"/results")
 	var st struct {
@@ -250,23 +224,34 @@ func TestWarmupAxesPrimeTheStore(t *testing.T) {
 }
 
 func TestBadFlagAndBadSpecExitNonzero(t *testing.T) {
-	out, err := exec.Command(sweepdBin, "-no-such-flag").CombinedOutput()
-	if err == nil {
-		t.Errorf("bad flag exited 0: %s", out)
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-no-such-flag"}, 2, "no-such-flag"},
+		{[]string{"-addr", "127.0.0.1:0", "-trace-cap", "nope"}, 1, "-trace-cap"},
+		// A warm-up axis typo fails startup, not the first request.
+		{[]string{"-addr", "127.0.0.1:0", "-engines", "warp-drive"}, 1, "warp-drive"},
+	} {
+		var stderr bytes.Buffer
+		code := run(context.Background(), tc.args, io.Discard, &stderr)
+		if code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: code=%d stderr=%q, want code %d naming %q", tc.args, code, stderr.String(), tc.code, tc.want)
+		}
 	}
-	out, err = exec.Command(sweepdBin, "-addr", "127.0.0.1:0", "-trace-cap", "nope").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "-trace-cap") {
-		t.Errorf("bad -trace-cap: err=%v out=%s", err, out)
-	}
-	// A warm-up axis typo fails startup, not the first request.
-	out, err = exec.Command(sweepdBin, "-addr", "127.0.0.1:0", "-engines", "warp-drive").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "warp-drive") {
-		t.Errorf("bad warm-up engine: err=%v out=%s", err, out)
+}
+
+func TestHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-h"}, &stdout, &stderr)
+	if code != 0 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "-max-tasks") {
+		t.Errorf("-h: code=%d stdout=%q stderr=%q", code, stdout.String(), stderr.String())
 	}
 }
 
 func TestCancelEndpoint(t *testing.T) {
-	_, base := startDaemon(t, "-workers", "1")
+	base, _ := daemon(t, "-workers", "1")
 	// All engines × two workloads, long enough that DELETE lands mid-run.
 	id := postSpec(t, base, `{"workloads":["sequential","firmware"],"refs":[50000]}`)
 

@@ -20,10 +20,14 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -33,51 +37,63 @@ import (
 )
 
 func main() {
-	auth := flag.String("authtree", "tree", fmt.Sprintf("authenticator under attack: %s", strings.Join(core.AuthKeys(), ", ")))
-	rate := flag.Float64("attack", 16, "strike rate in tampers per 10k references (must be > 0)")
-	refs := flag.Int("refs", core.DefaultRefs, "trace length in references")
-	ringCap := flag.Int("cap", 1<<20, "flight-recorder ring capacity in events")
-	outPath := flag.String("o", "", "also write the recorded trace here (.csv = CSV, else Chrome JSON)")
-	checkPath := flag.String("check", "", "validate an exported trace file instead of running a cell")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracelab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	auth := fs.String("authtree", "tree", fmt.Sprintf("authenticator under attack: %s", strings.Join(core.AuthKeys(), ", ")))
+	rate := fs.Float64("attack", 16, "strike rate in tampers per 10k references (must be > 0)")
+	refs := fs.Int("refs", core.DefaultRefs, "trace length in references")
+	ringCap := fs.Int("cap", 1<<20, "flight-recorder ring capacity in events")
+	outPath := fs.String("o", "", "also write the recorded trace here (.csv = CSV, else Chrome JSON)")
+	checkPath := fs.String("check", "", "validate an exported trace file instead of running a cell")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tracelab:", err)
+		return 1
+	}
 
 	if *checkPath != "" {
-		if err := check(*checkPath); err != nil {
-			fatal(err)
+		if err := check(stdout, *checkPath); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *rate <= 0 {
-		fatal(fmt.Errorf("-attack must be > 0: forensics needs an adversary"))
+		return fail(fmt.Errorf("-attack must be > 0: forensics needs an adversary"))
 	}
 
 	rc := rec.New(*ringCap)
 	rep, sched, err := core.E21Cell(*auth, *rate, *refs, rc)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	st := rc.Seal(fmt.Sprintf("E21 auth=%s attack=%g refs=%d", *auth, *rate, *refs))
 
 	if *outPath != "" {
 		if err := writeTrace(*outPath, &rec.Trace{Streams: []rec.Stream{st}}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if st.Dropped > 0 {
-		fmt.Fprintf(os.Stderr, "tracelab: ring overflowed: %d events dropped; forensics may be incomplete (raise -cap)\n", st.Dropped)
+		fmt.Fprintf(stderr, "tracelab: ring overflowed: %d events dropped; forensics may be incomplete (raise -cap)\n", st.Dropped)
 	}
 
 	chains := reconstruct(st.Events)
-	print(os.Stdout, *auth, *rate, rep.Cycles, chains)
+	print(stdout, *auth, *rate, rep.Cycles, chains)
 
-	// The self-check: the stream-rebuilt accounting must match the
-	// schedule's exactly — counts, per-kind splits, max, and the mean
-	// down to the last bit of the float division.
 	if err := crossCheck(chains, sched); err != nil {
-		fmt.Fprintln(os.Stderr, "tracelab: MISMATCH:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tracelab: MISMATCH:", err)
+		return 2
 	}
-	fmt.Printf("cross-check: event-stream accounting matches attack.Schedule exactly (mean %.6g)\n", sched.MeanLatency())
+	fmt.Fprintf(stdout, "cross-check: event-stream accounting matches attack.Schedule exactly (mean %.6g)\n", sched.MeanLatency())
+	return 0
 }
 
 // chain is one injected strike's reconstructed life.
@@ -130,7 +146,7 @@ func reconstruct(events []rec.Event) []*chain {
 	return chains
 }
 
-func print(w *os.File, auth string, rate float64, cycles uint64, chains []*chain) {
+func print(w io.Writer, auth string, rate float64, cycles uint64, chains []*chain) {
 	fmt.Fprintf(w, "tracelab: auth=%s attack=%g/10k, %d strikes injected, %d cycles simulated\n\n",
 		auth, rate, len(chains), cycles)
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
@@ -183,7 +199,8 @@ func print(w *os.File, auth string, rate float64, cycles uint64, chains []*chain
 }
 
 // crossCheck compares the stream-rebuilt accounting against the
-// schedule's own counters, field by field.
+// schedule's own counters, field by field, down to the last bit of the
+// mean's float division.
 func crossCheck(chains []*chain, sched *attack.Schedule) error {
 	var det, sum, max uint64
 	var byKind, detByKind [3]uint64
@@ -223,35 +240,29 @@ func crossCheck(chains []*chain, sched *attack.Schedule) error {
 
 // check decodes and validates an exported trace file, printing a
 // per-stream inventory.
-func check(path string) error {
-	f, err := os.Open(path)
+func check(w io.Writer, path string) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	tr, err := rec.DecodeChrome(f)
+	tr, err := rec.DecodeChrome(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	if err := rec.Validate(tr); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Printf("%s: valid, %d streams, %d events, %d dropped\n", path, len(tr.Streams), tr.Len(), tr.Dropped())
+	fmt.Fprintf(w, "%s: valid, %d streams, %d events, %d dropped\n", path, len(tr.Streams), tr.Len(), tr.Dropped())
 	for _, st := range tr.Streams {
 		counts := make(map[rec.Kind]int)
 		for _, ev := range st.Events {
 			counts[ev.Kind]++
 		}
-		kinds := make([]rec.Kind, 0, len(counts))
-		for k := range counts {
-			kinds = append(kinds, k)
-		}
-		sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-		parts := make([]string, 0, len(kinds))
-		for _, k := range kinds {
+		var parts []string
+		for _, k := range slices.Sorted(maps.Keys(counts)) {
 			parts = append(parts, fmt.Sprintf("%s=%d", k, counts[k]))
 		}
-		fmt.Printf("  %-40s %6d events  %s\n", st.Track, len(st.Events), strings.Join(parts, " "))
+		fmt.Fprintf(w, "  %-40s %6d events  %s\n", st.Track, len(st.Events), strings.Join(parts, " "))
 	}
 	return nil
 }
@@ -262,18 +273,9 @@ func writeTrace(path string, tr *rec.Trace) error {
 	if err != nil {
 		return err
 	}
+	write := rec.WriteChrome
 	if strings.HasSuffix(path, ".csv") {
-		err = rec.WriteCSV(f, tr)
-	} else {
-		err = rec.WriteChrome(f, tr)
+		write = rec.WriteCSV
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracelab:", err)
-	os.Exit(1)
+	return errors.Join(write(f, tr), f.Close())
 }

@@ -2,53 +2,24 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var tracelabBin string
-
-func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "tracelab-test")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer os.RemoveAll(dir)
-	tracelabBin = filepath.Join(dir, "tracelab")
-	out, err := exec.Command("go", "build", "-o", tracelabBin, ".").CombinedOutput()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "building tracelab: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	os.Exit(m.Run())
-}
-
-func run(t *testing.T, args ...string) (string, string, int) {
-	t.Helper()
-	cmd := exec.Command(tracelabBin, args...)
+// cli runs the command in-process and returns stdout, stderr and the
+// exit code main would pass to os.Exit.
+func cli(args ...string) (string, string, int) {
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	code := 0
-	if err != nil {
-		ee, ok := err.(*exec.ExitError)
-		if !ok {
-			t.Fatalf("running tracelab: %v", err)
-		}
-		code = ee.ExitCode()
-	}
+	code := run(args, &stdout, &stderr)
 	return stdout.String(), stderr.String(), code
 }
 
 // The core claim: forensics over the event stream reproduce the attack
-// schedule's accounting exactly, and the binary says so and exits 0.
+// schedule's accounting exactly, and the command says so and exits 0.
 func TestForensicsCrossCheck(t *testing.T) {
-	stdout, stderr, code := run(t, "-refs", "20000")
+	stdout, stderr, code := cli("-refs", "20000")
 	if code != 0 {
 		t.Fatalf("exited %d: %s", code, stderr)
 	}
@@ -69,7 +40,7 @@ func TestForensicsCrossCheck(t *testing.T) {
 // tampered lines crossing the bus unverified, and the cross-check must
 // still hold (zero detections on both sides).
 func TestUnauthenticatedSystemDetectsNothing(t *testing.T) {
-	stdout, stderr, code := run(t, "-authtree", "none", "-refs", "12000")
+	stdout, stderr, code := cli("-authtree", "none", "-refs", "12000")
 	if code != 0 {
 		t.Fatalf("exited %d: %s", code, stderr)
 	}
@@ -84,11 +55,11 @@ func TestUnauthenticatedSystemDetectsNothing(t *testing.T) {
 // -o round-trips through -check: the dump is a valid decodable trace.
 func TestDumpAndCheck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cell.json")
-	_, stderr, code := run(t, "-refs", "12000", "-o", path)
+	_, stderr, code := cli("-refs", "12000", "-o", path)
 	if code != 0 {
 		t.Fatalf("record run exited %d: %s", code, stderr)
 	}
-	stdout, stderr, code := run(t, "-check", path)
+	stdout, stderr, code := cli("-check", path)
 	if code != 0 {
 		t.Fatalf("-check exited %d: %s", code, stderr)
 	}
@@ -105,7 +76,7 @@ func TestCheckRejectsGarbage(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"traceEvents":[{"ph":"B"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, code := run(t, "-check", path)
+	stdout, stderr, code := cli("-check", path)
 	if code == 0 {
 		t.Errorf("garbage trace accepted: %q", stdout)
 	}
@@ -115,7 +86,7 @@ func TestCheckRejectsGarbage(t *testing.T) {
 }
 
 func TestRejectsZeroAttackRate(t *testing.T) {
-	stdout, stderr, code := run(t, "-attack", "0")
+	stdout, stderr, code := cli("-attack", "0")
 	if code == 0 {
 		t.Error("-attack 0 exited 0")
 	}
@@ -125,4 +96,37 @@ func TestRejectsZeroAttackRate(t *testing.T) {
 	if !strings.Contains(stderr, "adversary") {
 		t.Errorf("stderr: %q", stderr)
 	}
+}
+
+func TestHelpExitsZero(t *testing.T) {
+	stdout, stderr, code := cli("-h")
+	if code != 0 || stdout != "" || !strings.Contains(stderr, "-check") {
+		t.Errorf("-h: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+}
+
+// FuzzTracelabCheck drives -check, the trace-file parser at the CLI
+// boundary, with arbitrary file contents: it must never panic, must
+// exit 0 (valid) or 1 (rejected), and a 0 must say "valid" on stdout.
+func FuzzTracelabCheck(f *testing.F) {
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := cli("-check", path)
+		switch code {
+		case 0:
+			if !strings.Contains(stdout, ": valid, ") {
+				t.Errorf("exit 0 without a valid line: %q", stdout)
+			}
+		case 1:
+			if !strings.Contains(stderr, "tracelab:") {
+				t.Errorf("exit 1 without a diagnostic: %q", stderr)
+			}
+		default:
+			t.Errorf("exit %d: stdout=%q stderr=%q", code, stdout, stderr)
+		}
+	})
 }

@@ -38,8 +38,8 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 }
 
 // Empty reports whether no grid-axis flag was set — the all-defaults
-// sweep, and the condition under which modes that reject grid axes
-// (sweep -suite, a flagless sweepd) are allowed.
+// sweep. sweep -spec refuses axis flags beside it, and sweepd runs its
+// warm-up sweep only when one is set.
 func (f *SpecFlags) Empty() bool {
 	return *f.engines == "" && *f.workloads == "" && *f.refs == "" &&
 		*f.cache == "" && *f.l2 == "" && *f.placement == "" &&
