@@ -277,7 +277,10 @@ func BenchmarkReprolintAnalyze(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := prog.Analyze()
+		res, err := prog.Analyze()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Diags) > 0 {
 			b.Fatalf("tree not clean under reprolint: %d diagnostic(s)", len(res.Diags))
 		}

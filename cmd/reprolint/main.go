@@ -10,14 +10,21 @@
 //	go run ./cmd/reprolint -json ./internal/sim/...
 //	go run ./cmd/reprolint -timing ./...
 //
-// Exit status: 0 when the tree is clean, 1 on findings, 2 on usage or
-// load errors. Every //repro:allow suppression that was exercised is
-// reported so waivers stay visible. -timing prints per-analyzer wall
-// time to stderr so lint cost stays a visible, bounded quantity.
+// The hot-path allocation facts come from the compiler: reprolint runs
+// `go list -export -gcflags=-m` over the packages the hot paths reach,
+// so the go command must be on PATH.
+//
+// Exit status: 0 when the tree is clean (or for -h), 1 on findings, 2
+// on usage or load errors or a failed compiler pass. Every
+// //repro:allow suppression that was exercised is reported so waivers
+// stay visible. -timing prints the wall time of the compiler pass and
+// of each analyzer to stderr so lint cost stays a visible, bounded
+// quantity.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,12 +66,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	dir := fs.String("C", ".", "run as if invoked from this directory")
-	timing := fs.Bool("timing", false, "print per-analyzer wall time to stderr")
+	timing := fs.Bool("timing", false, "print compiler-pass and per-analyzer wall time to stderr")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: reprolint [-json] [-timing] [-C dir] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	patterns := fs.Args()
@@ -87,7 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return filename
 	}
 
-	res := prog.Analyze()
+	res, err := prog.Analyze()
+	if err != nil {
+		fmt.Fprintln(stderr, "reprolint:", err)
+		return 2
+	}
 
 	if *timing {
 		var total time.Duration

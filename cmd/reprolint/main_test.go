@@ -12,10 +12,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the reprolint golden file")
 
 // TestSeededRegressions is the acceptance gate for the analyzer suite:
-// the demo fixture carries three injected violations (a fmt.Sprintf
+// the demo fixture carries four injected violations (a fmt.Sprintf
 // in a //repro:hotpath function, a time.Now() in an emitter, a
-// metric-cell map lookup in a publisher) and each must
-// produce a file:line diagnostic and a nonzero exit.
+// metric-cell map lookup in a publisher, a stack array passed through
+// an interface call) and each must produce a file:line diagnostic and
+// a nonzero exit.
 func TestSeededRegressions(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"./testdata/src/demo"}, &stdout, &stderr)
@@ -30,6 +31,7 @@ func TestSeededRegressions(t *testing.T) {
 		"determinism: call to time.Now reads the wall clock",
 		"cmd/reprolint/testdata/src/demo/demo.go:32:", // map lookup in Publish
 		"hotpathalloc: metric cell fetched through a map",
+		"cmd/reprolint/testdata/src/demo/demo.go:48:6: hotpathalloc: moved to heap: tmp", // Whiten
 		"1 //repro:allow suppression(s) in effect",
 		"steady-state writes hit existing keys (suppressed 1)",
 	} {
@@ -65,8 +67,9 @@ func TestJSONGolden(t *testing.T) {
 	}
 }
 
-// TestTimingOutput: -timing reports per-analyzer wall time on stderr
-// only — stdout (and with it the -json golden schema) stays untouched.
+// TestTimingOutput: -timing reports per-analyzer wall time, and the
+// compiler pass's as its own row, on stderr only — stdout (and with it
+// the -json golden schema) stays untouched.
 func TestTimingOutput(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-timing", "-C", "../../internal/crypto/ghash", "."}, &stdout, &stderr)
@@ -77,7 +80,7 @@ func TestTimingOutput(t *testing.T) {
 		t.Errorf("stdout must stay clean under -timing, got:\n%s", stdout.String())
 	}
 	errOut := stderr.String()
-	for _, want := range []string{"hotpathalloc", "shardpurity", "atomicdiscipline", "total"} {
+	for _, want := range []string{"compiler", "hotpathalloc", "shardpurity", "atomicdiscipline", "total"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("timing output missing %q\nstderr:\n%s", want, errOut)
 		}
@@ -113,5 +116,38 @@ func TestUsageErrors(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("run(%v): stdout must stay clean, got %q", args, stdout.String())
 		}
+	}
+}
+
+// TestHelpExitsZero: -h prints usage to stderr and exits 0, with
+// nothing on stdout.
+func TestHelpExitsZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "usage: reprolint") {
+		t.Errorf("usage missing from stderr:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout must stay clean, got %q", stdout.String())
+	}
+}
+
+// TestCompilerPassFailsClosed: when the compiler pass cannot run (here,
+// no go command on PATH), reprolint exits 2 and names the failure; it
+// never reports the tree clean.
+func TestCompilerPassFailsClosed(t *testing.T) {
+	t.Setenv("PATH", t.TempDir())
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-C", "../../internal/crypto/ghash", "."}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "compiler pass") {
+		t.Errorf("stderr does not name the compiler pass:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout must stay clean, got %q", stdout.String())
 	}
 }

@@ -1,8 +1,8 @@
-// Package demo is the reprolint driver fixture: one seeded regression
-// per analyzer (the acceptance-criteria trio — a fmt.Sprintf in a hot
-// function, a time.Now in an emitter, a registry map lookup in a
-// publisher) plus one exercised //repro:allow, so the golden JSON
-// covers every output field.
+// Package demo is the reprolint driver fixture: seeded regressions (a
+// fmt.Sprintf in a hot function, a time.Now in an emitter, a registry
+// map lookup in a publisher, and a stack array the compiler moves to
+// the heap) plus one exercised //repro:allow, so the golden JSON covers
+// every output field.
 package demo
 
 import (
@@ -36,4 +36,18 @@ func (m *metrics) Publish() {
 func (m *metrics) Warm(seen map[int]bool, id int) {
 	seen[id] = true //repro:allow steady-state writes hit existing keys
 	m.refs.Inc()
+}
+
+type block interface{ Encrypt(dst, src []byte) }
+
+// Whiten is the DS5240 shape: a stack array whitened and handed, sliced,
+// to an interface method, so escape analysis moves it to the heap.
+//
+//repro:hotpath
+func Whiten(b block, dst, src []byte) {
+	var tmp [8]byte
+	for i := range tmp {
+		tmp[i] = src[i] ^ 0x5a
+	}
+	b.Encrypt(dst, tmp[:])
 }

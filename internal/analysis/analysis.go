@@ -12,12 +12,14 @@
 // later with a diff.
 //
 // Everything is built on go/ast + go/types with stdlib go/importer
-// loading (golang.org/x/tools is deliberately not a dependency), so the
+// loading (golang.org/x/tools is deliberately not a dependency), plus
+// the go command's own compiler for escape facts (compiler.go), so the
 // linter runs offline in the same container as the build.
 package analysis
 
 import (
 	"go/token"
+	"slices"
 	"sort"
 	"time"
 )
@@ -48,9 +50,10 @@ type Analyzer struct {
 // All is the full reprolint suite in reporting order.
 var All = []*Analyzer{HotPathAlloc, Determinism, ShardPurity, AtomicDiscipline, Devirt}
 
-// Timing records one analyzer's wall-clock cost, so lint runtime is a
-// tracked quantity (surfaced by the driver, guarded in CI) rather than
-// an invisible tax that creeps up.
+// Timing records the wall-clock cost of one analyzer, or of the
+// compiler pass HotPathAlloc reads, so lint runtime is a tracked
+// quantity (surfaced by the driver, guarded in CI) rather than an
+// invisible tax that creeps up.
 type Timing struct {
 	Analyzer string
 	Elapsed  time.Duration
@@ -69,14 +72,25 @@ type Result struct {
 // applies //repro:allow suppression, and flags stale allowances — an
 // allow comment that suppresses nothing is dead weight that would hide
 // a future regression, so it must be removed when the code it excused
-// goes away.
-func (p *Program) Analyze(analyzers ...*Analyzer) *Result {
+// goes away. When HotPathAlloc is among the analyzers, the compiler
+// pass runs first; its failure is Analyze's error, never a clean
+// result.
+func (p *Program) Analyze(analyzers ...*Analyzer) (*Result, error) {
 	if len(analyzers) == 0 {
 		analyzers = All
 	}
 	var raw []Diagnostic
 	raw = append(raw, p.markers.diags...)
 	res := &Result{}
+	if slices.Contains(analyzers, HotPathAlloc) {
+		start := time.Now()
+		heap, err := p.compileEscapes()
+		if err != nil {
+			return nil, err
+		}
+		p.heap = heap
+		res.Timings = append(res.Timings, Timing{Analyzer: "compiler", Elapsed: time.Since(start)})
+	}
 	for _, a := range analyzers {
 		start := time.Now()
 		raw = append(raw, a.Run(p)...)
@@ -105,7 +119,7 @@ func (p *Program) Analyze(analyzers ...*Analyzer) *Result {
 	sort.Slice(res.Allowances, func(i, j int) bool {
 		return posLess(res.Allowances[i].Pos, res.Allowances[j].Pos)
 	})
-	return res
+	return res, nil
 }
 
 func sortDiags(ds []Diagnostic) {

@@ -22,7 +22,10 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) *Result {
 	if err != nil {
 		t.Fatalf("Load(%s): %v", dir, err)
 	}
-	res := prog.Analyze(analyzers...)
+	res, err := prog.Analyze(analyzers...)
+	if err != nil {
+		t.Fatalf("Analyze(%s): %v", dir, err)
+	}
 
 	absDir, err := filepath.Abs(dir)
 	if err != nil {
@@ -76,7 +79,7 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) *Result {
 	return res
 }
 
-var wantRE = regexp.MustCompile("// want `([^`]+)`")
+var wantRE = regexp.MustCompile("`([^`]+)`")
 
 // parseWants extracts want expectations per file:line. Multiple
 // patterns on one line: // want `a` `b`.
@@ -101,7 +104,7 @@ func parseWants(t *testing.T, dir string) map[string][]*regexp.Regexp {
 				continue
 			}
 			key := e.Name() + ":" + itoa(i+1)
-			for _, m := range wantRE.FindAllStringSubmatch(line[idx:], -1) {
+			for _, m := range wantRE.FindAllStringSubmatch(line[idx+len("// want "):], -1) {
 				re, err := regexp.Compile(m[1])
 				if err != nil {
 					t.Fatalf("%s: bad want pattern %q: %v", key, m[1], err)

@@ -9,14 +9,16 @@ import (
 
 // HotPathAlloc enforces the 0 allocs/ref contract: functions marked
 // //repro:hotpath, and every same-module function statically reachable
-// from them, must not contain heap-allocating constructs.
+// from them, must not allocate on the heap.
 //
-// Flagged: fmt calls; non-constant string concatenation and
-// string<->[]byte/[]rune conversions; map writes; append that doesn't
-// follow the self-append amortized-buffer idiom (x = append(x, ...));
-// capturing closures; go statements; defer inside a loop; value-to-
-// interface boxing at calls/assignments/returns; and make/new/&T{}/
-// slice/map literals that escape per the heuristic in escape.go.
+// The allocation facts come from the compiler: whatever its escape
+// analysis moves to the heap (-gcflags=-m "escapes to heap" and "moved
+// to heap" lines, see compiler.go) inside a reachable function is
+// flagged. On top of that, the AST rules catch what escape analysis
+// does not report: fmt calls (they format into fresh storage inside
+// fmt), map writes, append that doesn't follow the self-append
+// amortized-buffer idiom (x = append(x, ...)), go statements, and
+// defer inside a loop.
 //
 // The same walk enforces the observability rules of DESIGN.md §8 and
 // §10, which hold even where no allocation can be proved: hot paths
@@ -26,13 +28,14 @@ import (
 // Recorder.Stamp) and a map lookup that fetches a metric cell are
 // flagged too.
 //
-// Deliberately NOT flagged: value composite literals (T{} is a register/
-// stack construct), non-escaping constant-size make, non-capturing
-// closures, constant expressions, and anything inside a panic(...)
-// argument (assertion paths are performance-exempt by definition).
+// Deliberately NOT flagged: anything inside a panic(...) argument
+// (assertion paths are performance-exempt by definition), and two
+// compiler reports that allocate nothing: a constant converted to an
+// interface (it points at read-only data) and a func literal that
+// captures nothing (a static funcval).
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
-	Doc:  "flags heap-allocating constructs reachable from //repro:hotpath roots",
+	Doc:  "flags heap allocations reachable from //repro:hotpath roots",
 	Run:  runHotPathAlloc,
 }
 
@@ -80,11 +83,7 @@ func checkAllocFree(prog *Program, r reached) []Diagnostic {
 		}
 		switch node := n.(type) {
 		case *ast.CallExpr:
-			checkCall(prog, fi, node, stack, blessed, report)
-		case *ast.BinaryExpr:
-			if node.Op == token.ADD && isStringType(typeOf(pkg, node)) && !isConstExpr(pkg, node) {
-				report(node.OpPos, "string concatenation allocates")
-			}
+			checkCall(prog, pkg, node, blessed, report)
 		case *ast.GoStmt:
 			report(node.Go, "go statement allocates a goroutine")
 		case *ast.DeferStmt:
@@ -97,7 +96,6 @@ func checkAllocFree(prog *Program, r reached) []Diagnostic {
 					report(idx.Lbrack, "map write may allocate (grow/insert)")
 				}
 			}
-			checkAssignBoxing(pkg, node, report)
 		case *ast.IndexExpr:
 			if t := typeOf(pkg, node.X); isMapType(t) && isObsCellPtr(t.Underlying().(*types.Map).Elem(), prog.ModPath+"/internal/obs") {
 				report(node.Pos(), "metric cell fetched through a map on the hot path: hold the cell by value")
@@ -106,55 +104,75 @@ func checkAllocFree(prog *Program, r reached) []Diagnostic {
 			if idx, ok := ast.Unparen(node.X).(*ast.IndexExpr); ok && isMapType(typeOf(pkg, idx.X)) {
 				report(idx.Lbrack, "map write may allocate (grow/insert)")
 			}
-		case *ast.ReturnStmt:
-			checkReturnBoxing(pkg, fi, node, report)
-		case *ast.FuncLit:
-			if capt := capturedVar(pkg, fi, node); capt != "" {
-				report(node.Pos(), "closure captures "+capt+" and allocates")
-			}
-		case *ast.CompositeLit, *ast.UnaryExpr:
-			checkAllocExpr(pkg, fi, n, stack, report)
 		}
 		return true
 	})
+	checkEscapes(prog, fi, report)
 	return diags
 }
 
-// checkCall handles the call-shaped rules: fmt, the offPath table,
-// conversions, append discipline, make/new allocation, and argument
-// boxing.
-func checkCall(prog *Program, fi *FuncInfo, call *ast.CallExpr, stack []ast.Node, blessed map[*ast.CallExpr]bool, report func(token.Pos, string)) {
+// checkEscapes reports the compiler's heap facts inside fi's own body
+// (a nested literal is its own call-graph node, checked when reached).
+// It drops the facts inside a panic argument, the two kinds that
+// allocate nothing (a constant converted to an interface, a func
+// literal that captures nothing), and those at a call site where the
+// compiler inlined a module function: the callee's own compile reports
+// the same allocation at its own line, where any //repro:allow for it
+// sits.
+func checkEscapes(prog *Program, fi *FuncInfo, report func(token.Pos, string)) {
 	pkg := fi.Pkg
-	if isConversion(pkg, call) {
-		checkConversion(pkg, call, report)
-		return
-	}
-	switch builtinName(pkg, call) {
-	case "append":
-		if !blessed[call] {
-			report(call.Pos(), "append outside the self-append idiom (x = append(x, ...)) allocates")
+	tf := prog.Fset.File(fi.Pos())
+	for _, at := range prog.heap.byFile[tf.Name()] {
+		if at.line > tf.LineCount() {
+			continue
 		}
-		return
-	case "make", "new":
-		checkMakeNew(pkg, fi, call, stack, report)
-		return
-	case "":
-		// not a builtin: resolved call below
-	default:
-		return // len/cap/copy/panic/delete/clear etc.
-	}
-	if callee := calleeOf(pkg, call); callee != nil && callee.Pkg() != nil {
-		if callee.Pkg().Path() == "fmt" {
-			report(call.Pos(), "call to fmt."+callee.Name()+" allocates (formats into fresh storage)")
-			return
+		pos := tf.LineStart(at.line) + token.Pos(at.col-1)
+		path := pathTo(fi.Body(), pos)
+		if path == nil || inPanicArg(pkg, path) {
+			continue
 		}
-		if rel, ok := strings.CutPrefix(callee.Pkg().Path(), prog.ModPath+"/"); ok {
-			if msg := offPathMessage(rel, receiverTypeName(callee), callee.Name()); msg != "" {
-				report(call.Pos(), msg)
+		suffix := ""
+		switch n := path[len(path)-1].(type) {
+		case *ast.FuncLit:
+			capt := capturedVar(pkg, fi, n)
+			if capt == "" {
+				continue
+			}
+			suffix = " (captures " + capt + ")"
+		case *ast.CallExpr:
+			if callee := calleeOf(pkg, n); prog.heap.inlined[at] && callee != nil && callee.Pkg() != nil && prog.Local(callee.Pkg().Path()) {
+				continue
+			}
+		case ast.Expr:
+			if isConstExpr(pkg, n) {
+				continue
 			}
 		}
+		for _, msg := range prog.heap.escapes[at] {
+			report(pos, msg+suffix)
+		}
 	}
-	checkArgBoxing(pkg, call, report)
+}
+
+// checkCall handles the call-shaped rules: fmt, the offPath table and
+// append discipline.
+func checkCall(prog *Program, pkg *Package, call *ast.CallExpr, blessed map[*ast.CallExpr]bool, report func(token.Pos, string)) {
+	if builtinName(pkg, call) == "append" && !blessed[call] {
+		report(call.Pos(), "append outside the self-append idiom (x = append(x, ...)) allocates")
+	}
+	callee := calleeOf(pkg, call)
+	if callee == nil || callee.Pkg() == nil {
+		return
+	}
+	if callee.Pkg().Path() == "fmt" {
+		report(call.Pos(), "call to fmt."+callee.Name()+" allocates (formats into fresh storage)")
+		return
+	}
+	if rel, ok := strings.CutPrefix(callee.Pkg().Path(), prog.ModPath+"/"); ok {
+		if msg := offPathMessage(rel, receiverTypeName(callee), callee.Name()); msg != "" {
+			report(call.Pos(), msg)
+		}
+	}
 }
 
 // offPath lists the setup- and reader-side obs and flight-recorder APIs
@@ -218,180 +236,6 @@ func isObsCellPtr(t types.Type, obsPath string) bool {
 	return false
 }
 
-// checkConversion flags string<->byte/rune-slice conversions, which
-// copy into fresh storage unless constant-folded.
-func checkConversion(pkg *Package, call *ast.CallExpr, report func(token.Pos, string)) {
-	if len(call.Args) != 1 || isConstExpr(pkg, call) {
-		return
-	}
-	dst := typeOf(pkg, call.Fun)
-	src := typeOf(pkg, call.Args[0])
-	if dst == nil || src == nil {
-		return
-	}
-	if (isStringType(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringType(src)) {
-		report(call.Pos(), "string conversion allocates a copy")
-	}
-}
-
-// checkAllocExpr flags the allocating expressions (make, new, &T{},
-// non-empty slice literals, map literals) that escape the frame.
-func checkAllocExpr(pkg *Package, fi *FuncInfo, n ast.Node, stack []ast.Node, report func(token.Pos, string)) {
-	var expr ast.Expr
-	var what string
-	switch node := n.(type) {
-	case *ast.UnaryExpr:
-		if node.Op != token.AND {
-			return
-		}
-		if _, ok := ast.Unparen(node.X).(*ast.CompositeLit); !ok {
-			return
-		}
-		expr, what = node, "&composite literal"
-	case *ast.CompositeLit:
-		t := typeOf(pkg, node)
-		if t == nil {
-			return
-		}
-		switch t.Underlying().(type) {
-		case *types.Slice:
-			if len(node.Elts) == 0 {
-				return // zero-length slice literal does not allocate
-			}
-			expr, what = node, "slice literal"
-		case *types.Map:
-			report(node.Pos(), "map literal allocates")
-			return
-		default:
-			return // value struct/array literal: not an allocation
-		}
-		// &T{} is reported by the UnaryExpr case; don't double-report.
-		if len(stack) > 0 {
-			if u, ok := stack[len(stack)-1].(*ast.UnaryExpr); ok && u.Op == token.AND {
-				return
-			}
-		}
-	default:
-		return
-	}
-	if esc, why := escapesAt(pkg, fi, expr, stack); esc {
-		report(expr.Pos(), what+" escapes ("+why+") and allocates")
-	}
-}
-
-// checkMakeNew is wired from the inspect loop via CallExpr handling:
-// make(map/chan) and variable-size make always hit the heap; fixed-size
-// make/new only when they escape.
-func checkMakeNew(pkg *Package, fi *FuncInfo, call *ast.CallExpr, stack []ast.Node, report func(token.Pos, string)) {
-	switch builtinName(pkg, call) {
-	case "make":
-		t := typeOf(pkg, call)
-		if t == nil {
-			return
-		}
-		switch t.Underlying().(type) {
-		case *types.Map, *types.Chan:
-			report(call.Pos(), "make("+t.String()+") allocates")
-			return
-		}
-		for _, arg := range call.Args[1:] {
-			if !isConstExpr(pkg, arg) {
-				report(call.Pos(), "make with non-constant size allocates")
-				return
-			}
-		}
-		if esc, why := escapesAt(pkg, fi, call, stack); esc {
-			report(call.Pos(), "make escapes ("+why+") and allocates")
-		}
-	case "new":
-		if esc, why := escapesAt(pkg, fi, call, stack); esc {
-			report(call.Pos(), "new escapes ("+why+") and allocates")
-		}
-	}
-}
-
-// checkArgBoxing flags concrete non-pointer values passed to interface
-// parameters: the conversion boxes onto the heap.
-func checkArgBoxing(pkg *Package, call *ast.CallExpr, report func(token.Pos, string)) {
-	sigT := typeOf(pkg, call.Fun)
-	if sigT == nil {
-		return
-	}
-	sig, ok := sigT.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if call.Ellipsis != token.NoPos {
-				continue // s... passes the slice through unboxed
-			}
-			last := params.At(params.Len() - 1).Type()
-			if sl, ok := last.(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		if boxes(pkg, arg, pt) {
-			report(arg.Pos(), "value boxed into interface argument allocates")
-		}
-	}
-}
-
-// checkAssignBoxing flags concrete values assigned to interface-typed
-// destinations.
-func checkAssignBoxing(pkg *Package, as *ast.AssignStmt, report func(token.Pos, string)) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i := range as.Lhs {
-		dst := typeOf(pkg, as.Lhs[i])
-		if boxes(pkg, as.Rhs[i], dst) {
-			report(as.Rhs[i].Pos(), "value boxed into interface on assignment allocates")
-		}
-	}
-}
-
-// checkReturnBoxing flags concrete values returned as interface results.
-func checkReturnBoxing(pkg *Package, fi *FuncInfo, ret *ast.ReturnStmt, report func(token.Pos, string)) {
-	sig := fi.Sig()
-	if sig == nil || sig.Results().Len() != len(ret.Results) {
-		return
-	}
-	for i, res := range ret.Results {
-		if boxes(pkg, res, sig.Results().At(i).Type()) {
-			report(res.Pos(), "value boxed into interface result allocates")
-		}
-	}
-}
-
-// boxes reports whether assigning expr to a destination of type dst
-// heap-boxes: dst is an interface, expr's type is concrete and not
-// pointer-shaped, and expr is neither nil nor a constant (the compiler
-// statically allocates constant conversions).
-func boxes(pkg *Package, expr ast.Expr, dst types.Type) bool {
-	if dst == nil || !types.IsInterface(dst) {
-		return false
-	}
-	tv, ok := pkg.Info.Types[expr]
-	if !ok || tv.Value != nil || tv.IsNil() {
-		return false
-	}
-	src := tv.Type
-	if src == nil || types.IsInterface(src) {
-		return false
-	}
-	switch src.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return false // pointer-shaped: fits the iface word, no box
-	}
-	return true
-}
-
 // capturedVar returns the name of a variable the closure captures from
 // its enclosing function, or "" for a non-capturing (static) closure.
 func capturedVar(pkg *Package, fi *FuncInfo, lit *ast.FuncLit) string {
@@ -417,27 +261,6 @@ func capturedVar(pkg *Package, fi *FuncInfo, lit *ast.FuncLit) string {
 		return true
 	})
 	return captured
-}
-
-func isStringType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func isByteOrRuneSlice(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
-		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 }
 
 // isConstExpr reports whether the expression folded to a constant.

@@ -46,6 +46,9 @@ type Program struct {
 
 	markers *markerSet
 	graph   *callGraph
+	// heap holds the compiler's escape facts, set by Analyze before
+	// HotPathAlloc runs.
+	heap *heapFacts
 }
 
 // Load parses and type-checks the module packages matched by patterns.

@@ -91,21 +91,6 @@ func (fi *FuncInfo) End() token.Pos {
 	return fi.Decl.End()
 }
 
-// Sig returns the function's signature type, or nil when unknown.
-func (fi *FuncInfo) Sig() *types.Signature {
-	if fi.Obj != nil {
-		sig, _ := fi.Obj.Type().(*types.Signature)
-		return sig
-	}
-	if fi.Lit != nil {
-		if t := typeOf(fi.Pkg, fi.Lit); t != nil {
-			sig, _ := t.(*types.Signature)
-			return sig
-		}
-	}
-	return nil
-}
-
 // marked reports whether the contract's marker is set on this function.
 func (fi *FuncInfo) marked(c contract) bool {
 	switch c {

@@ -13,7 +13,10 @@ func TestMarkerGrammar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := prog.Analyze()
+	res, err := prog.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	expect := map[int]string{
 		8:  "unknown directive //repro:frobnicate",

@@ -19,13 +19,13 @@ func (b *badVerifier) Name() string { return b.name }
 func (b *badVerifier) Gates() int { return 0 }
 
 func (b *badVerifier) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
-	held := append([]byte{}, ct...) // want `append outside the self-append idiom.*reached from devirtfix\.Pipeline`
+	held := append([]byte{}, ct...) // want `append outside the self-append idiom.*reached from devirtfix\.Pipeline` `\[\]byte\{\} escapes to heap.*reached from devirtfix\.Pipeline`
 	b.tags[addr] = held             // want `map write may allocate.*reached from devirtfix\.Pipeline`
 	return 0, true
 }
 
 func (b *badVerifier) UpdateWrite(addr uint64, ct []byte) uint64 {
-	b.name = b.name + "!" // want `string concatenation allocates.*reached from devirtfix\.Pipeline`
+	b.name = b.name + "!" // want `b\.name \+ "!" escapes to heap.*reached from devirtfix\.Pipeline`
 	return 0
 }
 

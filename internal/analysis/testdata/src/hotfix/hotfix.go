@@ -1,6 +1,7 @@
 // Package hotfix is the hotpathalloc fixture: each function exercises
 // one rule, with // want assertions for flagged constructs and bare
-// comments for the deliberately-clean ones.
+// comments for the deliberately-clean ones. Wants that quote "escapes
+// to heap" or "moved to heap" come from the compiler's escape analysis.
 package hotfix
 
 import "fmt"
@@ -14,13 +15,13 @@ func sink(v any) { _ = v }
 //
 //repro:hotpath
 func SeededSprintf(id int) {
-	msg := fmt.Sprintf("ref %d", id) // want `call to fmt\.Sprintf allocates`
+	msg := fmt.Sprintf("ref %d", id) // want `call to fmt\.Sprintf allocates` `id escapes to heap`
 	_ = msg
 }
 
 //repro:hotpath
 func Concat(a, b string) string {
-	return a + b // want `string concatenation allocates`
+	return a + b // want `a \+ b escapes to heap`
 }
 
 //repro:hotpath
@@ -30,7 +31,7 @@ func ConstConcat() string {
 
 //repro:hotpath
 func Convert(b []byte) string {
-	return string(b) // want `string conversion allocates a copy`
+	return string(b) // want `string\(b\) escapes to heap`
 }
 
 //repro:hotpath
@@ -66,24 +67,24 @@ func LocalScratch() int {
 
 //repro:hotpath
 func EscapingMake() []byte {
-	buf := make([]byte, 32) // want `make escapes \(returned via buf\) and allocates`
+	buf := make([]byte, 32) // want `make\(\[\]byte, 32\) escapes to heap`
 	return buf
 }
 
 //repro:hotpath
 func DynamicMake(n int) {
-	buf := make([]byte, n) // want `make with non-constant size allocates`
+	buf := make([]byte, n) // want `make\(\[\]byte, n\) escapes to heap`
 	_ = buf
 }
 
 //repro:hotpath
 func NewEscapes() *box {
-	return new(box) // want `new escapes \(returned\) and allocates`
+	return new(box) // want `new\(box\) escapes to heap`
 }
 
 //repro:hotpath
 func PtrLit() *box {
-	return &box{v: 1} // want `&composite literal escapes \(returned\) and allocates`
+	return &box{v: 1} // want `&box\{\.\.\.\} escapes to heap`
 }
 
 //repro:hotpath
@@ -94,18 +95,18 @@ func ValueLit() int {
 
 //repro:hotpath
 func SliceLit() []int {
-	return []int{1, 2, 3} // want `slice literal escapes \(returned\) and allocates`
+	return []int{1, 2, 3} // want `\[\]int\{\.\.\.\} escapes to heap`
 }
 
 //repro:hotpath
 func MapLit() {
-	m := map[int]int{} // want `map literal allocates`
+	m := map[int]int{} // never escapes, so it lives on the stack: clean
 	_ = m
 }
 
 //repro:hotpath
 func Boxes(n int) {
-	sink(n) // want `value boxed into interface argument allocates`
+	sink(n) // sink does not retain v, so n is boxed on the stack: clean
 }
 
 //repro:hotpath
@@ -119,20 +120,25 @@ func ConstBox() {
 }
 
 //repro:hotpath
+func ConstResult() any {
+	return 42 // escapes, but a constant's box is read-only static data: clean
+}
+
+//repro:hotpath
 func BoxAssign(n int) {
 	var v any
-	v = n // want `value boxed into interface on assignment allocates`
+	v = n // v never escapes, so the box lives on the stack: clean
 	_ = v
 }
 
 //repro:hotpath
 func BoxReturn(n int) any {
-	return n // want `value boxed into interface result allocates`
+	return n // want `n escapes to heap`
 }
 
 //repro:hotpath
 func CapturingClosure(n int) func() int {
-	f := func() int { return n } // want `closure captures n and allocates`
+	f := func() int { return n } // want `func literal escapes to heap \(captures n\)`
 	return f
 }
 
@@ -141,6 +147,21 @@ func StaticClosure() func() int {
 	f := func() int { return 7 } // non-capturing closures are static: clean
 	return f
 }
+
+// Whiten is the DS5240 shape: a stack array whitened and passed, sliced,
+// to an interface method. The compiler cannot see the callee, so the
+// array moves to the heap on every call.
+//
+//repro:hotpath
+func Whiten(b block, dst, src []byte, tweak uint64) {
+	var tmp [8]byte // want `moved to heap: tmp`
+	for i := range tmp {
+		tmp[i] = src[i] ^ byte(tweak>>(8*i))
+	}
+	b.Encrypt(dst, tmp[:])
+}
+
+type block interface{ Encrypt(dst, src []byte) }
 
 //repro:hotpath
 func Spawns() {
@@ -176,6 +197,18 @@ func Root(m map[string]int) int {
 func helper(m map[string]int) int {
 	m["k"] = 1 // want `map write may allocate \(grow/insert\) \(reached from hotfix\.Root\)`
 	return len(m)
+}
+
+// Inlined calls fresh, which the compiler inlines: its make is
+// reported at this call site as well, but flagged only at its own line.
+//
+//repro:hotpath
+func Inlined() []byte {
+	return fresh() // the inlined copy of fresh's make: clean here
+}
+
+func fresh() []byte {
+	return make([]byte, 16) // want `make\(\[\]byte, 16\) escapes to heap \(reached from hotfix\.Inlined\)`
 }
 
 //repro:hotpath

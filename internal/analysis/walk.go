@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -40,6 +41,30 @@ func inspectShallow(root ast.Node, f func(n ast.Node, stack []ast.Node) bool) {
 		_, isLit := n.(*ast.FuncLit)
 		return !isLit
 	})
+}
+
+// pathTo returns the nodes of body that enclose pos, outermost first,
+// or nil when pos lies outside body or inside the body of a nested
+// function literal (each literal is its own call-graph node). A
+// literal is the innermost node for a position on its func keyword.
+func pathTo(body *ast.BlockStmt, pos token.Pos) []ast.Node {
+	var path []ast.Node
+	nested := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil || nested || pos < n.Pos() || pos >= n.End() {
+			return false
+		}
+		path = append(path, n)
+		if lit, ok := n.(*ast.FuncLit); ok {
+			nested = pos >= lit.Body.Pos()
+			return false
+		}
+		return true
+	})
+	if nested {
+		return nil
+	}
+	return path
 }
 
 // inPanicArg reports whether the node whose ancestor stack is given sits
