@@ -18,8 +18,6 @@ func TestErrorPathsToStderr(t *testing.T) {
 	for _, tc := range [][]string{
 		{"-no-such-flag"},
 		{"-engine", "no-such-engine"},
-		{"-engine", "xom", "-only", "e4"}, // conflicting modes
-		{"-only", "e99"},
 	} {
 		stdout, stderr, code := cli(tc...)
 		if code == 0 {
@@ -31,6 +29,13 @@ func TestErrorPathsToStderr(t *testing.T) {
 		if stderr == "" {
 			t.Errorf("%v produced no stderr diagnostics", tc)
 		}
+	}
+	// The passive attacks are survey -only E4,E9,E13,E15, not an attacklab flag.
+	if stdout, stderr, code := cli("-only", "e4"); code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -only") {
+		t.Errorf("-only e4: code=%d stdout=%q stderr=%q, want an unknown-flag exit 2", code, stdout, stderr)
+	}
+	if stdout, stderr, code := cli(); code != 2 || stdout != "" || !strings.Contains(stderr, "-engine") {
+		t.Errorf("no arguments: code=%d stdout=%q stderr=%q, want usage naming -engine and exit 2", code, stdout, stderr)
 	}
 }
 

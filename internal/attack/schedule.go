@@ -13,7 +13,6 @@ package attack
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 
 	"repro/internal/obs/rec"
 	"repro/internal/sim/soc"
@@ -365,15 +364,4 @@ func (r *reservoir) pick(rng *rand.Rand) (uint64, bool) {
 	}
 	back := 1 + lo + rng.Intn(hi-lo)
 	return r.buf[(r.next-back+len(r.buf))%len(r.buf)], true
-}
-
-// PendingAddrs lists tampered lines still awaiting detection (debug),
-// in ascending address order so callers see a stable listing.
-func (sc *Schedule) PendingAddrs() []uint64 {
-	out := make([]uint64, 0, len(sc.pending))
-	for a := range sc.pending {
-		out = append(out, a)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,20 +1,12 @@
 // Package core is the public façade of the bus-encryption survey
 // reproduction: it registers every surveyed engine with its paper
 // metadata, assembles simulated systems around them, and implements the
-// experiment suite (E1–E16 in DESIGN.md) that regenerates each of the
+// experiment suite (E1–E22 in DESIGN.md) that regenerates each of the
 // survey's quantitative claims.
 //
-// Typical use:
-//
-//	entry := core.MustEntry("aegis")
-//	eng, _ := entry.Build()
-//	base, with, _ := soc.Compare(soc.DefaultConfig(), eng, workload)
-//	fmt.Printf("overhead: %.1f%%\n", 100*with.OverheadVs(base))
-//
-// or run a whole experiment:
-//
-//	table, _ := core.E6Aegis()
-//	fmt.Print(table)
+// The package Example is typical use: build a registered engine, put it
+// on a simulated bus under a probe, and measure its overhead with
+// soc.Compare. Each experiment is one call, e.g. E6Aegis(DefaultRefs).
 package core
 
 import (

@@ -1,7 +1,4 @@
-// Quickstart: put an encryption engine on a simulated processor-memory
-// bus, verify a board-level probe sees only ciphertext, and measure what
-// the protection costs — the survey's whole subject in ~60 lines.
-package main
+package core_test
 
 import (
 	"bytes"
@@ -14,16 +11,17 @@ import (
 	"repro/internal/sim/trace"
 )
 
-func main() {
-	// 1. Pick a surveyed engine — AEGIS-style AES with address-bound IVs.
+// Example puts an encryption engine on a simulated bus, checks that a
+// board-level probe sees only ciphertext, and measures what it costs.
+func Example() {
+	// 1. Pick a surveyed engine: AEGIS-style AES with address-bound IVs.
 	entry := core.MustEntry("aegis")
 	engine, err := entry.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 2. Build the SoC (16 KiB cache, 32-bit bus, SDRAM-class memory)
-	//    and install a secret program through the engine.
+	// 2. Build the SoC and install a secret program through the engine.
 	cfg := soc.DefaultConfig()
 	cfg.Engine = engine
 	system, err := soc.New(cfg)
@@ -35,13 +33,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Clip a probe onto the bus — the survey's class-II attacker.
+	// 3. Clip a probe onto the bus: the survey's class-II attacker.
 	probe := &attack.Probe{}
 	system.Bus().Attach(probe)
 
 	// 4. Run a workload and look at the wires.
 	workload := trace.Sequential(trace.Config{
-		Refs: 50000, Seed: 1, LoadFraction: 0.3, WriteFraction: 0.25, Locality: 0.7,
+		Refs: 20000, Seed: 1, LoadFraction: 0.3, WriteFraction: 0.25, Locality: 0.7,
 	})
 	report := system.Run(workload)
 
@@ -50,9 +48,7 @@ func main() {
 	fmt.Printf("probe captured %d bus transactions, %d bytes\n",
 		len(probe.Beats), len(probe.Data()))
 	fmt.Printf("plaintext visible to probe: %v\n", probe.ContainsPlaintext(secret[:16]))
-	// Spatial leak: duplicate ciphertext blocks across the memory image.
-	// The plaintext repeats a 32-byte string 64 times; address-bound IVs
-	// must hide that entirely.
+	// The plaintext repeats 32 bytes 64 times; address-bound IVs hide it.
 	fmt.Printf("duplicate-block leak in memory image: %.3f (plaintext image: %.3f)\n",
 		attack.DuplicateBlockRatio(system.DRAM().Dump(0, len(secret)), 16),
 		attack.DuplicateBlockRatio(secret, 16))
@@ -66,6 +62,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("encryption overhead: %.1f%% (paper quotes ~25%% for this design)\n",
+	fmt.Printf("encryption overhead: %.1f%% (the survey quotes ~25%% for this design)\n",
 		100*with.OverheadVs(base))
+
+	// Output:
+	// ran 20000 refs in 339927 cycles (CPI 22.13)
+	// probe captured 4092 bus transactions, 130944 bytes
+	// plaintext visible to probe: false
+	// duplicate-block leak in memory image: 0.000 (plaintext image: 0.984)
+	// encryption overhead: 24.9% (the survey quotes ~25% for this design)
 }
