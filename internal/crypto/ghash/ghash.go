@@ -7,10 +7,12 @@
 // tag every tree node with a keyed universal hash instead of a full
 // cryptographic MAC.
 //
-// The implementation is the classic 4-bit-window table method: key
-// expansion precomputes the 16 multiples of H needed to multiply by one
-// hex digit at a time, and the per-block work is 32 table lookups and a
-// shift-reduce. Everything is fixed-size value state, so hashing a line
+// The multiply by H takes one byte of the accumulator per step. Key
+// expansion fills two 16-entry tables: the multiples of H for a byte's
+// top nibble, and the same times x⁴ for its bottom nibble. A block then
+// costs 16 steps, each a shift by 8 bits, one lookup in a 256-entry
+// reduction table derived at package init, and one lookup in each
+// nibble table. Everything is fixed-size value state, so hashing a line
 // performs zero heap allocations — the property the simulator's
 // 0 allocs/ref hot path requires.
 package ghash
@@ -33,25 +35,26 @@ type fieldElement struct {
 	low, high uint64
 }
 
-// Key is an expanded GHASH key: the per-digit multiple table of H.
+// Key is an expanded GHASH key. A byte's bits, most significant first,
+// are the coefficients of x⁰…x⁷, so hi[n] is the multiple of H for the
+// top nibble n and lo[n] = hi[n]·x⁴ the one for the bottom nibble.
 type Key struct {
-	productTable [16]fieldElement
+	hi, lo [16]fieldElement
 }
 
-// reductionTable folds the 4 bits shifted out of a field element back
-// in, premultiplied by the reduction polynomial x^128 + x^7 + x^2 + x + 1.
-var reductionTable = [16]uint16{
-	0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0,
-	0xe100, 0xfd20, 0xd940, 0xc560, 0x9180, 0x8da0, 0xa9c0, 0xb5e0,
-}
+// reduction[b] folds back in the byte b that ·x⁸ shifts out of a field
+// element's x¹²⁰…x¹²⁷ coefficients: those bits become x¹²⁸…x¹³⁵, which
+// reduce by x¹²⁸ = x⁷ + x² + x + 1 into the top 16 bits of the low word.
+var reduction [256]uint16
 
-// reverseBits reverses a 4-bit index; the product table is stored in
-// reversed order so the multiply loop can index by the low digit
-// directly.
-func reverseBits(i int) int {
-	i = i<<2&0xc | i>>2&0x3
-	i = i<<1&0xa | i>>1&0x5
-	return i
+func init() {
+	for b := range reduction {
+		x := fieldElement{high: uint64(b)}
+		for i := 0; i < 8; i++ {
+			x = double(x)
+		}
+		reduction[b] = uint16(x.low >> 48)
+	}
 }
 
 // add is addition in GF(2^128): XOR.
@@ -73,6 +76,19 @@ func double(x fieldElement) fieldElement {
 	return d
 }
 
+// fill sets t[n] = n·x for every nibble n, its top bit the x⁰
+// coefficient, and returns x·x⁴.
+func fill(t *[16]fieldElement, x fieldElement) fieldElement {
+	for bit := 8; bit > 0; bit >>= 1 {
+		t[bit] = x
+		x = double(x)
+	}
+	for n := 3; n < 16; n++ {
+		t[n] = add(t[n&(n-1)], t[n&-n])
+	}
+	return x
+}
+
 // NewKey expands the 16-byte hash key H.
 func NewKey(h []byte) *Key {
 	if len(h) != KeySize {
@@ -83,32 +99,24 @@ func NewKey(h []byte) *Key {
 		binary.BigEndian.Uint64(h[8:]),
 	}
 	k := &Key{}
-	k.productTable[reverseBits(1)] = x
-	for i := 2; i < 16; i += 2 {
-		k.productTable[reverseBits(i)] = double(k.productTable[reverseBits(i/2)])
-		k.productTable[reverseBits(i+1)] = add(k.productTable[reverseBits(i)], x)
-	}
+	fill(&k.lo, fill(&k.hi, x))
 	return k
 }
 
-// mul sets y = y * H, one hex digit of y at a time.
+// mul sets y = y * H by Horner's rule over y's bytes, highest degree
+// first: z = z·x⁸ + byte·H.
 func (k *Key) mul(y *fieldElement) {
 	var z fieldElement
-	for i := 0; i < 2; i++ {
-		word := y.high
-		if i == 1 {
-			word = y.low
-		}
-		for j := 0; j < 64; j += 4 {
-			msw := z.high & 0xf
-			z.high >>= 4
-			z.high |= z.low << 60
-			z.low >>= 4
-			z.low ^= uint64(reductionTable[msw]) << 48
-			t := &k.productTable[word&0xf]
-			z.low ^= t.low
-			z.high ^= t.high
-			word >>= 4
+	for _, word := range [2]uint64{y.high, y.low} {
+		for j := 0; j < 8; j++ {
+			out := uint8(z.high)
+			z.high = z.high>>8 | z.low<<56
+			z.low = z.low>>8 ^ uint64(reduction[out])<<48
+			b := uint8(word)
+			hi, lo := &k.hi[b>>4], &k.lo[b&0xf]
+			z.low ^= hi.low ^ lo.low
+			z.high ^= hi.high ^ lo.high
+			word >>= 8
 		}
 	}
 	*y = z
@@ -121,17 +129,9 @@ func (k *Key) absorb(y *fieldElement, block []byte) {
 	k.mul(y)
 }
 
-// Sum computes the full 16-byte GHASH of data, allocation-free. A
-// ragged tail is zero-padded, and a final length block closes the
-// polynomial, so inputs of different lengths never collide by padding.
-//
-//repro:hotpath
-func (k *Key) Sum(data []byte) [KeySize]byte {
-	var y fieldElement
-	k.sumInto(&y, data)
-	return k.serialize(&y)
-}
-
+// sumInto absorbs data into y as full GHASH does: a ragged tail is
+// zero-padded, and a final length block closes the polynomial, so inputs
+// of different lengths never collide by padding.
 func (k *Key) sumInto(y *fieldElement, data []byte) {
 	n := len(data)
 	for len(data) >= KeySize {

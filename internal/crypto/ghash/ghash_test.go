@@ -38,7 +38,15 @@ func slowMul(x, y [16]byte) [16]byte {
 	return z
 }
 
-// slowSum reimplements Sum's message schedule (blocks, zero-padded
+// sum computes the full 16-byte GHASH of data, the framing the GCM
+// oracles below check.
+func (k *Key) sum(data []byte) [KeySize]byte {
+	var y fieldElement
+	k.sumInto(&y, data)
+	return k.serialize(&y)
+}
+
+// slowSum reimplements sum's message schedule (blocks, zero-padded
 // tail, closing length block) over slowMul.
 func slowSum(h []byte, data []byte) [16]byte {
 	var hh [16]byte
@@ -70,26 +78,37 @@ func slowSum(h []byte, data []byte) [16]byte {
 
 func TestFastMatchesBitwiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
+	// Edge keys first: H = 0 (every table entry zero), H = 1 (the x⁰
+	// coefficient alone, so each table entry is a few shifted bits) and
+	// H = all-ones; then 50 random keys.
+	keys := [][]byte{
+		make([]byte, KeySize),
+		append([]byte{0x80}, make([]byte, KeySize-1)...),
+		bytes.Repeat([]byte{0xff}, KeySize),
+	}
+	for i := 0; i < 50; i++ {
 		h := make([]byte, KeySize)
 		rng.Read(h)
+		keys = append(keys, h)
+	}
+	for trial, h := range keys {
 		k := NewKey(h)
 		for _, n := range []int{0, 1, 8, 15, 16, 17, 32, 33, 64, 100} {
 			data := make([]byte, n)
 			rng.Read(data)
-			fast := k.Sum(data)
+			fast := k.sum(data)
 			slow := slowSum(h, data)
 			if fast != slow {
-				t.Fatalf("trial %d len %d: fast %x != slow %x (h=%x)", trial, n, fast, slow, h)
+				t.Fatalf("key %d len %d: fast %x != slow %x (h=%x)", trial, n, fast, slow, h)
 			}
 		}
 	}
 }
 
-// TestMatchesStdlibGCM checks Sum against crypto/cipher's AES-GCM as an
+// TestMatchesStdlibGCM checks sum against crypto/cipher's AES-GCM as an
 // independent oracle. With no associated data a GCM tag is
 // GHASH_H(C) ⊕ E_K(J0), where H = E_K(0¹²⁸) and J0 = nonce ‖ 0³¹1 for
-// a 12-byte nonce, so Sum over the ciphertext must rebuild the tag
+// a 12-byte nonce, so sum over the ciphertext must rebuild the tag
 // Seal appends. Lengths 0–200 cover empty input, whole blocks and
 // every ragged tail.
 func TestMatchesStdlibGCM(t *testing.T) {
@@ -118,7 +137,7 @@ func TestMatchesStdlibGCM(t *testing.T) {
 		copy(j0[:], nonce)
 		j0[15] = 1
 		block.Encrypt(ekj0[:], j0[:])
-		tag := NewKey(h[:]).Sum(ct)
+		tag := NewKey(h[:]).sum(ct)
 		for i := range tag {
 			tag[i] ^= ekj0[i]
 		}
@@ -130,13 +149,13 @@ func TestMatchesStdlibGCM(t *testing.T) {
 
 // The GCM spec's test case 2 intermediate value: GHASH with
 // H = 66e94bd4ef8a2c3b884cfa59ca342b2e over a single ciphertext block
-// and the standard length block — exactly Sum's framing for a 16-byte
+// and the standard length block — exactly sum's framing for a 16-byte
 // input with no associated data.
 func TestNISTGCMVector(t *testing.T) {
 	h, _ := hex.DecodeString("66e94bd4ef8a2c3b884cfa59ca342b2e")
 	c, _ := hex.DecodeString("0388dace60b6a392f328c2b971b2fe78")
 	want, _ := hex.DecodeString("f38cbb1ad69223dcc3457ae5b6b0f885")
-	got := NewKey(h).Sum(c)
+	got := NewKey(h).sum(c)
 	if !bytes.Equal(got[:], want) {
 		t.Fatalf("GHASH = %x, want %x", got, want)
 	}
@@ -209,7 +228,7 @@ func TestTagLineMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSumZeroAllocs(t *testing.T) {
+func TestTagLineZeroAllocs(t *testing.T) {
 	k := NewKey([]byte("0123456789abcdef"))
 	line := make([]byte, 32)
 	if avg := testing.AllocsPerRun(100, func() {
