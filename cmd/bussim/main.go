@@ -2,7 +2,10 @@
 // workload on the simulated SoC and reports the cycle accounting
 // against the plaintext baseline. The workload is consumed as a stream:
 // references are generated on the fly, so memory stays constant however
-// long the trace — -refs 100000000 is bounded by time, not RAM.
+// long the trace — -refs 100000000 is bounded by time, not RAM. The
+// workload's knobs are its core.WorkloadProfile, the mix the experiment
+// suite and sweep measure under the same name; a knob flag overrides
+// only that knob.
 //
 //	bussim -engine aegis -workload pointer-chase -refs 100000
 //	bussim -engine gilmont -workload code-only -jump 0.02 -codesize 8192
@@ -32,11 +35,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	engineKey := fs.String("engine", "aegis", "surveyed engine key (see -list)")
 	workload := fs.String("workload", "sequential", "workload generator name")
 	refs := fs.Int("refs", 100000, "trace length")
-	jump := fs.Float64("jump", 0.03, "jump rate (code workloads)")
-	writes := fs.Float64("writes", 0.3, "write fraction (data workloads)")
-	loads := fs.Float64("loads", 0.35, "data-access fraction")
-	locality := fs.Float64("locality", 0.7, "data locality")
-	codeSize := fs.Uint64("codesize", 1<<20, "code footprint in bytes")
+	jump := fs.Float64("jump", 0, "jump rate (code workloads; default: the workload's profile)")
+	writes := fs.Float64("writes", 0, "write fraction (data workloads; default: the workload's profile)")
+	loads := fs.Float64("loads", 0, "data-access fraction (default: the workload's profile)")
+	locality := fs.Float64("locality", 0, "data locality (default: the workload's profile)")
+	codeSize := fs.Uint64("codesize", 0, "code footprint in bytes (default: the workload's profile)")
 	seed := fs.Int64("seed", 1, "trace seed")
 	list := fs.Bool("list", false, "list engines and workloads, then exit")
 	if err := fs.Parse(args); err == flag.ErrHelp {
@@ -57,15 +60,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	mkSource, ok := trace.Sources[*workload]
+	cfg, ok := core.WorkloadProfile(*workload, *refs)
 	if !ok {
 		fmt.Fprintf(stderr, "bussim: unknown workload %q (try -list)\n", *workload)
 		return 1
 	}
-	src := mkSource(trace.Config{
-		Refs: *refs, Seed: *seed, JumpRate: *jump, CodeSize: *codeSize,
-		WriteFraction: *writes, LoadFraction: *loads, Locality: *locality,
+	cfg.Seed = *seed
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "jump":
+			cfg.JumpRate = *jump
+		case "writes":
+			cfg.WriteFraction = *writes
+		case "loads":
+			cfg.LoadFraction = *loads
+		case "locality":
+			cfg.Locality = *locality
+		case "codesize":
+			cfg.CodeSize = *codeSize
+		}
 	})
+	src := trace.Sources[*workload](cfg)
 
 	entry, err := core.Entry(*engineKey)
 	if err != nil {

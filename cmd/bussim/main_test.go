@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim/soc"
+	"repro/internal/sim/trace"
 )
 
 // cli runs the command in-process and returns stdout, stderr and the
@@ -43,5 +48,55 @@ func TestHelpExitsZero(t *testing.T) {
 	stdout, stderr, code := cli("-h")
 	if code != 0 || stdout != "" || !strings.Contains(stderr, "-engine") {
 		t.Errorf("-h: code=%d stdout=%q stderr=%q", code, stdout, stderr)
+	}
+}
+
+// wantCycles runs soc.Compare for engine on the source cfg describes and
+// returns the two cycle lines bussim must print for it.
+func wantCycles(t *testing.T, engine, workload string, cfg trace.Config) []string {
+	t.Helper()
+	eng, err := core.MustEntry(engine).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, with, err := soc.Compare(soc.DefaultConfig(), eng, trace.Sources[workload](cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []string{
+		fmt.Sprintf("baseline   : %d cycles", base.Cycles),
+		fmt.Sprintf("with engine: %d cycles", with.Cycles),
+	}
+}
+
+// Without knob flags, a workload runs its core.WorkloadProfile — the mix
+// the experiment suite and sweep measure under the same name.
+func TestWorkloadRunsItsProfile(t *testing.T) {
+	stdout, stderr, code := cli("-engine", "xom", "-workload", "pointer-chase", "-refs", "3000")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	cfg, _ := core.WorkloadProfile("pointer-chase", 3000)
+	cfg.Seed = 1
+	for _, line := range wantCycles(t, "xom", "pointer-chase", cfg) {
+		if !strings.Contains(stdout, line) {
+			t.Errorf("stdout lacks %q:\n%s", line, stdout)
+		}
+	}
+}
+
+// A knob flag overrides only its own knob of the profile.
+func TestKnobFlagsOverrideProfile(t *testing.T) {
+	stdout, stderr, code := cli("-engine", "gilmont", "-workload", "code-only",
+		"-jump", "0.1", "-codesize", "8192", "-refs", "2000")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	cfg, _ := core.WorkloadProfile("code-only", 2000)
+	cfg.Seed, cfg.JumpRate, cfg.CodeSize = 1, 0.1, 8192
+	for _, line := range wantCycles(t, "gilmont", "code-only", cfg) {
+		if !strings.Contains(stdout, line) {
+			t.Errorf("stdout lacks %q:\n%s", line, stdout)
+		}
 	}
 }

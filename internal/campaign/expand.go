@@ -156,12 +156,10 @@ func (s *Spec) Expand() []Task {
 // workloadSource fetches the shared knob settings for the named
 // workload (core.WorkloadProfile, the same table the E-suite uses) and
 // builds the point's streaming reference source from the task's derived
-// seed — the per-task RNG shard. Seeding via Config.Seed (identical
-// references to an explicit NewRand(seed)) keeps the source replayable,
-// and streaming keeps a sweep's memory bounded by cache geometry, not
-// trace length. A workload registered in trace.Sources but missing from
-// the profile table is an error, not a silent zero-knob sweep: the two
-// registries must move together.
+// seed — the per-task RNG shard. Reset reseeds the source, so every run
+// of the point replays it, and streaming keeps a sweep's memory bounded
+// by cache geometry, not trace length. A name without a profile is an
+// error, not a silent zero-knob sweep.
 func workloadSource(name string, refs int, seed int64) (trace.RefSource, error) {
 	cfg, ok := core.WorkloadProfile(name, refs)
 	if !ok {

@@ -36,8 +36,8 @@ import (
 type Spec struct {
 	// Engines are survey registry keys (core.Entry); default all.
 	Engines []string `json:"engines"`
-	// Workloads are trace generator names (trace.Generators); default
-	// the standard five-workload set.
+	// Workloads are workload names (trace.Sources); default all of
+	// them.
 	Workloads []string `json:"workloads"`
 	// Refs are trace lengths to sweep; default {core.DefaultRefs}.
 	Refs []int `json:"refs"`

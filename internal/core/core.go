@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/crypto/modes"
 	"repro/internal/edu"
@@ -152,61 +153,54 @@ func MustEntry(key string) SurveyEntry {
 // WorkloadProfile returns the standard knob settings for the named
 // workload — the single definition both the experiment suite and the
 // campaign sweeps draw from, so a workload name measures the same
-// reference mix everywhere. The caller supplies the RNG (Seed or Rand).
+// reference mix everywhere. The caller supplies the Seed.
 func WorkloadProfile(name string, refs int) (trace.Config, bool) {
-	cfg := trace.Config{Refs: refs}
-	switch name {
-	case "sequential":
-		cfg.LoadFraction, cfg.WriteFraction, cfg.JumpRate, cfg.Locality = 0.35, 0.3, 0.03, 0.7
-	case "firmware":
-		// Microcontroller-class mix; the generator forces the small
-		// footprint (16K code / 32K data) itself.
-		cfg.LoadFraction, cfg.WriteFraction, cfg.JumpRate, cfg.Locality = 0.35, 0.4, 0.03, 0.5
-	case "code-only":
-		cfg.JumpRate = 0.02
-	case "streaming":
-		cfg.WriteFraction = 0.3
-	case "pointer-chase":
-		cfg.DataSize = 8 << 20
-	case "matrix-like":
-		// generator defaults
-	default:
-		return trace.Config{}, false
-	}
-	return cfg, true
+	cfg, ok := profiles[name]
+	cfg.Refs = refs
+	return cfg, ok
+}
+
+// profiles holds WorkloadProfile's knobs, one entry per trace.Sources
+// name.
+var profiles = map[string]trace.Config{
+	"sequential": {LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7},
+	// Microcontroller-class mix; the generator forces the small
+	// footprint (16K code / 32K data) itself.
+	"firmware":      {LoadFraction: 0.35, WriteFraction: 0.4, JumpRate: 0.03, Locality: 0.5},
+	"code-only":     {JumpRate: 0.02},
+	"streaming":     {WriteFraction: 0.3},
+	"pointer-chase": {DataSize: 8 << 20},
+	"matrix-like":   {}, // generator defaults
 }
 
 // workloadNames is the standard five-workload set in suite order.
 var workloadNames = []string{"sequential", "code-only", "streaming", "pointer-chase", "matrix-like"}
 
-// WorkloadSources returns the standard workload set as streaming
-// reference sources sized to refs references each — the constant-memory
-// form long sweeps consume. Sources are Seed-configured, so they can be
-// replayed (soc.Compare replays).
+// WorkloadSources returns the standard workload set, sized to refs
+// references each: every name's profile, seeded 11 + its index in the
+// suite order.
 func WorkloadSources(refs int) []trace.RefSource {
 	out := make([]trace.RefSource, len(workloadNames))
 	for i, name := range workloadNames {
-		cfg, _ := WorkloadProfile(name, refs)
-		cfg.Seed = int64(11 + i)
-		out[i] = trace.Sources[name](cfg)
+		out[i] = standardSource(name, refs)
 	}
 	return out
 }
 
-// Workloads returns the same standard set fully materialized — the
-// convenient form for small experiments and tests.
-func Workloads(refs int) []*trace.Trace {
-	srcs := WorkloadSources(refs)
-	out := make([]*trace.Trace, len(srcs))
-	for i, src := range srcs {
-		out[i] = trace.Drain(src)
-	}
-	return out
+// standardSource is the WorkloadSources entry for name.
+func standardSource(name string, refs int) trace.RefSource {
+	return profileSource(name, refs, int64(11+slices.Index(workloadNames, name)))
+}
+
+// profileSource streams the named workload's WorkloadProfile from seed.
+func profileSource(name string, refs int, seed int64) trace.RefSource {
+	cfg, _ := WorkloadProfile(name, refs)
+	cfg.Seed = seed
+	return trace.Sources[name](cfg)
 }
 
 // MeasureOverhead runs eng against the baseline on src with the
 // standard system configuration and returns the fractional overhead.
-// Both a streaming source and a materialized *trace.Trace satisfy src.
 func MeasureOverhead(eng edu.Engine, src trace.RefSource) (float64, error) {
 	base, with, err := soc.Compare(soc.DefaultConfig(), eng, src)
 	if err != nil {

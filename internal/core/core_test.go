@@ -69,19 +69,35 @@ func TestBuildReturnsFreshEngines(t *testing.T) {
 }
 
 func TestWorkloadsSet(t *testing.T) {
-	ws := Workloads(1000)
+	ws := WorkloadSources(1000)
 	if len(ws) != 5 {
 		t.Fatalf("%d workloads", len(ws))
 	}
 	names := map[string]bool{}
 	for _, w := range ws {
-		if len(w.Refs) != 1000 {
-			t.Errorf("%s: %d refs", w.Name, len(w.Refs))
+		if n := len(trace.Drain(w).Refs); n != 1000 {
+			t.Errorf("%s: %d refs", w.Label(), n)
 		}
-		names[w.Name] = true
+		names[w.Label()] = true
 	}
 	if !names["code-only"] || !names["pointer-chase"] {
 		t.Error("expected workload names missing")
+	}
+}
+
+// The workload registry (trace.Sources) and the knob table
+// (WorkloadProfile) must name the same workloads: a name missing from
+// either would otherwise surface only when a sweep reaches it.
+func TestWorkloadRegistriesMatch(t *testing.T) {
+	for name := range trace.Sources {
+		if _, ok := WorkloadProfile(name, 100); !ok {
+			t.Errorf("trace.Sources workload %q has no WorkloadProfile", name)
+		}
+	}
+	for name := range profiles {
+		if _, ok := trace.Sources[name]; !ok {
+			t.Errorf("WorkloadProfile %q is not a trace.Sources workload", name)
+		}
 	}
 }
 
@@ -90,7 +106,7 @@ func TestMeasureOverheadPositiveForCostlyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.Sequential(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3})
+	tr := trace.SequentialSource(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3})
 	ov, err := MeasureOverhead(eng, tr)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func Example() {
 	system.Bus().Attach(probe)
 
 	// 4. Run a workload and look at the wires.
-	workload := trace.Sequential(trace.Config{
+	workload := trace.SequentialSource(trace.Config{
 		Refs: 20000, Seed: 1, LoadFraction: 0.3, WriteFraction: 0.25, Locality: 0.7,
 	})
 	report := system.Run(workload)

@@ -39,13 +39,13 @@ func E1SurveyTable(refs int) (*Table, error) {
 		PaperClaim: "qualitative §3 catalogue; per-engine claims in their own experiments",
 		Header:     []string{"engine", "cipher", "blk(bits)", "gates", "overhead", "claimed"},
 	}
-	tr := trace.Sequential(trace.Config{Refs: refs, Seed: 11, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7})
+	src := standardSource("sequential", refs)
 	for _, entry := range Survey() {
 		eng, err := entry.Build()
 		if err != nil {
 			return nil, fmt.Errorf("E1: %s: %w", entry.Key, err)
 		}
-		ov, err := MeasureOverhead(eng, tr)
+		ov, err := MeasureOverhead(eng, src)
 		if err != nil {
 			return nil, fmt.Errorf("E1: %s: %w", entry.Key, err)
 		}
@@ -92,19 +92,16 @@ func E2StreamVsBlock(refs int) (*Table, error) {
 		return nil, err
 	}
 
-	workloads := []*trace.Trace{
-		trace.CodeOnly(trace.Config{Refs: refs, Seed: 12, JumpRate: 0.02}),
-		trace.PointerChase(trace.Config{Refs: refs, Seed: 14, DataSize: 8 << 20}),
-	}
+	workloads := []trace.RefSource{standardSource("code-only", refs), standardSource("pointer-chase", refs)}
 	for _, eng := range []edu.Engine{streamEng, iterative, ctr} {
-		for _, tr := range workloads {
+		for _, src := range workloads {
 			// Fresh engine state per run where it matters (these are
 			// stateless on the read path, reuse is fine).
-			ov, err := MeasureOverhead(eng, tr)
+			ov, err := MeasureOverhead(eng, src)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(eng.Name(), tr.Name, fmt.Sprintf("%.2f%%", 100*ov))
+			t.AddRow(eng.Name(), src.Label(), fmt.Sprintf("%.2f%%", 100*ov))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -124,7 +121,7 @@ func E3WritePenalty(refs int) (*Table, error) {
 		Header:     []string{"write fraction", "engine", "RMW events", "overhead"},
 	}
 	for _, wf := range []float64{0.1, 0.3, 0.5, 0.7} {
-		tr := trace.Sequential(trace.Config{
+		tr := trace.SequentialSource(trace.Config{
 			Refs: refs, Seed: 21, LoadFraction: 0.4, WriteFraction: wf, JumpRate: 0.02, Locality: 0.5,
 		})
 		cfg := soc.DefaultConfig()
@@ -254,7 +251,7 @@ func E5CBCRandomAccess(refs int) (*Table, error) {
 		Header:     []string{"jump rate", "gi-3des-cbc overhead", "xom-ecb overhead", "cbc/ecb ratio"},
 	}
 	for _, jr := range []float64{0.0, 0.02, 0.05, 0.1, 0.2} {
-		tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 31, JumpRate: jr, CodeSize: 4 << 20})
+		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 31, JumpRate: jr, CodeSize: 4 << 20})
 
 		gi, err := products.NewGeneralInstrument([]byte("0123456789abcdef01234567"), []byte("mac-key!"))
 		if err != nil {
@@ -315,25 +312,22 @@ func E6Aegis(refs int) (*Table, error) {
 			WholeLineStall: whole,
 		})
 	}
-	workloads := []*trace.Trace{
-		trace.PointerChase(trace.Config{Refs: refs, Seed: 14, DataSize: 8 << 20}),
-		trace.Sequential(trace.Config{Refs: refs, Seed: 11, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7}),
-	}
+	workloads := []trace.RefSource{standardSource("pointer-chase", refs), standardSource("sequential", refs)}
 	variants := []struct {
 		whole bool
 		ii    int
 	}{{true, 1}, {false, 1}, {true, 14}}
 	for _, v := range variants {
-		for _, tr := range workloads {
+		for _, src := range workloads {
 			eng, err := build(v.whole, v.ii)
 			if err != nil {
 				return nil, err
 			}
-			ov, err := MeasureOverhead(eng, tr)
+			ov, err := MeasureOverhead(eng, src)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(eng.Name(), tr.Name, fmt.Sprintf("%.1f%%", 100*ov), eng.Gates())
+			t.AddRow(eng.Name(), src.Label(), fmt.Sprintf("%.1f%%", 100*ov), eng.Gates())
 		}
 	}
 
@@ -412,7 +406,7 @@ func E8Gilmont(refs int) (*Table, error) {
 		{16 << 10, 0.0}, {16 << 10, 0.10},
 	}
 	for _, p := range points {
-		tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 41, JumpRate: p.jr, CodeSize: p.size})
+		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 41, JumpRate: p.jr, CodeSize: p.size})
 		eng, err := gilmont.New(gilmont.Config{
 			Key: []byte("0123456789abcdef01234567"), CodeLimit: CodeLimit, Gates: products.GilmontGates,
 		})
@@ -489,7 +483,7 @@ func E10CodePack(refs int) (*Table, error) {
 	// per decoded instruction (CodePack's unit was not core-speed).
 	codec.DecodeCyclesPerInstr = 2
 
-	tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 51, JumpRate: 0.03, CodeSize: 2 << 20})
+	tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 51, JumpRate: 0.03, CodeSize: 2 << 20})
 	memories := []struct {
 		name    string
 		busDiv  int
@@ -545,26 +539,25 @@ func E11CacheSide(refs int) (*Table, error) {
 			KeystreamCyclesPerByte: 1, GeneratorGates: 6000,
 		})
 	}
+	// The system, not the engine, decides where the unit sits.
+	units := []struct {
+		placement edu.Placement
+		mk        func() (edu.Engine, error)
+	}{{edu.PlacementCacheMem, mk7a}, {edu.PlacementCPUCache, mk7b}}
 	for _, src := range WorkloadSources(refs)[:3] {
-		a, err := mk7a()
-		if err != nil {
-			return nil, err
+		for _, u := range units {
+			eng, err := u.mk()
+			if err != nil {
+				return nil, err
+			}
+			cfg.Placement = u.placement
+			base, with, err := soc.Compare(cfg, eng, src)
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(eng.Name(), cfg.Placement.String(), src.Label(),
+				fmt.Sprintf("%.2f%%", 100*with.OverheadVs(base)), eng.Gates())
 		}
-		ovA, err := MeasureOverhead(a, src)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(a.Name(), a.Placement().String(), src.Label(), fmt.Sprintf("%.2f%%", 100*ovA), a.Gates())
-
-		b, err := mk7b()
-		if err != nil {
-			return nil, err
-		}
-		ovB, err := MeasureOverhead(b, src)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(b.Name(), b.Placement().String(), src.Label(), fmt.Sprintf("%.2f%%", 100*ovB), b.Gates())
 	}
 	t.Notes = append(t.Notes,
 		"7b pays on every access (hit or miss) and its keystream store alone dwarfs the 7a generator",
@@ -610,7 +603,7 @@ func E12CompressThenEncrypt(refs int) (*Table, error) {
 	// measured in the memory regime where the proposal aims (external
 	// memory slow relative to the core — the common embedded case; E10
 	// shows compression loses on fast memory).
-	tr := trace.CodeOnly(trace.Config{Refs: refs, Seed: 61, JumpRate: 0.03, CodeSize: 2 << 20})
+	tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 61, JumpRate: 0.03, CodeSize: 2 << 20})
 	cfg := soc.DefaultConfig()
 	cfg.Bus.ClockDivider = 4
 	cfg.DRAM.ClockDivider = 6
@@ -813,7 +806,7 @@ func E16VlsiDma(refs int) (*Table, error) {
 	}
 	workloads := []trace.RefSource{
 		trace.StreamingSource(trace.Config{Refs: refs, Seed: 71, WriteFraction: 0.2, DataSize: 1 << 20}),
-		trace.SequentialSource(trace.Config{Refs: refs, Seed: 72, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7}),
+		profileSource("sequential", refs, 72),
 		trace.PointerChaseSource(trace.Config{Refs: refs, Seed: 73, DataSize: 16 << 20}),
 	}
 	for _, src := range workloads {

@@ -40,9 +40,7 @@ func E20AuthTrees(refs int) (*Table, error) {
 		Header:     []string{"auth", "protected", "node$", "overhead", "on-chip gates", "spoof", "splice", "replay"},
 	}
 	const lineBytes = 32
-	tr := trace.SequentialSource(trace.Config{
-		Refs: refs, Seed: 20, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7,
-	})
+	tr := profileSource("sequential", refs, 20)
 
 	protectedSizes := []uint64{4 << 20, 64 << 20, 512 << 20}
 	nodeCaches := []int{1 << 10, 4 << 10, 16 << 10}

@@ -58,7 +58,7 @@ func E17Integrity(refs int) (*Table, error) {
 		})
 	}
 
-	tr := trace.Sequential(trace.Config{Refs: refs, Seed: 17, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7})
+	tr := profileSource("sequential", refs, 17)
 	for _, mk := range []func() (edu.Engine, error){mkPlain, mkMAC, mkFresh} {
 		// One system per attack: tampering dirties state.
 		attackRun := func(f func(*soc.SoC) attack.TamperOutcome) (attack.TamperOutcome, error) {
@@ -135,7 +135,7 @@ func E18Ablations(refs int) (*Table, error) {
 		PaperClaim: "\"Electing a cryptosystem has to be done with respects to the system specifications. It is often a tradeoff...\" (§2.2)",
 		Header:     []string{"knob", "setting", "overhead"},
 	}
-	tr := trace.Sequential(trace.Config{Refs: refs, Seed: 18, LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7})
+	tr := profileSource("sequential", refs, 18)
 
 	measure := func(mut func(*soc.Config)) (float64, error) {
 		eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xab1a7e)
@@ -229,7 +229,7 @@ func E19KeyManagement(refs int) (*Table, error) {
 	}
 
 	for _, quantum := range []int{100, 500, 2000, 10000} {
-		tr := trace.MultiProcess(trace.MultiProcessConfig{
+		tr := trace.MultiProcessSource(trace.MultiProcessConfig{
 			Config:  trace.Config{Refs: refs, Seed: 19, LoadFraction: 0.3, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6},
 			Procs:   procs,
 			Quantum: quantum,

@@ -148,7 +148,7 @@ func TestIntegrityEngineZeroAllocsPerRef(t *testing.T) {
 // TestEnginesDoNotPerturbCacheBehaviour: the EDU sits outside the cache,
 // so hit/miss streams must be identical with and without it.
 func TestEnginesDoNotPerturbCacheBehaviour(t *testing.T) {
-	tr := trace.Sequential(trace.Config{Refs: 20000, Seed: 33, LoadFraction: 0.4, WriteFraction: 0.3, Locality: 0.6})
+	tr := trace.SequentialSource(trace.Config{Refs: 20000, Seed: 33, LoadFraction: 0.4, WriteFraction: 0.3, Locality: 0.6})
 	var baseline *soc.Report
 	for _, entry := range Survey() {
 		eng, err := entry.Build()
@@ -175,7 +175,7 @@ func TestEnginesDoNotPerturbCacheBehaviour(t *testing.T) {
 // TestRunsAreDeterministic: identical configurations and traces produce
 // identical cycle counts — the property every experiment leans on.
 func TestRunsAreDeterministic(t *testing.T) {
-	tr := trace.PointerChase(trace.Config{Refs: 10000, Seed: 44})
+	tr := trace.PointerChaseSource(trace.Config{Refs: 10000, Seed: 44})
 	for _, key := range []string{"aegis", "gi", "gilmont"} {
 		runOnce := func() uint64 {
 			eng, err := MustEntry(key).Build()
@@ -273,7 +273,7 @@ func TestWorkloadScalingSanity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Run(trace.Streaming(trace.Config{Refs: refs, Seed: 55})).Cycles
+		return s.Run(trace.StreamingSource(trace.Config{Refs: refs, Seed: 55})).Cycles
 	}
 	small := run(20000, eng)
 	big := run(40000, eng)

@@ -22,7 +22,7 @@ func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseM, withM, err := soc.Compare(soc.DefaultConfig(), engM, trace.Sequential(tcfg))
+			baseM, withM, err := soc.Compare(soc.DefaultConfig(), engM, trace.Drain(trace.SequentialSource(tcfg)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,31 +43,5 @@ func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 				t.Errorf("engine reports differ:\n materialized %+v\n streaming    %+v", withM, withS)
 			}
 		})
-	}
-}
-
-// The standard workload set must measure identically in both forms.
-func TestWorkloadSourcesMatchWorkloads(t *testing.T) {
-	const refs = 4000
-	mats := Workloads(refs)
-	srcs := WorkloadSources(refs)
-	if len(mats) != len(srcs) {
-		t.Fatalf("%d materialized workloads vs %d sources", len(mats), len(srcs))
-	}
-	for i := range srcs {
-		if srcs[i].Label() != mats[i].Name {
-			t.Errorf("workload %d: label %q != name %q", i, srcs[i].Label(), mats[i].Name)
-		}
-		sM, err := soc.New(soc.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		repM := sM.Run(mats[i])
-		sS, _ := soc.New(soc.DefaultConfig())
-		repS := sS.Run(srcs[i])
-		if repM != repS {
-			t.Errorf("workload %s: reports differ:\n materialized %+v\n streaming    %+v",
-				mats[i].Name, repM, repS)
-		}
 	}
 }

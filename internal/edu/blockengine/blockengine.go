@@ -107,10 +107,6 @@ func New(cfg Config) (*Engine, error) {
 // Name implements edu.Engine.
 func (e *Engine) Name() string { return e.cfg.Name }
 
-// Placement implements edu.Engine: block engines sit between cache and
-// memory controller, like every surveyed product.
-func (e *Engine) Placement() edu.Placement { return edu.PlacementCacheMem }
-
 // BlockBytes implements edu.Engine. CTR mode is byte-granular on writes
 // (the pad XOR needs no enclosing block), so it reports 1.
 func (e *Engine) BlockBytes() int {

@@ -199,9 +199,6 @@ func TestWithDESCore(t *testing.T) {
 
 func TestPlacementAndGates(t *testing.T) {
 	e := aesEngine(t, ECB, false)
-	if e.Placement() != edu.PlacementCacheMem {
-		t.Error("placement wrong")
-	}
 	if e.Gates() != 200000 {
 		t.Error("gates wrong")
 	}

@@ -5,14 +5,14 @@
 // on-chip keystream memory "equivalent to the cache memory in term of
 // size", and it "seems to provide no benefit in term of performance when
 // compared to a stream cipher located between cache memory and memory
-// controller". Experiment E11 reproduces that verdict.
+// controller". Experiment E11 reproduces that verdict, with the engine
+// installed at soc.Config.Placement = edu.PlacementCPUCache.
 package cacheside
 
 import (
 	"fmt"
 
 	"repro/internal/crypto/stream"
-	"repro/internal/edu"
 )
 
 // Config assembles a cache-side engine.
@@ -67,9 +67,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Name implements edu.Engine.
 func (e *Engine) Name() string { return e.cfg.Name }
-
-// Placement implements edu.Engine.
-func (e *Engine) Placement() edu.Placement { return edu.PlacementCPUCache }
 
 // BlockBytes implements edu.Engine.
 func (e *Engine) BlockBytes() int { return 1 }

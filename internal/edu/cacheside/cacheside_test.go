@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/crypto/stream"
-	"repro/internal/edu"
 )
 
 func newEngine(t testing.TB) *Engine {
@@ -42,9 +41,6 @@ func TestValidation(t *testing.T) {
 
 func TestIdentity(t *testing.T) {
 	e := newEngine(t)
-	if e.Placement() != edu.PlacementCPUCache {
-		t.Error("placement must be cpu<->cache")
-	}
 	if e.Name() == "" || e.BlockBytes() != 1 || e.NeedsRMW(1) {
 		t.Error("identity wrong")
 	}

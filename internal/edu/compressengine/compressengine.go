@@ -62,9 +62,6 @@ func (e *Engine) Name() string {
 	return "codepack+" + e.cfg.Inner.Name() //repro:allow name formatting runs once per report, never per reference
 }
 
-// Placement implements edu.Engine.
-func (e *Engine) Placement() edu.Placement { return edu.PlacementCacheMem }
-
 // BlockBytes implements edu.Engine.
 func (e *Engine) BlockBytes() int {
 	if e.cfg.Inner == nil {

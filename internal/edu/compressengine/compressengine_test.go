@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/edu"
 	"repro/internal/edu/products"
 )
 
@@ -54,7 +53,7 @@ func TestCompressionOnlyIdentityTransform(t *testing.T) {
 	if !bytes.Equal(dst, line) {
 		t.Error("compression-only engine must not transform data bytes")
 	}
-	if e.Gates() != 20000 || e.Placement() != edu.PlacementCacheMem || e.PerAccessCycles() != 0 {
+	if e.Gates() != 20000 || e.PerAccessCycles() != 0 {
 		t.Error("accessors wrong")
 	}
 	if e.WriteExtraCycles(0, 32) != 0 {

@@ -90,8 +90,6 @@ func ParsePlacement(name string) (Placement, error) {
 type Engine interface {
 	// Name identifies the engine in reports.
 	Name() string
-	// Placement reports where the unit sits (Figure 7).
-	Placement() Placement
 	// BlockBytes is the ciphering granule in bytes (1 for the DS5002's
 	// byte cipher, 8 for DES cores, 16 for AES cores).
 	BlockBytes() int
@@ -180,9 +178,6 @@ type Null struct{}
 
 // Name implements Engine.
 func (Null) Name() string { return "plaintext" }
-
-// Placement implements Engine.
-func (Null) Placement() Placement { return PlacementNone }
 
 // BlockBytes implements Engine; 1 means any write is granule-aligned.
 func (Null) BlockBytes() int { return 1 }

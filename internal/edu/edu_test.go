@@ -58,7 +58,7 @@ func TestPipelineZeroBlocks(t *testing.T) {
 
 func TestNullEngine(t *testing.T) {
 	var e Engine = Null{}
-	if e.Name() != "plaintext" || e.Placement() != PlacementNone {
+	if e.Name() != "plaintext" {
 		t.Error("null identity wrong")
 	}
 	if e.Gates() != 0 || e.BlockBytes() != 1 || e.PerAccessCycles() != 0 {

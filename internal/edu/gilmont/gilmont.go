@@ -75,9 +75,6 @@ func New(cfg Config) (*Engine, error) {
 // Name implements edu.Engine.
 func (e *Engine) Name() string { return "gilmont-3des" }
 
-// Placement implements edu.Engine.
-func (e *Engine) Placement() edu.Placement { return edu.PlacementCacheMem }
-
 // BlockBytes implements edu.Engine.
 func (e *Engine) BlockBytes() int { return des.BlockSize }
 

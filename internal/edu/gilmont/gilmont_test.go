@@ -36,7 +36,7 @@ func TestDefaults(t *testing.T) {
 	if e.cfg.Timing.Latency != 48 || e.cfg.Timing.II != 1 {
 		t.Errorf("default timing %+v, want 48/1 pipelined 3-DES", e.cfg.Timing)
 	}
-	if e.Name() != "gilmont-3des" || e.Placement() != edu.PlacementCacheMem || e.BlockBytes() != 8 {
+	if e.Name() != "gilmont-3des" || e.BlockBytes() != 8 {
 		t.Error("identity wrong")
 	}
 	if e.NeedsRMW(1) {

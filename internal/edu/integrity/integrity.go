@@ -120,9 +120,6 @@ func (e *Engine) Name() string {
 	return e.cfg.Inner.Name() + "+" + e.cfg.Level.String() //repro:allow name formatting runs once per report, never per reference
 }
 
-// Placement implements edu.Engine.
-func (e *Engine) Placement() edu.Placement { return e.cfg.Inner.Placement() }
-
 // BlockBytes implements edu.Engine.
 func (e *Engine) BlockBytes() int { return e.cfg.Inner.BlockBytes() }
 

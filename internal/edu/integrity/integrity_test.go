@@ -51,7 +51,7 @@ func TestIdentity(t *testing.T) {
 	if e.Name() != "aegis-aes-cbc+mac+freshness" {
 		t.Errorf("name %q", e.Name())
 	}
-	if e.Placement() != edu.PlacementCacheMem || e.BlockBytes() != 16 {
+	if e.BlockBytes() != 16 {
 		t.Error("delegation wrong")
 	}
 	if MACOnly.String() != "mac" || MACWithFreshness.String() != "mac+freshness" {

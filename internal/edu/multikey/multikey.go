@@ -130,9 +130,6 @@ func (e *Engine) switchCost(addr uint64) uint64 {
 // Name implements edu.Engine.
 func (e *Engine) Name() string { return fmt.Sprintf("multikey[%d domains]", len(e.regions)) } //repro:allow name formatting runs once per report, never per reference
 
-// Placement implements edu.Engine.
-func (e *Engine) Placement() edu.Placement { return edu.PlacementCacheMem }
-
 // BlockBytes implements edu.Engine: the coarsest domain granule, so the
 // SoC's RMW logic stays conservative.
 func (e *Engine) BlockBytes() int {

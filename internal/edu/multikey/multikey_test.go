@@ -143,9 +143,6 @@ func TestAggregateAccessors(t *testing.T) {
 	if e.Name() != "multikey[2 domains]" {
 		t.Errorf("name %q", e.Name())
 	}
-	if e.Placement() != edu.PlacementCacheMem {
-		t.Error("placement wrong")
-	}
 	if e.BlockBytes() != 16 {
 		t.Errorf("granule %d, want the domains' max (16)", e.BlockBytes())
 	}

@@ -118,9 +118,6 @@ func NewGeneralInstrument(desKey, macKey []byte) (*GeneralInstrument, error) {
 // Name implements edu.Engine.
 func (g *GeneralInstrument) Name() string { return "general-instrument-3des-cbc" }
 
-// Placement implements edu.Engine.
-func (g *GeneralInstrument) Placement() edu.Placement { return edu.PlacementCacheMem }
-
 // BlockBytes implements edu.Engine.
 func (g *GeneralInstrument) BlockBytes() int { return des.BlockSize }
 
@@ -190,9 +187,6 @@ func NewBest(key []byte) (*Best, error) {
 // Name implements edu.Engine.
 func (b *Best) Name() string { return "best-1979" }
 
-// Placement implements edu.Engine.
-func (b *Best) Placement() edu.Placement { return edu.PlacementCacheMem }
-
 // BlockBytes implements edu.Engine.
 func (b *Best) BlockBytes() int { return bestcipher.BlockSize }
 
@@ -244,9 +238,6 @@ func NewDS5002(key []byte) (*DS5002, error) {
 
 // Name implements edu.Engine.
 func (e *DS5002) Name() string { return "ds5002fp" }
-
-// Placement implements edu.Engine.
-func (e *DS5002) Placement() edu.Placement { return edu.PlacementCacheMem }
 
 // BlockBytes implements edu.Engine: one byte.
 func (e *DS5002) BlockBytes() int { return 1 }
@@ -306,9 +297,6 @@ func NewDS5240(key []byte) (*DS5240, error) {
 
 // Name implements edu.Engine.
 func (e *DS5240) Name() string { return "ds5240" }
-
-// Placement implements edu.Engine.
-func (e *DS5240) Placement() edu.Placement { return edu.PlacementCacheMem }
 
 // BlockBytes implements edu.Engine.
 func (e *DS5240) BlockBytes() int { return des.BlockSize }
@@ -397,9 +385,6 @@ func NewVLSI(key []byte, pageSize, capacity int) (*VLSI, error) {
 
 // Name implements edu.Engine.
 func (v *VLSI) Name() string { return "vlsi-secure-dma" }
-
-// Placement implements edu.Engine.
-func (v *VLSI) Placement() edu.Placement { return edu.PlacementCacheMem }
 
 // BlockBytes implements edu.Engine: inside the SoC the page buffer is
 // byte-addressable, so CPU-visible writes never RMW.

@@ -70,9 +70,6 @@ func TestAllEnginesRoundtripAndIdentity(t *testing.T) {
 		if e.Name() == "" {
 			t.Error("engine with empty name")
 		}
-		if e.Placement() != edu.PlacementCacheMem {
-			t.Errorf("%s: unexpected placement %v", e.Name(), e.Placement())
-		}
 		if e.Gates() <= 0 {
 			t.Errorf("%s: no area estimate", e.Name())
 		}

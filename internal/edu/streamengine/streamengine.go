@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"repro/internal/crypto/stream"
-	"repro/internal/edu"
 )
 
 // Config assembles a stream engine.
@@ -55,9 +54,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Name implements edu.Engine.
 func (e *Engine) Name() string { return e.cfg.Name }
-
-// Placement implements edu.Engine.
-func (e *Engine) Placement() edu.Placement { return edu.PlacementCacheMem }
 
 // BlockBytes implements edu.Engine: XOR is byte-granular, no RMW ever.
 func (e *Engine) BlockBytes() int { return 1 }

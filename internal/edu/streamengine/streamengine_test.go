@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/crypto/stream"
-	"repro/internal/edu"
 )
 
 func newEngine(t testing.TB, rate int) *Engine {
@@ -34,7 +33,7 @@ func TestIdentityAndDefaults(t *testing.T) {
 	if e.Name() != "stream" {
 		t.Errorf("default name %q", e.Name())
 	}
-	if e.Placement() != edu.PlacementCacheMem || e.BlockBytes() != 1 || e.Gates() != 6000 {
+	if e.BlockBytes() != 1 || e.Gates() != 6000 {
 		t.Error("engine identity wrong")
 	}
 	if e.NeedsRMW(1) {

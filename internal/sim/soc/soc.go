@@ -821,15 +821,9 @@ func (s *SoC) Run(src trace.RefSource) Report {
 // Compare runs the same workload on a baseline (Null engine) system and
 // a system with eng installed, both built from cfg, and returns both
 // reports. This is the canonical overhead measurement every experiment
-// uses: identical geometry, identical reference stream (src is rewound
-// between runs — use a Seed-configured source, not an explicit Rand),
-// engine as the only delta.
+// uses: identical geometry, identical reference stream (Run rewinds src,
+// and a seeded source replays its references), engine as the only delta.
 func Compare(cfg Config, eng edu.Engine, src trace.RefSource) (base, with Report, err error) {
-	if r, ok := src.(interface{ Replayable() bool }); ok && !r.Replayable() {
-		return base, with, fmt.Errorf(
-			"soc: Compare replays %q between runs, but the source is single-pass (built from an explicit Config.Rand); configure trace.Config.Seed instead",
-			src.Label())
-	}
 	bcfg := cfg
 	bcfg.Engine = edu.Null{}
 	bcfg.Verifier = nil

@@ -2,7 +2,6 @@ package soc
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/crypto/modes"
@@ -23,10 +22,9 @@ type fixedEngine struct {
 	perAccess uint64
 }
 
-func (f fixedEngine) Name() string             { return "fixed" }
-func (f fixedEngine) Placement() edu.Placement { return edu.PlacementCacheMem }
-func (f fixedEngine) BlockBytes() int          { return f.block }
-func (f fixedEngine) Gates() int               { return 1000 }
+func (f fixedEngine) Name() string    { return "fixed" }
+func (f fixedEngine) BlockBytes() int { return f.block }
+func (f fixedEngine) Gates() int      { return 1000 }
 func (f fixedEngine) EncryptLine(_ uint64, dst, src []byte) {
 	for i := range src {
 		dst[i] = src[i] ^ 0x5c
@@ -43,7 +41,7 @@ func (f fixedEngine) WriteExtraCycles(uint64, int) uint64        { return f.writ
 func (f fixedEngine) NeedsRMW(n int) bool                        { return n < f.block }
 
 func smallTrace() *trace.Trace {
-	return trace.Sequential(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6})
+	return trace.Drain(trace.SequentialSource(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6}))
 }
 
 func TestNewValidation(t *testing.T) {
@@ -382,7 +380,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	repStream := sA.Run(trace.SequentialSource(tcfg))
 
 	sB, _ := New(cfg)
-	repMat := sB.Run(trace.Sequential(tcfg))
+	repMat := sB.Run(trace.Drain(trace.SequentialSource(tcfg)))
 	if repStream != repMat {
 		t.Errorf("stream report differs from materialized:\n stream %+v\n mater  %+v", repStream, repMat)
 	}
@@ -754,26 +752,5 @@ func TestInnerPlacementDetectsTamper(t *testing.T) {
 	}})
 	if rep.AuthViolations == 0 {
 		t.Error("tamper crossed the inner boundary undetected")
-	}
-}
-
-// Compare must reject a single-pass source (explicit Config.Rand) with
-// a clear error instead of panicking on the second run's Reset.
-func TestCompareSinglePassSourceErrors(t *testing.T) {
-	src := trace.SequentialSource(trace.Config{Refs: 100, Rand: trace.NewRand(5)})
-	_, _, err := Compare(DefaultConfig(), fixedEngine{block: 16}, src)
-	if err == nil {
-		t.Fatal("Compare accepted a single-pass source")
-	}
-	if !strings.Contains(err.Error(), "single-pass") {
-		t.Errorf("error does not explain the problem: %v", err)
-	}
-	// Seed-configured and materialized sources stay accepted.
-	if _, _, err := Compare(DefaultConfig(), fixedEngine{block: 16},
-		trace.SequentialSource(trace.Config{Refs: 100, Seed: 5})); err != nil {
-		t.Errorf("seeded source rejected: %v", err)
-	}
-	if _, _, err := Compare(DefaultConfig(), fixedEngine{block: 16}, smallTrace()); err != nil {
-		t.Errorf("materialized trace rejected: %v", err)
 	}
 }

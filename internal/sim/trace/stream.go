@@ -1,10 +1,7 @@
-// Streaming reference sources: the constant-memory form of every
-// workload generator. Each source is a resumable state machine that
-// draws from its RNG in exactly the order the materialized generators
-// historically did, so a drained source and a streamed source are
-// reference-for-reference identical for the same Config. The
-// materialized constructors in trace.go are thin Drain wrappers over
-// these — the stream is the canonical implementation.
+// Streaming reference sources: every workload generator is a
+// resumable state machine over a seeded RNG, so a workload of any
+// length needs no more memory than its generator state. Drain
+// materializes one when a caller needs the slice.
 //
 //repro:deterministic
 package trace
@@ -17,10 +14,8 @@ import "math/rand"
 // generator state.
 //
 // Sources are single-goroutine objects. Reset rewinds a source to its
-// first reference; sources built from a Config carrying an explicit
-// *rand.Rand are single-pass (the consumed Rand state cannot be
-// rewound) and panic on Reset after use — thread a Seed instead when a
-// source must be replayed (soc.Compare replays).
+// first reference (a generator reseeds its RNG from Config.Seed), so
+// soc.Compare replays the same stream on the baseline and the engine.
 type RefSource interface {
 	// Label names the workload in reports.
 	Label() string
@@ -31,9 +26,10 @@ type RefSource interface {
 	Reset()
 }
 
-// Sources is the registry of named streaming workloads, keyed exactly
-// like Generators; the campaign sweeps and the CLIs draw from it so
-// trace length is bounded by hardware speed, not RAM.
+// Sources is the registry of named workloads; the experiments, the
+// campaign sweeps and the CLIs draw from it, so trace length is bounded
+// by hardware speed, not RAM. core.WorkloadProfile holds each name's
+// standard knob settings.
 var Sources = map[string]func(Config) RefSource{
 	"sequential":    SequentialSource,
 	"code-only":     CodeOnlySource,
@@ -55,39 +51,25 @@ func Drain(src RefSource) *Trace {
 	}
 }
 
-// streamBase carries the state every source shares: the resolved RNG,
-// whether it can be rewound, and the emitted-reference count that
-// bounds the stream.
+// streamBase carries the state every source shares: the seeded RNG
+// and the emitted-reference count that bounds the stream.
 type streamBase struct {
 	name    string
 	seed    int64
 	started bool
 	rng     *rand.Rand
-	src     rand.Source // seed-derived source, reseeded in place on Reset; nil when rng is an explicit Config.Rand
+	src     rand.Source // rng's source, reseeded in place on Reset
 	emitted int
 	limit   int
 }
 
 func newStreamBase(name string, cfg *Config) streamBase {
-	b := streamBase{name: name, seed: cfg.Seed, limit: cfg.Refs}
-	if cfg.Rand != nil {
-		b.rng = cfg.Rand
-	} else {
-		b.src = rand.NewSource(cfg.Seed)
-		b.rng = rand.New(b.src)
-	}
-	return b
+	src := rand.NewSource(cfg.Seed)
+	return streamBase{name: name, seed: cfg.Seed, limit: cfg.Refs, src: src, rng: rand.New(src)}
 }
 
 // Label implements RefSource.
 func (b *streamBase) Label() string { return b.name }
-
-// Replayable reports whether the source can be rewound: true for
-// seed-derived sources (Reset reseeds in place), false for sources
-// built from an explicit Config.Rand, whose consumed state cannot be
-// rewound — those panic on Reset after use. Consumers that must replay
-// (soc.Compare) check this instead of discovering the panic mid-run.
-func (b *streamBase) Replayable() bool { return b.src != nil }
 
 // resetBase rewinds the shared state; it reports whether the caller
 // must also rewind its own generator state (false when the source was
@@ -97,16 +79,13 @@ func (b *streamBase) resetBase() bool {
 	if !b.started {
 		return false
 	}
-	if b.src == nil {
-		panic("trace: a source built from an explicit Config.Rand is single-pass and cannot be Reset; configure Seed instead")
-	}
 	b.src.Seed(b.seed)
 	b.started = false
 	b.emitted = 0
 	return true
 }
 
-// seqSource streams the Sequential workload.
+// seqSource streams the sequential, code-only and firmware workloads.
 type seqSource struct {
 	streamBase
 	cfg     Config
@@ -116,7 +95,9 @@ type seqSource struct {
 	hasPend bool
 }
 
-// SequentialSource returns the streaming form of Sequential.
+// SequentialSource streams straight-line code with occasional jumps
+// and a configurable mix of data accesses: the general-purpose
+// workload.
 func SequentialSource(cfg Config) RefSource {
 	cfg.fill()
 	return &seqSource{
@@ -127,8 +108,9 @@ func SequentialSource(cfg Config) RefSource {
 	}
 }
 
-// CodeOnlySource returns the streaming form of CodeOnly: Sequential
-// with the data knobs forced to zero.
+// CodeOnlySource streams pure instruction fetches (Sequential with the
+// data knobs forced to zero): the static-code workload Gilmont's engine
+// targets — "this work only addresses static code ciphering".
 func CodeOnlySource(cfg Config) RefSource {
 	cfg.LoadFraction = 0
 	cfg.WriteFraction = 0
@@ -207,7 +189,7 @@ func (s *seqSource) Reset() {
 	s.hasPend = false
 }
 
-// strideSource streams the Streaming workload.
+// strideSource streams the streaming workload.
 type strideSource struct {
 	streamBase
 	cfg     Config
@@ -217,7 +199,9 @@ type strideSource struct {
 	hasPend bool
 }
 
-// StreamingSource returns the streaming form of Streaming.
+// StreamingSource streams long unit-stride data scans (memcpy-like)
+// with sparse control: the friendliest case for prefetch and pipelined
+// deciphering.
 func StreamingSource(cfg Config) RefSource {
 	cfg.fill()
 	return &strideSource{
@@ -270,7 +254,7 @@ func (s *strideSource) Reset() {
 	s.hasPend = false
 }
 
-// chaseSource streams the PointerChase workload.
+// chaseSource streams the pointer-chase workload.
 type chaseSource struct {
 	streamBase
 	cfg     Config
@@ -279,7 +263,9 @@ type chaseSource struct {
 	hasPend bool
 }
 
-// PointerChaseSource returns the streaming form of PointerChase.
+// PointerChaseSource streams dependent random loads (linked-list
+// traversal): the workload with no latency-hiding opportunity, worst
+// case for any deciphering latency on the miss path.
 func PointerChaseSource(cfg Config) RefSource {
 	cfg.fill()
 	return &chaseSource{
@@ -323,7 +309,7 @@ func (s *chaseSource) Reset() {
 	s.hasPend = false
 }
 
-// matrixSource streams the MatrixLike workload.
+// matrixSource streams the matrix-like workload.
 type matrixSource struct {
 	streamBase
 	cfg      Config
@@ -334,7 +320,9 @@ type matrixSource struct {
 	pendI    int
 }
 
-// MatrixLikeSource returns the streaming form of MatrixLike.
+// MatrixLikeSource streams blocked row/column sweeps over a square
+// matrix region: moderate locality, balanced loads and stores — the
+// numeric kernel stand-in.
 func MatrixLikeSource(cfg Config) RefSource {
 	cfg.fill()
 	return &matrixSource{
@@ -401,24 +389,24 @@ func (s *matrixSource) Reset() {
 	s.pendI, s.pendN = 0, 0
 }
 
-// multiSource streams the MultiProcess workload: per-process Sequential
+// multiSource streams the multi-process workload: per-process Sequential
 // substreams advanced lazily a quantum at a time, so the whole workload
 // is O(Procs) state instead of O(Procs x Refs) materialized slices.
 type multiSource struct {
-	cfg      MultiProcessConfig
-	explicit bool
-	started  bool
-	subs     []*seqSource
-	p        int // current process
-	inQuant  int // refs taken from the current process this quantum
-	emitted  int
+	cfg     MultiProcessConfig
+	started bool
+	subs    []*seqSource
+	p       int // current process
+	inQuant int // refs taken from the current process this quantum
+	emitted int
 }
 
-// MultiProcessSource returns the streaming form of MultiProcess.
+// MultiProcessSource streams the round-robin multitasking workload
+// MultiProcessConfig describes.
 func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	cfg.fillMP()
 	cfg.Config.fill()
-	m := &multiSource{cfg: cfg, explicit: cfg.Rand != nil}
+	m := &multiSource{cfg: cfg}
 	m.subs = make([]*seqSource, cfg.Procs)
 	for p := 0; p < cfg.Procs; p++ {
 		m.subs[p] = m.subSource(p)
@@ -426,31 +414,20 @@ func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	return m
 }
 
-// subSource builds process p's confined Sequential substream, seeded
-// exactly as the materialized generator seeds it.
+// subSource builds process p's confined Sequential substream, with its
+// own seed derived from the workload's.
 func (m *multiSource) subSource(p int) *seqSource {
 	sub := m.cfg.Config
 	base, _ := m.cfg.ProcessRegion(p)
 	sub.CodeBase, sub.CodeSize = base, m.cfg.RegionBytes
 	sub.DataBase, sub.DataSize = base+m.cfg.RegionBytes, m.cfg.RegionBytes
-	// Each process gets its own independent source: seed-derived by
-	// default, or drawn from the caller's explicit Rand so the whole
-	// workload is a function of that one source.
-	if m.cfg.Rand != nil {
-		sub.Rand = NewRand(m.cfg.Rand.Int63())
-	} else {
-		sub.Seed = m.cfg.Seed + int64(p)*7919
-	}
+	sub.Seed = m.cfg.Seed + int64(p)*7919
 	sub.Refs = m.cfg.Refs // oversize; sliced per quantum
 	return SequentialSource(sub).(*seqSource)
 }
 
 // Label implements RefSource.
 func (m *multiSource) Label() string { return "multi-process" }
-
-// Replayable reports whether the source can be rewound (see
-// streamBase.Replayable): false when built from an explicit Rand.
-func (m *multiSource) Replayable() bool { return !m.explicit }
 
 // Next implements RefSource.
 func (m *multiSource) Next() (Ref, bool) {
@@ -466,7 +443,7 @@ func (m *multiSource) Next() (Ref, bool) {
 		r, ok := m.subs[m.p].Next()
 		if !ok {
 			// Substream exhausted mid-quantum: the next process starts a
-			// fresh quantum, matching the materialized slicing.
+			// fresh quantum.
 			m.p = (m.p + 1) % m.cfg.Procs
 			m.inQuant = 0
 			continue
@@ -482,9 +459,6 @@ func (m *multiSource) Next() (Ref, bool) {
 func (m *multiSource) Reset() {
 	if !m.started {
 		return
-	}
-	if m.explicit {
-		panic("trace: a source built from an explicit Config.Rand is single-pass and cannot be Reset; configure Seed instead")
 	}
 	for p := range m.subs {
 		m.subs[p].Reset()

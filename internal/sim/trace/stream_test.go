@@ -2,20 +2,6 @@ package trace
 
 import "testing"
 
-// Every named source must exist in both registries under the same key.
-func TestSourcesAndGeneratorsKeysMatch(t *testing.T) {
-	for name := range Sources {
-		if _, ok := Generators[name]; !ok {
-			t.Errorf("source %q has no materialized generator", name)
-		}
-	}
-	for name := range Generators {
-		if _, ok := Sources[name]; !ok {
-			t.Errorf("generator %q has no streaming source", name)
-		}
-	}
-}
-
 func streamCfg() Config {
 	return Config{
 		Refs: 7000, Seed: 23,
@@ -23,35 +9,16 @@ func streamCfg() Config {
 	}
 }
 
-// A source consumed ref-by-ref must equal the drained trace built from
-// the same config — the streaming and materialized forms are the same
-// workload.
-func TestStreamMatchesGenerator(t *testing.T) {
-	for name, mkSource := range Sources {
-		tr := Generators[name](streamCfg())
-		src := mkSource(streamCfg())
-		if src.Label() != tr.Name {
-			t.Errorf("%s: label %q != trace name %q", name, src.Label(), tr.Name)
-		}
-		for i := range tr.Refs {
-			r, ok := src.Next()
-			if !ok {
-				t.Fatalf("%s: source dried up at ref %d of %d", name, i, len(tr.Refs))
-			}
-			if r != tr.Refs[i] {
-				t.Fatalf("%s: ref %d differs: stream %+v trace %+v", name, i, r, tr.Refs[i])
-			}
-		}
-		if _, ok := src.Next(); ok {
-			t.Errorf("%s: source longer than its trace", name)
-		}
-	}
-}
-
-// Reset must replay the exact stream.
+// Reset must replay the exact stream, for every registered workload and
+// for the multi-process workload.
 func TestStreamResetReplays(t *testing.T) {
+	sources := map[string]RefSource{
+		"multi-process": MultiProcessSource(MultiProcessConfig{Config: streamCfg(), Procs: 3, Quantum: 250}),
+	}
 	for name, mkSource := range Sources {
-		src := mkSource(streamCfg())
+		sources[name] = mkSource(streamCfg())
+	}
+	for name, src := range sources {
 		first := Drain(src)
 		src.Reset()
 		second := Drain(src)
@@ -66,57 +33,18 @@ func TestStreamResetReplays(t *testing.T) {
 	}
 }
 
-// A pristine source tolerates Reset (soc.Run rewinds unconditionally),
-// even when built from an explicit Rand.
+// A pristine source tolerates Reset (soc.Run rewinds unconditionally).
 func TestPristineResetIsNoop(t *testing.T) {
-	src := SequentialSource(Config{Refs: 100, Rand: NewRand(5)})
-	src.Reset() // must not panic
+	src := SequentialSource(Config{Refs: 100, Seed: 5})
+	src.Reset()
 	if tr := Drain(src); len(tr.Refs) != 100 {
 		t.Errorf("got %d refs after pristine reset", len(tr.Refs))
 	}
 }
 
-// A consumed explicit-Rand source cannot be rewound: it must fail loud,
-// not silently produce a different stream.
-func TestExplicitRandSourceSinglePass(t *testing.T) {
-	src := SequentialSource(Config{Refs: 100, Rand: NewRand(5)})
-	Drain(src)
-	defer func() {
-		if recover() == nil {
-			t.Error("Reset of a consumed explicit-Rand source did not panic")
-		}
-	}()
-	src.Reset()
-}
-
-// The multi-process stream must match its materialized form quantum for
-// quantum.
-func TestMultiProcessSourceMatchesTrace(t *testing.T) {
-	cfg := MultiProcessConfig{
-		Config:  Config{Refs: 6000, Seed: 31, LoadFraction: 0.3, WriteFraction: 0.3},
-		Procs:   3,
-		Quantum: 250,
-	}
-	tr := MultiProcess(cfg)
-	src := MultiProcessSource(cfg)
-	for i := range tr.Refs {
-		r, ok := src.Next()
-		if !ok {
-			t.Fatalf("stream dried up at ref %d", i)
-		}
-		if r != tr.Refs[i] {
-			t.Fatalf("ref %d differs: stream %+v trace %+v", i, r, tr.Refs[i])
-		}
-	}
-	src.Reset()
-	if replay := Drain(src); len(replay.Refs) != len(tr.Refs) {
-		t.Fatalf("replay length %d != %d", len(replay.Refs), len(tr.Refs))
-	}
-}
-
 // A *Trace is itself a RefSource: Next walks the slice, Reset rewinds.
 func TestTraceIsARefSource(t *testing.T) {
-	tr := Sequential(Config{Refs: 50, Seed: 2})
+	tr := Drain(SequentialSource(Config{Refs: 50, Seed: 2}))
 	var src RefSource = tr
 	n := 0
 	for {
@@ -134,24 +62,37 @@ func TestTraceIsARefSource(t *testing.T) {
 	}
 }
 
-// Replayable must distinguish seed-derived sources (rewindable) from
-// explicit-Rand sources (single-pass) for every registered workload —
-// the property soc.Compare checks before it commits to replaying.
-func TestReplayable(t *testing.T) {
-	for name, mk := range Sources {
-		if src := mk(Config{Refs: 10, Seed: 1}); !src.(interface{ Replayable() bool }).Replayable() {
-			t.Errorf("%s: seeded source reports single-pass", name)
+// The multi-process stream must equal its definition: quantum-sized
+// slices taken round robin from each process's own sequential stream,
+// confined to the process's regions and seeded Seed + p*7919.
+func TestMultiProcessSourceMatchesTrace(t *testing.T) {
+	cfg := MultiProcessConfig{
+		Config:      Config{Refs: 6000, Seed: 31, LoadFraction: 0.3, WriteFraction: 0.3},
+		Procs:       3,
+		Quantum:     250,
+		RegionBytes: 64 << 10,
+	}
+	procs := make([]RefSource, cfg.Procs)
+	for p := range procs {
+		base, _ := cfg.ProcessRegion(p)
+		sub := cfg.Config
+		sub.Seed = cfg.Seed + int64(p)*7919
+		sub.CodeBase, sub.CodeSize = base, cfg.RegionBytes
+		sub.DataBase, sub.DataSize = base+cfg.RegionBytes, cfg.RegionBytes
+		procs[p] = SequentialSource(sub)
+	}
+	src := MultiProcessSource(cfg)
+	for i := 0; i < cfg.Refs; i++ {
+		want, _ := procs[(i/cfg.Quantum)%cfg.Procs].Next()
+		got, ok := src.Next()
+		if !ok {
+			t.Fatalf("stream dried up at ref %d", i)
 		}
-		if src := mk(Config{Refs: 10, Rand: NewRand(1)}); src.(interface{ Replayable() bool }).Replayable() {
-			t.Errorf("%s: explicit-Rand source reports replayable", name)
+		if got != want {
+			t.Fatalf("ref %d differs: stream %+v, process slice %+v", i, got, want)
 		}
 	}
-	mp := MultiProcessSource(MultiProcessConfig{Config: Config{Refs: 10, Rand: NewRand(2)}})
-	if mp.(interface{ Replayable() bool }).Replayable() {
-		t.Error("multi-process explicit-Rand source reports replayable")
-	}
-	tr := &Trace{Name: "mat", Refs: []Ref{{Kind: Fetch, Addr: 0, Size: 4}}}
-	if !tr.Replayable() {
-		t.Error("materialized trace reports single-pass")
+	if _, ok := src.Next(); ok {
+		t.Error("stream longer than Refs")
 	}
 }

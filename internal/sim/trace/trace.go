@@ -49,12 +49,10 @@ type Ref struct {
 	Compute uint16 // compute cycles preceding this reference
 }
 
-// Trace is a fully materialized reference stream. It is the thin
-// in-memory adapter over the streaming sources (stream.go): small
-// workloads and tests hold a Trace, while long-running sweeps consume
-// the RefSource a generator config builds directly. A *Trace is itself
-// a RefSource (Label/Next/Reset over the slice), so every simulator
-// entry point accepts either form.
+// Trace is a materialized reference stream: Drain of a source, or a
+// hand-built list of references. A *Trace is itself a RefSource
+// (Label/Next/Reset over the slice), so every simulator entry point
+// accepts it.
 type Trace struct {
 	Name string
 	Refs []Ref
@@ -77,9 +75,6 @@ func (t *Trace) Next() (Ref, bool) {
 
 // Reset implements RefSource: rewinds to the first reference.
 func (t *Trace) Reset() { t.pos = 0 }
-
-// Replayable reports that a materialized trace can always be rewound.
-func (t *Trace) Replayable() bool { return true }
 
 // Stats summarizes a trace's composition.
 type Stats struct {
@@ -124,18 +119,8 @@ type Config struct {
 	// Refs is the number of references to generate.
 	Refs int
 	// Seed drives the generator's PRNG; equal configs produce equal
-	// traces. Ignored when Rand is set.
+	// streams, and Reset replays the stream by reseeding.
 	Seed int64
-	// Rand, when non-nil, is the explicit random source driving the
-	// generator and takes precedence over Seed. Every generator draws
-	// exclusively from this source (there is no package-global RNG), so
-	// callers that need deterministic parallel sharding hand each task
-	// its own *rand.Rand and get byte-identical traces regardless of
-	// scheduling. The source is consumed: do not share one *rand.Rand
-	// across concurrent generator calls, and note that a streaming
-	// RefSource built from an explicit Rand is single-pass (it cannot
-	// Reset) — configure Seed when a source must be replayed.
-	Rand *rand.Rand
 	// CodeBase/CodeSize bound the instruction region (bytes).
 	CodeBase, CodeSize uint64
 	// DataBase/DataSize bound the data region (bytes).
@@ -170,47 +155,6 @@ func (c *Config) fill() {
 	}
 }
 
-// NewRand returns a deterministic source for seed, the one every
-// generator uses internally when Config.Rand is nil.
-func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
-// rng resolves the generator's random source: the explicit Rand if the
-// caller threaded one through, else a fresh Seed-derived source.
-func (c *Config) rng() *rand.Rand {
-	if c.Rand != nil {
-		return c.Rand
-	}
-	return NewRand(c.Seed)
-}
-
-// Sequential generates straight-line code with occasional jumps and a
-// configurable mix of data accesses; the general-purpose workload.
-// Materialized form of SequentialSource.
-func Sequential(cfg Config) *Trace { return Drain(SequentialSource(cfg)) }
-
-// CodeOnly generates a pure instruction-fetch stream (no loads/stores):
-// the static-code workload Gilmont's engine targets — "this work only
-// addresses static code ciphering". Materialized form of CodeOnlySource.
-func CodeOnly(cfg Config) *Trace { return Drain(CodeOnlySource(cfg)) }
-
-// Streaming generates long unit-stride data scans (memcpy-like) with
-// sparse control: the friendliest case for prefetch and pipelined
-// deciphering. Materialized form of StreamingSource.
-func Streaming(cfg Config) *Trace { return Drain(StreamingSource(cfg)) }
-
-// PointerChase generates dependent random loads (linked-list traversal):
-// the workload with no latency-hiding opportunity, worst case for any
-// deciphering latency on the miss path. Materialized form of
-// PointerChaseSource.
-func PointerChase(cfg Config) *Trace { return Drain(PointerChaseSource(cfg)) }
-
-// MatrixLike generates blocked row/column sweeps over a square matrix
-// region: moderate locality, balanced loads and stores — the numeric
-// kernel stand-in. Materialized form of MatrixLikeSource.
-func MatrixLike(cfg Config) *Trace { return Drain(MatrixLikeSource(cfg)) }
-
 // computeGap draws a small geometric-ish compute gap around mean.
 func computeGap(rng *rand.Rand, mean int) uint16 {
 	if mean <= 0 {
@@ -220,26 +164,11 @@ func computeGap(rng *rand.Rand, mean int) uint16 {
 	return uint16(g)
 }
 
-// Generators is the registry of named materialized workloads, keyed
-// exactly like Sources; the map value builds a trace from a config.
-// Long sweeps should prefer Sources: same references, O(1) memory.
-var Generators = map[string]func(Config) *Trace{
-	"sequential":    Sequential,
-	"code-only":     CodeOnly,
-	"streaming":     Streaming,
-	"pointer-chase": PointerChase,
-	"matrix-like":   MatrixLike,
-	"firmware":      Firmware,
-}
-
-// Firmware materializes FirmwareSource (microcontroller footprint).
-func Firmware(cfg Config) *Trace { return Drain(FirmwareSource(cfg)) }
-
-// MultiProcess generates a round-robin multitasking workload: Procs
-// processes, each confined to its own code and data regions, scheduled
-// in quanta of Quantum references. It drives the key-management
-// extension (multikey EDU): every quantum boundary is a protection-
-// domain switch on the bus.
+// MultiProcessConfig parameterizes the round-robin multitasking
+// workload MultiProcessSource streams: Procs processes, each confined
+// to its own code and data regions, scheduled in quanta of Quantum
+// references. It drives the key-management extension (multikey EDU):
+// every quantum boundary is a protection-domain switch on the bus.
 type MultiProcessConfig struct {
 	// Config supplies the per-process knobs (jump rate, write fraction,
 	// locality, compute gaps); region fields are ignored.
@@ -273,7 +202,3 @@ func (c *MultiProcessConfig) fillMP() {
 		c.RegionBytes = 256 << 10
 	}
 }
-
-// MultiProcess builds the workload. Materialized form of
-// MultiProcessSource.
-func MultiProcess(cfg MultiProcessConfig) *Trace { return Drain(MultiProcessSource(cfg)) }

@@ -15,8 +15,8 @@ func TestKindString(t *testing.T) {
 }
 
 func TestGeneratorsProduceRequestedLength(t *testing.T) {
-	for name, gen := range Generators {
-		tr := gen(Config{Refs: 1234, Seed: 1})
+	for name, mk := range Sources {
+		tr := Drain(mk(Config{Refs: 1234, Seed: 1}))
 		if len(tr.Refs) != 1234 {
 			t.Errorf("%s: got %d refs, want 1234", name, len(tr.Refs))
 		}
@@ -27,9 +27,9 @@ func TestGeneratorsProduceRequestedLength(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	for name, gen := range Generators {
-		a := gen(Config{Refs: 500, Seed: 7})
-		b := gen(Config{Refs: 500, Seed: 7})
+	for name, mk := range Sources {
+		a := Drain(mk(Config{Refs: 500, Seed: 7}))
+		b := Drain(mk(Config{Refs: 500, Seed: 7}))
 		for i := range a.Refs {
 			if a.Refs[i] != b.Refs[i] {
 				t.Errorf("%s: ref %d differs between equal-seed runs", name, i)
@@ -40,8 +40,8 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSeedChangesTrace(t *testing.T) {
-	a := Sequential(Config{Refs: 500, Seed: 1, LoadFraction: 0.3, JumpRate: 0.1})
-	b := Sequential(Config{Refs: 500, Seed: 2, LoadFraction: 0.3, JumpRate: 0.1})
+	a := Drain(SequentialSource(Config{Refs: 500, Seed: 1, LoadFraction: 0.3, JumpRate: 0.1}))
+	b := Drain(SequentialSource(Config{Refs: 500, Seed: 2, LoadFraction: 0.3, JumpRate: 0.1}))
 	same := 0
 	for i := range a.Refs {
 		if a.Refs[i] == b.Refs[i] {
@@ -60,7 +60,7 @@ func TestAddressesStayInRegions(t *testing.T) {
 		DataBase: 0x100000, DataSize: 1 << 18,
 		LoadFraction: 0.5, WriteFraction: 0.3, JumpRate: 0.05,
 	}
-	tr := Sequential(cfg)
+	tr := Drain(SequentialSource(cfg))
 	for i, r := range tr.Refs {
 		switch r.Kind {
 		case Fetch:
@@ -76,7 +76,7 @@ func TestAddressesStayInRegions(t *testing.T) {
 }
 
 func TestCodeOnlyHasNoData(t *testing.T) {
-	tr := CodeOnly(Config{Refs: 2000, Seed: 4, JumpRate: 0.1})
+	tr := Drain(CodeOnlySource(Config{Refs: 2000, Seed: 4, JumpRate: 0.1}))
 	s := tr.Stats()
 	if s.Loads != 0 || s.Stores != 0 {
 		t.Errorf("code-only trace has %d loads, %d stores", s.Loads, s.Stores)
@@ -87,8 +87,8 @@ func TestCodeOnlyHasNoData(t *testing.T) {
 }
 
 func TestWriteFractionKnob(t *testing.T) {
-	lo := Sequential(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: 0.1})
-	hi := Sequential(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: 0.9})
+	lo := Drain(SequentialSource(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: 0.1}))
+	hi := Drain(SequentialSource(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: 0.9}))
 	flo := lo.Stats().WriteFraction()
 	fhi := hi.Stats().WriteFraction()
 	if math.Abs(flo-0.1) > 0.05 {
@@ -101,7 +101,7 @@ func TestWriteFractionKnob(t *testing.T) {
 
 func TestJumpRateAffectsSequentiality(t *testing.T) {
 	seq := func(jr float64) float64 {
-		tr := CodeOnly(Config{Refs: 20000, Seed: 6, JumpRate: jr})
+		tr := Drain(CodeOnlySource(Config{Refs: 20000, Seed: 6, JumpRate: jr}))
 		sequential := 0
 		var prev uint64
 		for i, r := range tr.Refs {
@@ -118,7 +118,7 @@ func TestJumpRateAffectsSequentiality(t *testing.T) {
 }
 
 func TestStreamingIsUnitStride(t *testing.T) {
-	tr := Streaming(Config{Refs: 4000, Seed: 7})
+	tr := Drain(StreamingSource(Config{Refs: 4000, Seed: 7}))
 	var prev uint64
 	first := true
 	strided := 0
@@ -140,7 +140,7 @@ func TestStreamingIsUnitStride(t *testing.T) {
 }
 
 func TestPointerChaseLoadsAreRandomWide(t *testing.T) {
-	tr := PointerChase(Config{Refs: 4000, Seed: 8})
+	tr := Drain(PointerChaseSource(Config{Refs: 4000, Seed: 8}))
 	seen := map[uint64]bool{}
 	loads := 0
 	for _, r := range tr.Refs {
@@ -158,7 +158,7 @@ func TestPointerChaseLoadsAreRandomWide(t *testing.T) {
 }
 
 func TestMatrixLikeHasStores(t *testing.T) {
-	tr := MatrixLike(Config{Refs: 6000, Seed: 9})
+	tr := Drain(MatrixLikeSource(Config{Refs: 6000, Seed: 9}))
 	s := tr.Stats()
 	if s.Stores == 0 || s.Loads == 0 {
 		t.Errorf("matrix-like missing loads/stores: %+v", s)
@@ -191,7 +191,7 @@ func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 		Quantum:     250,
 		RegionBytes: 64 << 10,
 	}
-	tr := MultiProcess(cfg)
+	tr := Drain(MultiProcessSource(cfg))
 	if len(tr.Refs) != 8000 {
 		t.Fatalf("refs = %d", len(tr.Refs))
 	}
@@ -219,7 +219,7 @@ func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 }
 
 func TestMultiProcessDefaults(t *testing.T) {
-	tr := MultiProcess(MultiProcessConfig{Config: Config{Refs: 1000, Seed: 1}})
+	tr := Drain(MultiProcessSource(MultiProcessConfig{Config: Config{Refs: 1000, Seed: 1}}))
 	if len(tr.Refs) != 1000 || tr.Name != "multi-process" {
 		t.Errorf("defaults broken: %d refs, %q", len(tr.Refs), tr.Name)
 	}
@@ -232,44 +232,11 @@ func TestMultiProcessDefaults(t *testing.T) {
 
 func TestMultiProcessDeterminism(t *testing.T) {
 	cfg := MultiProcessConfig{Config: Config{Refs: 2000, Seed: 5}}
-	a := MultiProcess(cfg)
-	b := MultiProcess(cfg)
+	a := Drain(MultiProcessSource(cfg))
+	b := Drain(MultiProcessSource(cfg))
 	for i := range a.Refs {
 		if a.Refs[i] != b.Refs[i] {
 			t.Fatal("multi-process trace not deterministic")
-		}
-	}
-}
-
-func TestExplicitRandMatchesSeed(t *testing.T) {
-	// An explicit Rand built from seed s must generate the exact trace
-	// that Seed: s generates — the property the campaign scheduler's
-	// per-task RNG sharding rests on.
-	for name, gen := range Generators {
-		bySeed := gen(Config{Refs: 2000, Seed: 77})
-		byRand := gen(Config{Refs: 2000, Seed: 12345, Rand: NewRand(77)})
-		if len(bySeed.Refs) != len(byRand.Refs) {
-			t.Fatalf("%s: length mismatch", name)
-		}
-		for i := range bySeed.Refs {
-			if bySeed.Refs[i] != byRand.Refs[i] {
-				t.Fatalf("%s: ref %d differs with explicit Rand: %+v vs %+v",
-					name, i, bySeed.Refs[i], byRand.Refs[i])
-			}
-		}
-	}
-}
-
-func TestMultiProcessExplicitRandDeterminism(t *testing.T) {
-	mk := func() *Trace {
-		return MultiProcess(MultiProcessConfig{
-			Config: Config{Refs: 2000, Rand: NewRand(9)},
-		})
-	}
-	a, b := mk(), mk()
-	for i := range a.Refs {
-		if a.Refs[i] != b.Refs[i] {
-			t.Fatal("multi-process trace not deterministic under explicit Rand")
 		}
 	}
 }
