@@ -299,11 +299,7 @@ func (r *Runner) runTaskRec(cfg TaskConfig, rc *rec.Recorder) Result {
 		if err != nil {
 			return soc.Report{}, err
 		}
-		src, err := workloadSource(cfg.Workload, cfg.Refs, cfg.Seed())
-		if err != nil {
-			return soc.Report{}, err
-		}
-		return s.Run(src), nil
+		return s.Run(core.ProfileSource(cfg.Workload, cfg.Refs, cfg.Seed())), nil
 	})
 	if err != nil {
 		return fail(err)
@@ -354,11 +350,7 @@ func (r *Runner) runTaskRec(cfg TaskConfig, rc *rec.Recorder) Result {
 	// stream generates references on demand (no materialized slice), so
 	// a task's memory is bounded by the simulated working set however
 	// long the trace, and tasks stay fully independent.
-	src, err := workloadSource(cfg.Workload, cfg.Refs, cfg.Seed())
-	if err != nil {
-		return fail(err)
-	}
-	with := s.Run(src)
+	with := s.Run(core.ProfileSource(cfg.Workload, cfg.Refs, cfg.Seed()))
 
 	res.Gates = eng.Gates()
 	res.BaseCycles = base.Cycles

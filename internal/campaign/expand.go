@@ -5,9 +5,6 @@ package campaign
 import (
 	"fmt"
 	"hash/fnv"
-
-	"repro/internal/core"
-	"repro/internal/sim/trace"
 )
 
 // TaskConfig is one grid point: the full configuration of a single
@@ -151,20 +148,4 @@ func (s *Spec) Expand() []Task {
 		}
 	}
 	return tasks
-}
-
-// workloadSource fetches the shared knob settings for the named
-// workload (core.WorkloadProfile, the same table the E-suite uses) and
-// builds the point's streaming reference source from the task's derived
-// seed — the per-task RNG shard. Reset reseeds the source, so every run
-// of the point replays it, and streaming keeps a sweep's memory bounded
-// by cache geometry, not trace length. A name without a profile is an
-// error, not a silent zero-knob sweep.
-func workloadSource(name string, refs int, seed int64) (trace.RefSource, error) {
-	cfg, ok := core.WorkloadProfile(name, refs)
-	if !ok {
-		return nil, fmt.Errorf("campaign: workload %q has no knob profile (core.WorkloadProfile)", name)
-	}
-	cfg.Seed = seed
-	return trace.Sources[name](cfg), nil
 }

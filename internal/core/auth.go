@@ -33,7 +33,8 @@ const (
 	AuthNodeCacheBytes = 4 << 10
 )
 
-// authKey is the GHASH key registry builds use (16 bytes).
+// authKey is the AES-128 key of the GMAC node tags in registry builds
+// (16 bytes).
 var authKey = []byte("ghash-tag-key-01")
 
 // DefaultProtectedRegions returns the standard protected windows.

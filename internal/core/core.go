@@ -189,11 +189,14 @@ func WorkloadSources(refs int) []trace.RefSource {
 
 // standardSource is the WorkloadSources entry for name.
 func standardSource(name string, refs int) trace.RefSource {
-	return profileSource(name, refs, int64(11+slices.Index(workloadNames, name)))
+	return ProfileSource(name, refs, int64(11+slices.Index(workloadNames, name)))
 }
 
-// profileSource streams the named workload's WorkloadProfile from seed.
-func profileSource(name string, refs int, seed int64) trace.RefSource {
+// ProfileSource streams the named workload's WorkloadProfile from seed:
+// the one reference source the experiment suite and the campaign
+// sweeps build, so a (workload, refs, seed) triple replays the same
+// references everywhere. name must be a trace.Sources workload.
+func ProfileSource(name string, refs int, seed int64) trace.RefSource {
 	cfg, _ := WorkloadProfile(name, refs)
 	cfg.Seed = seed
 	return trace.Sources[name](cfg)

@@ -806,7 +806,7 @@ func E16VlsiDma(refs int) (*Table, error) {
 	}
 	workloads := []trace.RefSource{
 		trace.StreamingSource(trace.Config{Refs: refs, Seed: 71, WriteFraction: 0.2, DataSize: 1 << 20}),
-		profileSource("sequential", refs, 72),
+		ProfileSource("sequential", refs, 72),
 		trace.PointerChaseSource(trace.Config{Refs: refs, Seed: 73, DataSize: 16 << 20}),
 	}
 	for _, src := range workloads {

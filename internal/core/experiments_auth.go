@@ -20,7 +20,7 @@ import (
 	"repro/internal/sim/trace"
 )
 
-// e20Key is the GHASH key the auth experiments use (16 bytes).
+// e20Key is the GMAC tag key the auth experiments use (AES-128).
 var e20Key = []byte("e20-tree-key-012")
 
 // xomEngine builds the confidentiality engine all auth experiments
@@ -40,7 +40,7 @@ func E20AuthTrees(refs int) (*Table, error) {
 		Header:     []string{"auth", "protected", "node$", "overhead", "on-chip gates", "spoof", "splice", "replay"},
 	}
 	const lineBytes = 32
-	tr := profileSource("sequential", refs, 20)
+	tr := ProfileSource("sequential", refs, 20)
 
 	protectedSizes := []uint64{4 << 20, 64 << 20, 512 << 20}
 	nodeCaches := []int{1 << 10, 4 << 10, 16 << 10}

@@ -58,7 +58,7 @@ func E17Integrity(refs int) (*Table, error) {
 		})
 	}
 
-	tr := profileSource("sequential", refs, 17)
+	tr := ProfileSource("sequential", refs, 17)
 	for _, mk := range []func() (edu.Engine, error){mkPlain, mkMAC, mkFresh} {
 		// One system per attack: tampering dirties state.
 		attackRun := func(f func(*soc.SoC) attack.TamperOutcome) (attack.TamperOutcome, error) {
@@ -135,7 +135,7 @@ func E18Ablations(refs int) (*Table, error) {
 		PaperClaim: "\"Electing a cryptosystem has to be done with respects to the system specifications. It is often a tradeoff...\" (§2.2)",
 		Header:     []string{"knob", "setting", "overhead"},
 	}
-	tr := profileSource("sequential", refs, 18)
+	tr := ProfileSource("sequential", refs, 18)
 
 	measure := func(mut func(*soc.Config)) (float64, error) {
 		eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xab1a7e)

@@ -52,5 +52,6 @@ const SRAMGatesPerByte = 12
 // accumulate datapath — the Carter–Wegman tag unit of the tree
 // authenticators. Substantially smaller than a full SHA-256 datapath
 // (integrity.MACUnitGates), which is the point of universal hashing on
-// the miss path.
+// the miss path. The AES block that masks a GMAC tag is not charged
+// here: it is assumed shared with an on-chip AES core.
 const GHASHUnitGates = 14_000

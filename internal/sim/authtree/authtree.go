@@ -15,9 +15,15 @@
 //     nodes are smaller: the same on-chip SRAM caches more of the tree
 //     and each uncached level moves fewer bus bytes.
 //
-// Node tags use a GHASH-style keyed universal hash (crypto/ghash): a
-// carryless multiplier is cheap enough to put on the miss path, which
-// is what makes per-node authentication affordable at all.
+// Node tags are 64-bit GMAC (crypto/ghash): AES-128-GCM over the node
+// under the nonce address ‖ version, a GHASH universal hash masked by
+// one AES block. A carryless multiplier is cheap enough to put on the
+// miss path, and the mask depends only on (address, version), so it is
+// computed during the fetch: that is what makes per-node authentication
+// affordable at all. Nonces are unique per write under CounterTree and
+// flat-fresh. Under HashTree and flat-mac the version is always 0, so a
+// rewrite of a line reuses its nonce and the tag is as strong as the
+// bare GHASH; HashTree's freshness comes from the root-anchored chain.
 //
 // The on-chip node cache is the performance lever: a verification walk
 // climbs only until it meets a node already verified this epoch (cached
@@ -74,7 +80,7 @@ type Region struct {
 
 // Config assembles a tree authenticator.
 type Config struct {
-	// Key is the 16-byte GHASH key.
+	// Key is the 16-byte AES-128 key of the GMAC node tags.
 	Key []byte
 	// LineBytes is the protected granule — the SoC's cache line size.
 	LineBytes int
@@ -86,7 +92,7 @@ type Config struct {
 	NodeCacheBytes int
 	// Variant selects HashTree or CounterTree.
 	Variant Variant
-	// TagCycles is the leaf-tag (GHASH over a line) pipeline tail
+	// TagCycles is the leaf-tag (GMAC over a line) pipeline tail
 	// visible beyond the transfer; default 8.
 	TagCycles int
 	// NodeHashCycles is the cost of hashing one interior node;
@@ -181,8 +187,9 @@ func New(cfg Config) (*Tree, error) {
 		t.nodeBytes = 8*cfg.Arity + 8
 		t.ver = make(map[uint64]uint64)
 	default:
-		// Full-width interior hashes: collision resistance lives here.
-		t.nodeBytes = ghash.KeySize * cfg.Arity
+		// Full-width (128-bit) interior hashes: collision resistance
+		// lives here.
+		t.nodeBytes = 16 * cfg.Arity
 	}
 	// External node traffic: a first-order row access plus 32-bit bus
 	// beats for the node body (see DESIGN.md §7 for the rationale).

@@ -1,5 +1,5 @@
 // The flat authenticators: the baseline the trees are measured against.
-// Same GHASH tag path and the same edu.Verifier seam, but no tree —
+// Same GMAC tag path and the same edu.Verifier seam, but no tree —
 // which is exactly what makes the comparison in E20 meaningful: the
 // delta is the structure, not the hash.
 
@@ -14,7 +14,7 @@ import (
 
 // FlatConfig assembles a flat (tree-less) authenticator.
 type FlatConfig struct {
-	// Key is the 16-byte GHASH key.
+	// Key is the 16-byte AES-128 key of the GMAC line tags.
 	Key []byte
 	// Fresh adds an on-chip per-line version counter table: replay is
 	// detected, but on-chip area grows linearly with protected memory —
@@ -22,7 +22,7 @@ type FlatConfig struct {
 	Fresh bool
 	// ProtectedLines bounds the counter table; required when Fresh.
 	ProtectedLines int
-	// TagCycles is the per-line GHASH pipeline tail; default 8.
+	// TagCycles is the per-line GMAC pipeline tail; default 8.
 	TagCycles int
 }
 

@@ -15,7 +15,7 @@ type Metrics struct {
 	// NodeHits / NodeFetches split verification and update walks by
 	// node-cache outcome (live twin of Tree.NodeHits/NodeFetches).
 	NodeHits, NodeFetches *obs.Counter
-	// TagComputations counts GHASH line-tag evaluations — the tag
+	// TagComputations counts GMAC line-tag evaluations — the tag
 	// unit's throughput demand.
 	TagComputations *obs.Counter
 	// Verified / Violations count line verifications by verdict.

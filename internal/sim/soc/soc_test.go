@@ -69,12 +69,17 @@ func TestBaselineRunBasics(t *testing.T) {
 	}
 	tr := smallTrace()
 	rep := s.Run(tr)
-	st := tr.Stats()
-	if rep.Instructions != uint64(st.Fetches) {
-		t.Errorf("instructions = %d, want %d", rep.Instructions, st.Fetches)
+	var fetches uint64
+	for _, r := range tr.Refs {
+		if r.Kind == trace.Fetch {
+			fetches++
+		}
 	}
-	if rep.Refs != uint64(st.Refs) {
-		t.Errorf("refs = %d, want %d", rep.Refs, st.Refs)
+	if rep.Instructions != fetches {
+		t.Errorf("instructions = %d, want %d", rep.Instructions, fetches)
+	}
+	if rep.Refs != uint64(len(tr.Refs)) {
+		t.Errorf("refs = %d, want %d", rep.Refs, len(tr.Refs))
 	}
 	if rep.Cycles == 0 || rep.CPI() <= 1 {
 		t.Errorf("implausible cycle count %d (CPI %.2f)", rep.Cycles, rep.CPI())

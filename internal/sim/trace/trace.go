@@ -76,43 +76,6 @@ func (t *Trace) Next() (Ref, bool) {
 // Reset implements RefSource: rewinds to the first reference.
 func (t *Trace) Reset() { t.pos = 0 }
 
-// Stats summarizes a trace's composition.
-type Stats struct {
-	Refs          int
-	Fetches       int
-	Loads         int
-	Stores        int
-	ComputeCycles uint64
-}
-
-// Stats scans the trace.
-func (t *Trace) Stats() Stats {
-	var s Stats
-	s.Refs = len(t.Refs)
-	for _, r := range t.Refs {
-		switch r.Kind {
-		case Fetch:
-			s.Fetches++
-		case Load:
-			s.Loads++
-		case Store:
-			s.Stores++
-		}
-		s.ComputeCycles += uint64(r.Compute)
-	}
-	return s
-}
-
-// WriteFraction returns stores / (loads + stores), the knob experiment
-// E3 sweeps.
-func (s Stats) WriteFraction() float64 {
-	d := s.Loads + s.Stores
-	if d == 0 {
-		return 0
-	}
-	return float64(s.Stores) / float64(d)
-}
-
 // Config parameterizes the synthetic generators. Zero values get
 // defaults from (*Config).fill.
 type Config struct {

@@ -14,6 +14,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// countKinds counts a trace's references by kind.
+func countKinds(tr *Trace) map[Kind]int {
+	n := map[Kind]int{}
+	for _, r := range tr.Refs {
+		n[r.Kind]++
+	}
+	return n
+}
+
 func TestGeneratorsProduceRequestedLength(t *testing.T) {
 	for name, mk := range Sources {
 		tr := Drain(mk(Config{Refs: 1234, Seed: 1}))
@@ -76,21 +85,22 @@ func TestAddressesStayInRegions(t *testing.T) {
 }
 
 func TestCodeOnlyHasNoData(t *testing.T) {
-	tr := Drain(CodeOnlySource(Config{Refs: 2000, Seed: 4, JumpRate: 0.1}))
-	s := tr.Stats()
-	if s.Loads != 0 || s.Stores != 0 {
-		t.Errorf("code-only trace has %d loads, %d stores", s.Loads, s.Stores)
+	n := countKinds(Drain(CodeOnlySource(Config{Refs: 2000, Seed: 4, JumpRate: 0.1})))
+	if n[Load] != 0 || n[Store] != 0 {
+		t.Errorf("code-only trace has %d loads, %d stores", n[Load], n[Store])
 	}
-	if s.Fetches != 2000 {
-		t.Errorf("code-only: %d fetches, want 2000", s.Fetches)
+	if n[Fetch] != 2000 {
+		t.Errorf("code-only: %d fetches, want 2000", n[Fetch])
 	}
 }
 
 func TestWriteFractionKnob(t *testing.T) {
-	lo := Drain(SequentialSource(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: 0.1}))
-	hi := Drain(SequentialSource(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: 0.9}))
-	flo := lo.Stats().WriteFraction()
-	fhi := hi.Stats().WriteFraction()
+	// The knob is stores / (loads + stores).
+	writeFraction := func(f float64) float64 {
+		n := countKinds(Drain(SequentialSource(Config{Refs: 20000, Seed: 5, LoadFraction: 0.5, WriteFraction: f})))
+		return float64(n[Store]) / float64(n[Load]+n[Store])
+	}
+	flo, fhi := writeFraction(0.1), writeFraction(0.9)
 	if math.Abs(flo-0.1) > 0.05 {
 		t.Errorf("write fraction 0.1 knob produced %.3f", flo)
 	}
@@ -158,29 +168,9 @@ func TestPointerChaseLoadsAreRandomWide(t *testing.T) {
 }
 
 func TestMatrixLikeHasStores(t *testing.T) {
-	tr := Drain(MatrixLikeSource(Config{Refs: 6000, Seed: 9}))
-	s := tr.Stats()
-	if s.Stores == 0 || s.Loads == 0 {
-		t.Errorf("matrix-like missing loads/stores: %+v", s)
-	}
-}
-
-func TestStatsComputeCycles(t *testing.T) {
-	tr := &Trace{Refs: []Ref{
-		{Kind: Fetch, Compute: 3},
-		{Kind: Load, Compute: 2},
-		{Kind: Store, Compute: 1},
-	}}
-	s := tr.Stats()
-	if s.ComputeCycles != 6 || s.Fetches != 1 || s.Loads != 1 || s.Stores != 1 {
-		t.Errorf("Stats wrong: %+v", s)
-	}
-	if wf := s.WriteFraction(); wf != 0.5 {
-		t.Errorf("WriteFraction = %v, want 0.5", wf)
-	}
-	empty := (&Trace{}).Stats()
-	if empty.WriteFraction() != 0 {
-		t.Error("empty trace write fraction should be 0")
+	n := countKinds(Drain(MatrixLikeSource(Config{Refs: 6000, Seed: 9})))
+	if n[Store] == 0 || n[Load] == 0 {
+		t.Errorf("matrix-like missing loads/stores: %v", n)
 	}
 }
 
