@@ -62,8 +62,8 @@ type ScheduleConfig struct {
 	LineBytes int
 }
 
-// Schedule is one active adversary. It implements soc.Intruder; its
-// OnViolation method is the matching soc.Config.OnViolation observer.
+// Schedule is one active adversary. It implements soc.Intruder: Strike
+// tampers, and OnViolation credits the detections the SoC reports.
 // The adversary is realistic about what it can see: it targets only
 // lines it has watched cross the external bus (a probe attacker knows
 // the live address stream), which also means its targets are enrolled
@@ -281,8 +281,8 @@ func (sc *Schedule) inject(addr, refIndex uint64, kind TamperKind) {
 	sc.rc.Emit(rec.KindStrike, addr, 0, 0, uint64(kind))
 }
 
-// OnViolation matches soc.Config.OnViolation: credit a detected strike
-// and record its latency in references.
+// OnViolation implements soc.Intruder: credit a detected strike and
+// record its latency in references.
 func (sc *Schedule) OnViolation(refIndex, lineAddr uint64) {
 	p, ok := sc.pending[lineAddr]
 	if !ok {

@@ -47,7 +47,6 @@ func firmwareRun(t *testing.T, auth string, rate float64, refs int) (*Schedule, 
 	}
 	sched := NewSchedule(ScheduleConfig{Seed: 99, PerTenK: rate, LineBytes: 32})
 	cfg.Intruder = sched
-	cfg.OnViolation = sched.OnViolation
 	s, err := soc.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -339,7 +339,6 @@ func (r *Runner) runTaskRec(cfg TaskConfig, rc *rec.Recorder) Result {
 		})
 		sched.SetRecorder(rc)
 		ecfg.Intruder = sched
-		ecfg.OnViolation = sched.OnViolation
 	}
 	s, err := soc.New(ecfg)
 	if err != nil {

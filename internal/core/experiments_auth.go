@@ -236,7 +236,6 @@ func E21Cell(auth string, rate float64, refs int, rc *rec.Recorder) (soc.Report,
 		})
 		sched.SetRecorder(rc)
 		cfg.Intruder = sched
-		cfg.OnViolation = sched.OnViolation
 	}
 	s, err := soc.New(cfg)
 	if err != nil {

@@ -132,7 +132,6 @@ func runCrossing(t *testing.T, c crossingCase) (report, image, events string) {
 	if c.intruder {
 		intr = &corruptor{at: 2000}
 		cfg.Intruder = intr
-		cfg.OnViolation = intr.OnViolation
 	}
 	s, err := New(cfg)
 	if err != nil {

@@ -66,20 +66,10 @@ type Config struct {
 	// Verifier installed.
 	ViolationCycles int
 	// Intruder, when non-nil, is invoked before every reference with
-	// the running reference index: the active adversary tampering with
-	// external state mid-run (internal/attack.Schedule).
+	// the running reference index and told of every detected tamper:
+	// the active adversary tampering with external state mid-run
+	// (internal/attack.Schedule).
 	Intruder Intruder
-	// OnViolation, when non-nil, observes each detected tamper: the
-	// reference index at which verification failed and the line
-	// address. The attack schedule uses it to measure detection
-	// latency.
-	OnViolation func(refIndex, lineAddr uint64)
-	// SkipFinalFlush disables the end-of-run drain of dirty cache
-	// lines. The default (false) spills every dirty line when Run
-	// finishes and folds the cycles into the report, so writeback
-	// traffic is fully accounted; Compare flushes both systems, keeping
-	// the overhead comparison apples-to-apples.
-	SkipFinalFlush bool
 	// Metrics, when non-nil, installs live observability: the hot loop
 	// counts in plain fields and publishes the deltas into the bundle's
 	// pre-registered atomic metrics every 4096 references and at the end
@@ -100,9 +90,12 @@ type Config struct {
 // of the survey's §2.3 extended to modification. Strike is called once
 // per reference, before the reference is processed; implementations
 // tamper via s.DRAM() and the engine/verifier tag stores, never via
-// timing-bearing paths.
+// timing-bearing paths. OnViolation observes each detected tamper: the
+// reference index at which verification failed and the line address,
+// from which the attack schedule measures detection latency.
 type Intruder interface {
 	Strike(refIndex uint64, ref trace.Ref, s *SoC)
+	OnViolation(refIndex, lineAddr uint64)
 }
 
 // DefaultConfig is the reference 2005-class embedded system used across
@@ -345,17 +338,6 @@ func New(cfg Config) (*SoC, error) {
 	return s, nil
 }
 
-// ShadowBytes reports the total size of the resident-line data store —
-// fixed at hierarchy capacity by construction (the regression guard for
-// the old unbounded shadow map, which grew with every clean eviction).
-func (s *SoC) ShadowBytes() int {
-	n := 0
-	for _, sh := range s.shadows {
-		n += len(sh)
-	}
-	return n
-}
-
 // slotData returns the shadow data for a cache slot at a level.
 func (s *SoC) slotData(level, slot int) []byte {
 	ls := s.cfg.Cache.LineSize
@@ -364,14 +346,6 @@ func (s *SoC) slotData(level, slot int) []byte {
 
 // Bus exposes the bus for probe attachment.
 func (s *SoC) Bus() *bus.Bus { return s.bus }
-
-// Cache exposes the first-level cache. The attack model reads residency
-// from the hierarchy (Resident): a probe attacker reconstructs cache
-// contents from the fill/eviction traffic it watches.
-func (s *SoC) Cache() *cache.Cache { return s.cache }
-
-// L2 exposes the second-level cache (nil in a single-level system).
-func (s *SoC) L2() *cache.Cache { return s.l2 }
 
 // Resident reports whether addr's line is held at any cache level —
 // "on-chip" from the probe attacker's vantage point: a resident line is
@@ -459,33 +433,109 @@ func (s *SoC) transferSize(lineAddr uint64, lineBytes int) int {
 	return lineBytes
 }
 
-// fill performs a line fill across the chip boundary into pt: DRAM
-// access, bus transfer of ciphertext, engine decryption, and — with a
-// verifier installed — read verification of the inbound ciphertext.
-// Returns total CPU cycles for the miss path. Allocation-free: scratch
-// buffers and the slot arenas are preallocated.
-func (s *SoC) fill(lineAddr uint64, pt []byte, rep *Report) (cycles, engineStall uint64) {
+// processEvent costs one hierarchy line transfer and moves its data.
+// Two independent facts decide a transfer. The move is DRAM plus the
+// bus at the chip boundary (no peer slot), one L2 access between L1
+// and L2. The transfer is guarded when the engine sits at its boundary:
+// it then runs the engine and the verifier, while an unguarded one
+// moves its bytes unchanged — raw ciphertext at the chip under an inner
+// placement, plaintext between L1 and L2 under an outer one.
+func (s *SoC) processEvent(ev cache.Event, rep *Report) {
+	// Stamp the transfer's start time: every event the transfer causes
+	// (EDU batches, verifications, tree walks, traps) shares it, and
+	// the closing KindFill/KindWriteback record carries the total cost.
+	s.rc.Stamp(rep.Cycles, s.curRef)
 	ls := s.cfg.Cache.LineSize
-	dramCycles := s.dram.AccessCycles(lineAddr)
-	s.dram.ReadInto(lineAddr, s.ctIn)
-	busCycles := s.bus.Transfer(bus.Read, lineAddr, s.ctIn[:s.transferSize(lineAddr, ls)])
-	s.engine.DecryptLine(lineAddr, pt, s.ctIn)
-	rep.EngineLines++
-	s.rc.Emit(rec.KindDecipher, lineAddr, 0, 0, s.granules)
-	transfer := dramCycles + busCycles
-	extra := s.engine.ReadExtraCycles(lineAddr, ls, transfer)
-	cycles = transfer + extra
-	if s.verifier != nil {
-		cycles += s.verifyInbound(lineAddr, s.ctIn, pt, rep)
+	chip := ev.PeerSlot < 0
+	guarded := chip != s.inner
+	// near is the line's slot at this level; far holds its bytes on the
+	// other side of the boundary: the L2 slot, the ciphertext scratch of
+	// a guarded chip crossing, or near itself for a raw chip move.
+	near := s.slotData(ev.Level, ev.Slot)
+	far := near
+	eduFlags := uint8(0)
+	switch {
+	case !chip:
+		far = s.slotData(ev.Level+1, ev.PeerSlot)
+		eduFlags = rec.FlagInner
+	case !guarded:
+		// A raw chip move: the slot's bytes go as they are.
+	case ev.Kind == cache.EvFill:
+		far = s.ctIn
+	default:
+		far = s.ctOut
 	}
-	return cycles, extra
+	var c, e uint64
+	if ev.Kind == cache.EvFill {
+		c = s.l2Hit
+		if chip {
+			c = s.dram.AccessCycles(ev.Addr)
+			s.dram.ReadInto(ev.Addr, far)
+			c += s.bus.Transfer(bus.Read, ev.Addr, far[:s.transferSize(ev.Addr, ls)])
+		}
+		if guarded {
+			auth := s.decipher(ev.Addr, near, far, eduFlags, rep)
+			// The engine can overlap the move itself.
+			e = s.engine.ReadExtraCycles(ev.Addr, ls, c)
+			c += e + auth
+		} else if !chip {
+			copy(near, far)
+		}
+	} else {
+		if guarded {
+			s.encipher(ev.Addr, far, near, eduFlags, rep)
+		} else if !chip {
+			copy(far, near)
+		}
+		c = s.l2Hit
+		if chip {
+			c = s.dram.AccessCycles(ev.Addr)
+			c += s.bus.Transfer(bus.Write, ev.Addr, far[:s.transferSize(ev.Addr, ls)])
+			s.dram.Write(ev.Addr, far)
+		}
+		if guarded {
+			e = s.engine.WriteExtraCycles(ev.Addr, ls)
+			c += e + s.retag(ev.Addr, far, eduFlags, rep)
+		}
+	}
+	if s.rc != nil {
+		kind := rec.KindFill
+		if ev.Kind != cache.EvFill {
+			kind = rec.KindWriteback
+		}
+		flags := uint8(0)
+		if chip {
+			flags |= rec.FlagChip
+		}
+		if s.flushing {
+			flags |= rec.FlagFlush
+		}
+		s.rc.Emit(kind, ev.Addr, uint8(ev.Level), flags, c)
+	}
+	rep.Cycles += c
+	rep.StallCycles += c
+	rep.EngineStalls += e
+	side := 0
+	if chip {
+		side = 1
+	}
+	s.tally.transfers[ev.Kind][side]++
+	s.tally.cycles.Observe(c)
 }
 
-// verifyInbound authenticates the inbound ciphertext ct for the line at
-// lineAddr and applies the fail-stop response to pt on a detected
-// tamper: zero the plaintext, charge the violation trap, count it, and
-// notify the observer. Returns the verifier-side cycles.
-func (s *SoC) verifyInbound(lineAddr uint64, ct, pt []byte, rep *Report) uint64 {
+// decipher runs the engine on an inbound line, ciphertext ct to
+// plaintext pt (flags carries FlagInner at the L1<->L2 boundary), then
+// authenticates ct and applies the fail-stop response to pt on a
+// detected tamper: zero the plaintext, charge the violation trap, count
+// it, and tell the intruder. Returns the verifier-side cycles (0
+// without a verifier).
+func (s *SoC) decipher(lineAddr uint64, pt, ct []byte, flags uint8, rep *Report) uint64 {
+	s.engine.DecryptLine(lineAddr, pt, ct)
+	rep.EngineLines++
+	s.rc.Emit(rec.KindDecipher, lineAddr, 0, flags, s.granules)
+	if s.verifier == nil {
+		return 0
+	}
 	stall, ok := s.verifier.VerifyRead(lineAddr, ct)
 	rep.AuthStalls += stall
 	if ok {
@@ -497,151 +547,31 @@ func (s *SoC) verifyInbound(lineAddr uint64, ct, pt []byte, rep *Report) uint64 
 		rep.AuthStalls += uint64(s.cfg.ViolationCycles)
 		rep.AuthViolations++
 		clear(pt)
-		if s.cfg.OnViolation != nil {
-			s.cfg.OnViolation(s.curRef, lineAddr)
+		if s.cfg.Intruder != nil {
+			s.cfg.Intruder.OnViolation(s.curRef, lineAddr)
 		}
 	}
 	return stall
 }
 
-// spill writes a dirty line's plaintext pt out across the chip
-// boundary: engine encryption, bus, DRAM, and the verifier's
-// write-update (retag plus tree propagation). The caller owns pt
-// (normally the victim's shadow slot, read before the subsequent fill
-// overwrites it).
-func (s *SoC) spill(lineAddr uint64, pt []byte, rep *Report) (cycles, engineStall uint64) {
-	ls := s.cfg.Cache.LineSize
-	s.engine.EncryptLine(lineAddr, s.ctOut, pt)
-	rep.EngineLines++
-	s.rc.Emit(rec.KindEncipher, lineAddr, 0, 0, s.granules)
-	dramCycles := s.dram.AccessCycles(lineAddr)
-	busCycles := s.bus.Transfer(bus.Write, lineAddr, s.ctOut[:s.transferSize(lineAddr, ls)])
-	s.dram.Write(lineAddr, s.ctOut)
-	extra := s.engine.WriteExtraCycles(lineAddr, ls)
-	cycles = dramCycles + busCycles + extra + s.updateOutbound(lineAddr, rep)
-	return cycles, extra
-}
-
-// rawFill moves a ciphertext line from DRAM into ct without any engine
-// or verifier involvement — the outer boundary of a system whose EDU
-// guards the L1<->L2 boundary: the L2 stores the same bytes DRAM holds.
-func (s *SoC) rawFill(lineAddr uint64, ct []byte) (cycles uint64) {
-	ls := s.cfg.Cache.LineSize
-	dramCycles := s.dram.AccessCycles(lineAddr)
-	s.dram.ReadInto(lineAddr, ct)
-	busCycles := s.bus.Transfer(bus.Read, lineAddr, ct[:s.transferSize(lineAddr, ls)])
-	return dramCycles + busCycles
-}
-
-// rawSpill is rawFill's outbound counterpart: a ciphertext line moves
-// from the L2 to DRAM unchanged.
-func (s *SoC) rawSpill(lineAddr uint64, ct []byte) (cycles uint64) {
-	ls := s.cfg.Cache.LineSize
-	dramCycles := s.dram.AccessCycles(lineAddr)
-	busCycles := s.bus.Transfer(bus.Write, lineAddr, ct[:s.transferSize(lineAddr, ls)])
-	s.dram.Write(lineAddr, ct)
-	return dramCycles + busCycles
-}
-
-// innerFill deciphers a line crossing the guarded L1<->L2 boundary:
-// ciphertext from the L2 slot, plaintext into the L1 slot, verification
-// of the inbound ciphertext. The transfer window the engine can overlap
-// is the L2 access itself.
-func (s *SoC) innerFill(lineAddr uint64, pt, ct []byte, rep *Report) (cycles, engineStall uint64) {
-	ls := s.cfg.Cache.LineSize
-	s.engine.DecryptLine(lineAddr, pt, ct)
-	rep.EngineLines++
-	s.rc.Emit(rec.KindDecipher, lineAddr, 0, rec.FlagInner, s.granules)
-	extra := s.engine.ReadExtraCycles(lineAddr, ls, s.l2Hit)
-	cycles = s.l2Hit + extra
-	if s.verifier != nil {
-		cycles += s.verifyInbound(lineAddr, ct, pt, rep)
-	}
-	return cycles, extra
-}
-
-// innerSpill enciphers a dirty L1 line into its L2 slot and runs the
-// verifier's write-update — the outbound crossing of the guarded
-// L1<->L2 boundary. DRAM is untouched until the L2 evicts the line.
-func (s *SoC) innerSpill(lineAddr uint64, pt, ct []byte, rep *Report) (cycles, engineStall uint64) {
-	ls := s.cfg.Cache.LineSize
+// encipher is decipher's outbound mirror: plaintext pt to ciphertext ct.
+func (s *SoC) encipher(lineAddr uint64, ct, pt []byte, flags uint8, rep *Report) {
 	s.engine.EncryptLine(lineAddr, ct, pt)
 	rep.EngineLines++
-	s.rc.Emit(rec.KindEncipher, lineAddr, 0, rec.FlagInner, s.granules)
-	extra := s.engine.WriteExtraCycles(lineAddr, ls)
-	cycles = s.l2Hit + extra
-	if s.verifier != nil {
-		us := s.verifier.UpdateWrite(lineAddr, ct)
-		rep.AuthStalls += us
-		s.rc.Emit(rec.KindRetag, lineAddr, 0, rec.FlagInner, us)
-		cycles += us
-	}
-	return cycles, extra
+	s.rc.Emit(rec.KindEncipher, lineAddr, 0, flags, s.granules)
 }
 
-// processEvent costs one hierarchy line transfer and moves its data:
-// engine-guarded crossings run the transform and verifier, unguarded
-// ones move bytes raw (outer boundary under an inner placement) or in
-// plaintext (L1<->L2 under an outer placement).
-func (s *SoC) processEvent(ev cache.Event, rep *Report) {
-	// Stamp the transfer's start time: every event the transfer causes
-	// (EDU batches, verifications, tree walks, traps) shares it, and
-	// the closing KindFill/KindWriteback record carries the total cost.
-	s.rc.Stamp(rep.Cycles, s.curRef)
-	var c, e uint64
-	if ev.PeerSlot < 0 {
-		// The chip boundary: DRAM on the far side.
-		data := s.slotData(ev.Level, ev.Slot)
-		switch {
-		case s.inner && ev.Kind == cache.EvFill:
-			c = s.rawFill(ev.Addr, data)
-		case s.inner:
-			c = s.rawSpill(ev.Addr, data)
-		case ev.Kind == cache.EvFill:
-			c, e = s.fill(ev.Addr, data, rep)
-		default:
-			c, e = s.spill(ev.Addr, data, rep)
-		}
-	} else {
-		// The L1<->L2 boundary.
-		l1Data := s.slotData(ev.Level, ev.Slot)
-		l2Data := s.slotData(ev.Level+1, ev.PeerSlot)
-		switch {
-		case s.inner && ev.Kind == cache.EvFill:
-			c, e = s.innerFill(ev.Addr, l1Data, l2Data, rep)
-		case s.inner:
-			c, e = s.innerSpill(ev.Addr, l1Data, l2Data, rep)
-		case ev.Kind == cache.EvFill:
-			copy(l1Data, l2Data)
-			c = s.l2Hit
-		default:
-			copy(l2Data, l1Data)
-			c = s.l2Hit
-		}
+// retag runs the verifier's write-update (retag plus tree propagation)
+// for the outbound ciphertext ct of the line at lineAddr, returning its
+// cycle cost (0 without a verifier).
+func (s *SoC) retag(lineAddr uint64, ct []byte, flags uint8, rep *Report) uint64 {
+	if s.verifier == nil {
+		return 0
 	}
-	if s.rc != nil {
-		kind := rec.KindFill
-		if ev.Kind != cache.EvFill {
-			kind = rec.KindWriteback
-		}
-		flags := uint8(0)
-		if ev.PeerSlot < 0 {
-			flags |= rec.FlagChip
-		}
-		if s.flushing {
-			flags |= rec.FlagFlush
-		}
-		s.rc.Emit(kind, ev.Addr, uint8(ev.Level), flags, c)
-	}
-	rep.Cycles += c
-	rep.StallCycles += c
-	rep.EngineStalls += e
-	chip := 0
-	if ev.PeerSlot < 0 {
-		chip = 1
-	}
-	s.tally.transfers[ev.Kind][chip]++
-	s.tally.cycles.Observe(c)
+	us := s.verifier.UpdateWrite(lineAddr, ct)
+	rep.AuthStalls += us
+	s.rc.Emit(rec.KindRetag, lineAddr, 0, flags, us)
+	return us
 }
 
 // writeThrough costs a store of size bytes at addr going straight to
@@ -678,66 +608,35 @@ func (s *SoC) writeThrough(addr uint64, size, hitSlot int, rep *Report) (cycles,
 	if hitSlot >= 0 {
 		pt = s.slotData(0, hitSlot)
 	} else {
-		s.engine.DecryptLine(lineAddr, pt, s.ctIn)
-		rep.EngineLines++
-		s.rc.Emit(rec.KindDecipher, lineAddr, 0, 0, s.granules)
-		if s.verifier != nil {
-			// The recovered line comes from tamperable memory: verify it
-			// before its plaintext feeds the rewrite.
-			authStall += s.verifyInbound(lineAddr, s.ctIn, pt, rep)
-		}
+		// The recovered line comes from tamperable memory: verify it
+		// before its plaintext feeds the rewrite.
+		authStall = s.decipher(lineAddr, pt, s.ctIn, 0, rep)
 	}
-	s.engine.EncryptLine(lineAddr, s.ctOut, pt)
-	rep.EngineLines++
-	s.rc.Emit(rec.KindEncipher, lineAddr, 0, 0, s.granules)
+	s.encipher(lineAddr, s.ctOut, pt, 0, rep)
 
-	if needRMW {
-		rep.RMWEvents++
-		blockAddr := addr &^ uint64(bb-1)
-		gOff := int(blockAddr - lineAddr)
-		// Read the enclosing granule...
-		dramR := s.dram.AccessCycles(blockAddr)
-		busR := s.bus.Transfer(bus.Read, blockAddr, s.ctIn[gOff:gOff+bb])
-		readExtra := s.engine.ReadExtraCycles(blockAddr, bb, dramR+busR)
-		// ...decipher, modify, re-cipher (performed line-wide above; the
-		// store's value is irrelevant to timing)...
-		writeExtra := s.engine.WriteExtraCycles(blockAddr, bb)
-		// ...and write back.
-		dramW := s.dram.AccessCycles(blockAddr)
-		busW := s.bus.Transfer(bus.Write, blockAddr, s.ctOut[gOff:gOff+bb])
-		s.dram.Write(lineAddr, s.ctOut)
-		authStall += s.updateOutbound(lineAddr, rep)
-		stall := readExtra + writeExtra
-		return dramR + busR + dramW + busW + stall + authStall, stall
-	}
-	// Granule-aligned store: encrypt and write one granule.
-	n := size
-	if bb > n {
-		n = bb
-	}
 	blockAddr := addr &^ uint64(bb-1)
 	gOff := int(blockAddr - lineAddr)
-	if gOff+n > ls {
-		n = ls - gOff // clamp to the line (stores never straddle lines)
+	n := bb
+	var read, stall uint64
+	if needRMW {
+		rep.RMWEvents++
+		// Read the enclosing granule; decipher, modify and re-cipher
+		// ran line-wide above (the store's value is irrelevant to
+		// timing); the granule is written back below.
+		read = s.dram.AccessCycles(blockAddr)
+		read += s.bus.Transfer(bus.Read, blockAddr, s.ctIn[gOff:gOff+bb])
+		stall = s.engine.ReadExtraCycles(blockAddr, bb, read)
+	} else {
+		// Granule-aligned store: encrypt and write at least one
+		// granule, clamped to the line (stores never straddle lines).
+		n = min(max(size, bb), ls-gOff)
 	}
-	extra := s.engine.WriteExtraCycles(blockAddr, n)
-	dramW := s.dram.AccessCycles(blockAddr)
-	busW := s.bus.Transfer(bus.Write, blockAddr, s.ctOut[gOff:gOff+n])
+	stall += s.engine.WriteExtraCycles(blockAddr, n)
+	write := s.dram.AccessCycles(blockAddr)
+	write += s.bus.Transfer(bus.Write, blockAddr, s.ctOut[gOff:gOff+n])
 	s.dram.Write(lineAddr, s.ctOut)
-	authStall += s.updateOutbound(lineAddr, rep)
-	return dramW + busW + extra + authStall, extra
-}
-
-// updateOutbound runs the verifier's write-update for the line just
-// written to DRAM (sitting in ctOut), returning its cycle cost.
-func (s *SoC) updateOutbound(lineAddr uint64, rep *Report) uint64 {
-	if s.verifier == nil {
-		return 0
-	}
-	us := s.verifier.UpdateWrite(lineAddr, s.ctOut)
-	rep.AuthStalls += us
-	s.rc.Emit(rec.KindRetag, lineAddr, 0, 0, us)
-	return us
+	authStall += s.retag(lineAddr, s.ctOut, 0, rep)
+	return read + write + stall + authStall, stall
 }
 
 // Run consumes src to completion and reports the cycle accounting. The
@@ -799,14 +698,15 @@ func (s *SoC) Run(src trace.RefSource) Report {
 		}
 	}
 
-	if !s.cfg.SkipFinalFlush {
-		s.flushing = true
-		for _, ev := range s.hier.Flush() {
-			s.processEvent(ev, &rep)
-			rep.FlushedLines++
-		}
-		s.flushing = false
+	// Drain the dirty lines and fold their writeback traffic into the
+	// report; Compare flushes both systems, keeping the overhead
+	// comparison apples-to-apples.
+	s.flushing = true
+	for _, ev := range s.hier.Flush() {
+		s.processEvent(ev, &rep)
+		rep.FlushedLines++
 	}
+	s.flushing = false
 	s.publish(&rep)
 
 	rep.Cache = s.cache.Stats()
@@ -828,7 +728,6 @@ func Compare(cfg Config, eng edu.Engine, src trace.RefSource) (base, with Report
 	bcfg.Engine = edu.Null{}
 	bcfg.Verifier = nil
 	bcfg.Intruder = nil
-	bcfg.OnViolation = nil
 	bsoc, err := New(bcfg)
 	if err != nil {
 		return base, with, err

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/crypto/modes"
@@ -223,6 +224,15 @@ func TestProbeSeesCiphertextOnlyWithEngine(t *testing.T) {
 	}
 }
 
+// shadowBytes is the total size of the resident-line data store.
+func shadowBytes(s *SoC) int {
+	n := 0
+	for _, sh := range s.shadows {
+		n += len(sh)
+	}
+	return n
+}
+
 // The shadow store must be bounded by cache geometry, not by how many
 // distinct lines the workload touches — the regression guard for the
 // old map that grew on every clean eviction.
@@ -233,7 +243,7 @@ func TestShadowBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ShadowBytes(); got != cfg.Cache.Size {
+	if got := shadowBytes(s); got != cfg.Cache.Size {
 		t.Fatalf("shadow = %d bytes, want cache size %d", got, cfg.Cache.Size)
 	}
 	// A scan over 64x the cache capacity forces continuous clean
@@ -242,7 +252,7 @@ func TestShadowBounded(t *testing.T) {
 		Refs: 200000, Seed: 9, DataSize: uint64(64 * cfg.Cache.Size),
 	})
 	s.Run(src)
-	if got := s.ShadowBytes(); got != cfg.Cache.Size {
+	if got := shadowBytes(s); got != cfg.Cache.Size {
 		t.Errorf("shadow grew to %d bytes after run, want %d", got, cfg.Cache.Size)
 	}
 }
@@ -283,41 +293,39 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 }
 
 // End-of-run flush: dirty lines left in the cache must be spilled and
-// their traffic accounted, unless the config opts out.
+// their traffic accounted. Three stores and three loads to the same
+// lines miss alike; only the stores leave dirt for the flush.
 func TestFinalFlushAccounted(t *testing.T) {
-	run := func(skip bool) Report {
+	run := func(kind trace.Kind) Report {
 		cfg := DefaultConfig()
-		cfg.SkipFinalFlush = skip
 		cfg.Engine = fixedEngine{block: 16, writeCost: 5}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Store to distinct lines, nothing evicted: all dirt survives
-		// to the end of the run.
+		// Distinct lines, nothing evicted: all dirt survives to the end
+		// of the run.
 		tr := &trace.Trace{Name: "dirty", Refs: []trace.Ref{
-			{Kind: trace.Store, Addr: 0x4000_0000, Size: 4},
-			{Kind: trace.Store, Addr: 0x4000_0020, Size: 4},
-			{Kind: trace.Store, Addr: 0x4000_0040, Size: 4},
+			{Kind: kind, Addr: 0x4000_0000, Size: 4},
+			{Kind: kind, Addr: 0x4000_0020, Size: 4},
+			{Kind: kind, Addr: 0x4000_0040, Size: 4},
 		}}
 		return s.Run(tr)
 	}
-	flushed := run(false)
-	skipped := run(true)
-	if flushed.FlushedLines != 3 {
-		t.Errorf("flushed %d lines, want 3", flushed.FlushedLines)
+	stored := run(trace.Store)
+	loaded := run(trace.Load)
+	if stored.FlushedLines != 3 || loaded.FlushedLines != 0 {
+		t.Errorf("flushed %d lines after stores and %d after loads, want 3 and 0",
+			stored.FlushedLines, loaded.FlushedLines)
 	}
-	if skipped.FlushedLines != 0 {
-		t.Errorf("SkipFinalFlush still flushed %d lines", skipped.FlushedLines)
+	if stored.Cycles <= loaded.Cycles {
+		t.Errorf("flush cycles not folded in: %d <= %d", stored.Cycles, loaded.Cycles)
 	}
-	if flushed.Cycles <= skipped.Cycles {
-		t.Errorf("flush cycles not folded in: %d <= %d", flushed.Cycles, skipped.Cycles)
+	if d := stored.BusBytes - loaded.BusBytes; d != 3*32 {
+		t.Errorf("flush put %d writeback bytes on the bus, want %d", d, 3*32)
 	}
-	if flushed.BusBytes <= skipped.BusBytes {
-		t.Errorf("flush writeback traffic not on the bus: %d <= %d", flushed.BusBytes, skipped.BusBytes)
-	}
-	if flushed.EngineStalls == 0 {
-		t.Error("flush spills paid no engine write cost")
+	if d := stored.EngineStalls - loaded.EngineStalls; d != 3*5 {
+		t.Errorf("flush spills paid %d engine write cycles, want %d", d, 3*5)
 	}
 }
 
@@ -630,8 +638,8 @@ func TestL2DataPathConsistency(t *testing.T) {
 				t.Errorf("%s/%v: post-run memory corrupted", name, p)
 			}
 			// Shadow arenas stay bounded by hierarchy capacity.
-			if want := cfg.Cache.Size + cfg.L2.Size; s.ShadowBytes() != want {
-				t.Errorf("%s/%v: shadow = %d bytes, want %d", name, p, s.ShadowBytes(), want)
+			if want := cfg.Cache.Size + cfg.L2.Size; shadowBytes(s) != want {
+				t.Errorf("%s/%v: shadow = %d bytes, want %d", name, p, shadowBytes(s), want)
 			}
 		}
 	}
@@ -738,6 +746,9 @@ func TestInnerPlacementDetectsTamper(t *testing.T) {
 	cfg.Placement = edu.PlacementL1L2
 	cfg.Engine = fixedEngine{block: 16}
 	cfg.Verifier = ver
+	// An intruder that never strikes, only listens for violations.
+	intr := &corruptor{struck: true}
+	cfg.Intruder = intr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -757,5 +768,8 @@ func TestInnerPlacementDetectsTamper(t *testing.T) {
 	}})
 	if rep.AuthViolations == 0 {
 		t.Error("tamper crossed the inner boundary undetected")
+	}
+	if want := []uint64{0, 0x40}; !slices.Equal(intr.violations, want) {
+		t.Errorf("intruder told of violations %#x, want %#x", intr.violations, want)
 	}
 }
