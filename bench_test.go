@@ -18,8 +18,10 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/edu"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
+	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
 	"repro/internal/sim/trace"
 )
@@ -241,15 +243,37 @@ func BenchmarkHotLoopL2(b *testing.B) {
 // prints "0 allocs/op" (the hard per-path assertion lives in
 // soc.TestVerifiedMissZeroAllocs).
 func BenchmarkAuthTreeVerifiedRun(b *testing.B) {
+	ver, err := core.BuildAuthenticator("ctree", soc.DefaultConfig().Cache.LineSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	verifiedRunBench(b, ver)
+}
+
+// BenchmarkHMACFlatVerifiedRun is the same warmed verified run under
+// E17's flat authenticator: HMAC-SHA256 line tags plus on-chip
+// freshness counters. The CI bench smoke asserts "0 allocs/op" (the
+// hard per-path assertion lives in core.TestIntegrityEngineZeroAllocsPerRef).
+func BenchmarkHMACFlatVerifiedRun(b *testing.B) {
+	ver, err := authtree.NewFlat(authtree.FlatConfig{
+		Key: []byte("tag-key"), HMAC: true, Fresh: true, ProtectedLines: 1 << 16,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	verifiedRunBench(b, ver)
+}
+
+// verifiedRunBench times warmed 20k-reference firmware runs of an XOM
+// system with ver installed, one run per op.
+func verifiedRunBench(b *testing.B, ver edu.Verifier) {
 	eng, err := core.MustEntry("xom").Build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := soc.DefaultConfig()
 	cfg.Engine = eng
-	if cfg.Verifier, err = core.BuildAuthenticator("ctree", cfg.Cache.LineSize); err != nil {
-		b.Fatal(err)
-	}
+	cfg.Verifier = ver
 	s, err := soc.New(cfg)
 	if err != nil {
 		b.Fatal(err)

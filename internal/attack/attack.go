@@ -68,18 +68,6 @@ func DuplicateBlockRatio(data []byte, blockSize int) float64 {
 	return 1 - float64(len(seen))/float64(total)
 }
 
-// AddressTrace extracts the observed address sequence: even with perfect
-// data encryption, the address lines leak the access pattern (the leak
-// the survey's key-management reference [2] worries about; reported for
-// completeness in the survey table).
-func (p *Probe) AddressTrace() []uint64 {
-	out := make([]uint64, len(p.Beats))
-	for i, b := range p.Beats {
-		out[i] = b.Addr
-	}
-	return out
-}
-
 // LineEncryptor is the slice of the engine interface RewriteLeak needs.
 type LineEncryptor interface {
 	EncryptLine(addr uint64, dst, src []byte)

@@ -20,9 +20,8 @@ func TestProbeCaptureAndSearch(t *testing.T) {
 	if p.ContainsPlaintext([]byte("absent")) {
 		t.Error("false positive")
 	}
-	at := p.AddressTrace()
-	if len(at) != 2 || at[0] != 0x10 || at[1] != 0x20 {
-		t.Errorf("address trace %v", at)
+	if len(p.Beats) != 2 || p.Beats[0].Addr != 0x10 || p.Beats[1].Addr != 0x20 {
+		t.Errorf("captured beats %+v", p.Beats)
 	}
 }
 

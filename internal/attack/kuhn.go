@@ -54,10 +54,6 @@ func NewVictim(key, program []byte) (*Victim, error) {
 	return v, nil
 }
 
-// MemImage exposes the raw enciphered external memory — what the
-// attacker can already read by desoldering; useless without the cipher.
-func (v *Victim) MemImage() []byte { return v.mem }
-
 // ExecuteInjected models the attacker driving the bus: the CPU fetches
 // GadgetLen bytes starting at addr, but the attacker substitutes the
 // bytes on the data lines with `injected` (ciphertext, since they enter

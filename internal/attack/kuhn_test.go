@@ -18,7 +18,7 @@ func TestVictimSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The external image must not contain the plaintext anywhere.
-	if bytes.Contains(v.MemImage(), prog[:16]) {
+	if bytes.Contains(v.mem, prog[:16]) {
 		t.Fatal("victim memory holds plaintext")
 	}
 }

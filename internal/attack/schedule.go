@@ -243,9 +243,11 @@ func (sc *Schedule) pickTarget(s *soc.SoC, curLine uint64) (uint64, bool) {
 			return 0, false
 		}
 		if addr == curLine {
-			// The reference being processed right after this strike: it
-			// may never have been filled, and first-sight enrollment
-			// would launder the tamper into the trusted state.
+			// The line of the reference processed right after this
+			// strike. The skip dates from when a never-filled line
+			// enrolled whatever DRAM held, laundering the tamper; the
+			// verifiers now refuse such a line. Dropping the skip
+			// changes the draw sequence whenever a pick lands here.
 			continue
 		}
 		if _, tampered := sc.pending[addr]; tampered {
@@ -315,17 +317,12 @@ func (sc *Schedule) MeanLatency() float64 {
 	return float64(sc.latencySum) / float64(sc.Detected)
 }
 
-// tamperTagStore finds the external tag memory the adversary can write:
-// the verifier's (tree/flat authenticators) or the engine's
-// (edu/integrity wrapper).
+// tamperTagStore finds the external tag memory the adversary can
+// write: the verifier's, if it keeps one (the tree and flat
+// authenticators do).
 func tamperTagStore(s *soc.SoC) tagStore {
-	if ts, ok := s.Verifier().(tagStore); ok {
-		return ts
-	}
-	if ts, ok := s.Engine().(tagStore); ok {
-		return ts
-	}
-	return nil
+	ts, _ := s.Verifier().(tagStore)
+	return ts
 }
 
 // reservoir is a fixed ring of recently observed line addresses — the

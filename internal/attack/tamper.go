@@ -25,7 +25,7 @@ type TamperOutcome struct {
 // Spoof overwrites the ciphertext line at addr with attacker bytes and
 // reads it back through the engine. Against a confidentiality-only
 // engine the CPU happily deciphers garbage (accepted: the attacker
-// steered execution); an integrity engine must return a zeroed
+// steered execution); an authenticating verifier must return a zeroed
 // (fail-stop) line.
 func Spoof(s *soc.SoC, addr uint64, junk []byte) TamperOutcome {
 	lineSize := len(junk)
@@ -71,8 +71,8 @@ func Splice(s *soc.SoC, srcAddr, dstAddr uint64, n int) TamperOutcome {
 }
 
 // tagStore is implemented by authenticators whose tag memory is
-// external (attacker-readable and -writable): the edu/integrity engine
-// wrapper and the sim/authtree verifiers.
+// external (attacker-readable and -writable): the sim/authtree
+// verifiers.
 type tagStore interface {
 	TagAt(addr uint64) ([8]byte, bool)
 	TamperTag(addr uint64, tag [8]byte)

@@ -6,15 +6,18 @@ import (
 
 	"repro/internal/crypto/modes"
 	"repro/internal/edu"
-	"repro/internal/edu/integrity"
 	"repro/internal/edu/products"
+	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
 )
 
-func buildSystem(t *testing.T, eng edu.Engine, image []byte) *soc.SoC {
+// buildSystem installs image at 0 on a system with eng and ver (nil:
+// no authentication).
+func buildSystem(t *testing.T, eng edu.Engine, ver edu.Verifier, image []byte) *soc.SoC {
 	t.Helper()
 	cfg := soc.DefaultConfig()
 	cfg.Engine = eng
+	cfg.Verifier = ver
 	s, err := soc.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,34 +37,28 @@ func aegisEngine(t *testing.T) edu.Engine {
 	return e
 }
 
-func protectedEngine(t *testing.T, level integrity.Level) edu.Engine {
+// xomEngine is a stateless (ECB) engine, so replay outcomes reflect
+// the authenticator alone, not an engine's IV counters.
+func xomEngine(t *testing.T) edu.Engine {
 	t.Helper()
-	e, err := integrity.New(integrity.Config{
-		Inner: aegisEngine(t), MACKey: []byte("tag-key"),
-		Level: level, ProtectedLines: 1 << 12,
-	})
+	e, err := products.XOM(make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-// statelessProtected wraps a stateless (ECB) inner so replay outcomes
-// reflect the MAC level alone, not the inner engine's IV counters.
-func statelessProtected(t *testing.T, level integrity.Level) edu.Engine {
+// macVerifier is a flat HMAC authenticator, with on-chip freshness
+// counters when fresh.
+func macVerifier(t *testing.T, fresh bool) edu.Verifier {
 	t.Helper()
-	in, err := products.XOM(make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := integrity.New(integrity.Config{
-		Inner: in, MACKey: []byte("tag-key"),
-		Level: level, ProtectedLines: 1 << 12,
+	v, err := authtree.NewFlat(authtree.FlatConfig{
+		Key: []byte("tag-key"), HMAC: true, Fresh: fresh, ProtectedLines: 1 << 12,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return v
 }
 
 func image() []byte {
@@ -69,7 +66,7 @@ func image() []byte {
 }
 
 func TestSpoofAgainstConfidentialityOnly(t *testing.T) {
-	s := buildSystem(t, aegisEngine(t), image())
+	s := buildSystem(t, aegisEngine(t), nil, image())
 	out := Spoof(s, 0x40, bytes.Repeat([]byte{0xEE}, 32))
 	if !out.Accepted {
 		t.Errorf("confidentiality-only engine should consume spoofed data: %s", out.Detail)
@@ -77,10 +74,10 @@ func TestSpoofAgainstConfidentialityOnly(t *testing.T) {
 }
 
 func TestSpoofAgainstIntegrity(t *testing.T) {
-	s := buildSystem(t, protectedEngine(t, integrity.MACOnly), image())
+	s := buildSystem(t, aegisEngine(t), macVerifier(t, false), image())
 	out := Spoof(s, 0x40, bytes.Repeat([]byte{0xEE}, 32))
 	if out.Accepted {
-		t.Errorf("integrity engine accepted spoofed data: %s", out.Detail)
+		t.Errorf("MAC verifier accepted spoofed data: %s", out.Detail)
 	}
 }
 
@@ -89,25 +86,21 @@ func TestSpliceOutcomes(t *testing.T) {
 		bytes.Repeat([]byte("BBBBBBBBBBBBBBBBBBBBBBBBBBBBBBBB"), 1)...)
 
 	// ECB: relocation accepted verbatim (no address binding at all).
-	ecbEng, err := products.XOM(make([]byte, 16)) // XOM model = ECB AES
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := buildSystem(t, ecbEng, img)
+	s := buildSystem(t, xomEngine(t), nil, img) // XOM model = ECB AES
 	out := Splice(s, 0x00, 0x20, 32)
 	if !out.Accepted || out.Detail != "relocated code accepted verbatim (no address binding)" {
 		t.Errorf("ECB splice: %+v", out)
 	}
 
 	// AEGIS: address-bound IVs garble it, but the CPU still consumes it.
-	s = buildSystem(t, aegisEngine(t), img)
+	s = buildSystem(t, aegisEngine(t), nil, img)
 	out = Splice(s, 0x00, 0x20, 32)
 	if !out.Accepted {
 		t.Errorf("address binding alone should not DETECT, only garble: %+v", out)
 	}
 
-	// Integrity: detected and zeroed.
-	s = buildSystem(t, protectedEngine(t, integrity.MACOnly), img)
+	// Authenticated: detected and zeroed, although the tag moved too.
+	s = buildSystem(t, aegisEngine(t), macVerifier(t, false), img)
 	out = Splice(s, 0x00, 0x20, 32)
 	if out.Accepted {
 		t.Errorf("authenticated splice accepted: %+v", out)
@@ -117,8 +110,8 @@ func TestSpliceOutcomes(t *testing.T) {
 func TestReplayOutcomes(t *testing.T) {
 	balance := func(v byte) []byte { return bytes.Repeat([]byte{v}, 32) }
 
-	run := func(eng edu.Engine) TamperOutcome {
-		s := buildSystem(t, eng, balance(100))
+	run := func(eng edu.Engine, ver edu.Verifier) TamperOutcome {
+		s := buildSystem(t, eng, ver, balance(100))
 		return Replay(s, 0, 32, func() {
 			// Legitimate update: spend the balance via the engine.
 			if err := s.LoadImage(0, balance(0)); err != nil {
@@ -127,31 +120,29 @@ func TestReplayOutcomes(t *testing.T) {
 		})
 	}
 
-	// Stateless inner (ECB): the MAC level alone decides the outcome.
-	ecbEng, err := products.XOM(make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := run(ecbEng); !out.Accepted {
+	// Stateless engine (ECB): the authenticator alone decides the
+	// outcome.
+	if out := run(xomEngine(t), nil); !out.Accepted {
 		t.Errorf("plain stateless engine should accept the rollback: %+v", out)
 	}
-	if out := run(statelessProtected(t, integrity.MACOnly)); !out.Accepted {
+	if out := run(xomEngine(t), macVerifier(t, false)); !out.Accepted {
 		t.Errorf("MAC-only should accept the rollback (stale tag replayed too): %+v", out)
 	}
-	if out := run(statelessProtected(t, integrity.MACWithFreshness)); out.Accepted {
+	if out := run(xomEngine(t), macVerifier(t, true)); out.Accepted {
 		t.Errorf("freshness should reject the rollback: %+v", out)
 	}
-	// An AEGIS counter-IV inner under MAC-only rejects the replay too:
-	// the stale ciphertext decrypts under the new IV and fails the MAC.
-	if out := run(protectedEngine(t, integrity.MACOnly)); out.Accepted {
-		t.Errorf("counter-IV inner should implicitly reject replay: %+v", out)
+	// AEGIS's counter IVs garble the stale line, but the verifier tags
+	// ciphertext, so the consistent stale (line, tag) pair still passes:
+	// the CPU consumes garbage. Only freshness detects the rollback.
+	if out := run(aegisEngine(t), macVerifier(t, false)); !out.Accepted || out.Detail != "stale ciphertext consumed as garbage" {
+		t.Errorf("counter-IV engine under MAC-only: %+v, want garbage consumed", out)
 	}
 }
 
 func TestSpoofNoopDetection(t *testing.T) {
 	// Writing back the very same ciphertext is not a change; the helper
 	// must report "unchanged" rather than a false success.
-	s := buildSystem(t, aegisEngine(t), image())
+	s := buildSystem(t, aegisEngine(t), nil, image())
 	same := s.DRAM().Dump(0x40, 32)
 	out := Spoof(s, 0x40, same)
 	if out.Accepted {

@@ -299,11 +299,6 @@ func (t *halfTable) decode(r *bitReader) (uint16, error) {
 	return 0, fmt.Errorf("compress: invalid code in bitstream")
 }
 
-// DecodeCycles models the hardware decompressor latency for one block.
-func (c *Codec) DecodeCycles() uint64 {
-	return uint64(BlockInstructions * c.DecodeCyclesPerInstr)
-}
-
 // SyntheticProgram generates a program image with realistic instruction
 // statistics: a small hot set of opcode halfwords (the skew CodePack
 // exploits) and more diffuse immediate halfwords. n is the image size in

@@ -163,8 +163,10 @@ func TestSyntheticProgramSizing(t *testing.T) {
 
 func TestDecodeCycles(t *testing.T) {
 	c, _ := trained(t, 4096)
-	if c.DecodeCycles() != BlockInstructions {
-		t.Errorf("decode cycles = %d", c.DecodeCycles())
+	// One instruction per cycle: a block decodes in BlockInstructions
+	// cycles.
+	if c.DecodeCyclesPerInstr != 1 {
+		t.Errorf("decode rate = %d cycles per instruction, want 1", c.DecodeCyclesPerInstr)
 	}
 }
 

@@ -162,31 +162,12 @@ func TamperTable(compositeKey string) (*Table, error) {
 		return nil, err
 	}
 
-	img := make([]byte, 4096)
-	copy(img, []byte("GENUINE FIRMWARE -- entry point -- "))
-	for i := 64; i < len(img); i++ {
-		img[i] = byte(i * 7)
+	mkVer := func() (edu.Verifier, error) {
+		return BuildAuthenticator(auth, soc.DefaultConfig().Cache.LineSize)
 	}
-	mkSoC := func() (*soc.SoC, error) {
-		eng, err := entry.Build()
-		if err != nil {
-			return nil, err
-		}
-		cfg := soc.DefaultConfig()
-		cfg.Engine = eng
-		if cfg.Verifier, err = BuildAuthenticator(auth, cfg.Cache.LineSize); err != nil {
-			return nil, err
-		}
-		s, err := soc.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.LoadImage(0, img); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	spoof, splice, replay, err := runTampers(mkSoC)
+	spoof, splice, replay, err := runTampers(func() (*soc.SoC, error) {
+		return tamperSoC(entry.Build, mkVer, firmwareImage())
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -201,13 +182,50 @@ func TamperTable(compositeKey string) (*Table, error) {
 		out  attack.TamperOutcome
 	}{{"spoof", spoof}, {"splice", splice}, {"replay", replay}}
 	for _, r := range rows {
-		verdict := "blocked"
-		if r.out.Accepted {
-			verdict = "ACCEPTED"
-		}
-		t.AddRow(r.name, verdict, r.out.Detail)
+		t.AddRow(r.name, verdict(r.out), r.out.Detail)
 	}
 	return t, nil
+}
+
+// firmwareImage is the program image the E17 and attacklab tamper runs
+// install at address 0.
+func firmwareImage() []byte {
+	img := make([]byte, 4096)
+	copy(img, []byte("GENUINE FIRMWARE -- entry point -- "))
+	for i := 64; i < len(img); i++ {
+		img[i] = byte(i * 7)
+	}
+	return img
+}
+
+// tamperSoC assembles the default system from fresh mkEng and mkVer
+// instances (a nil verifier is none) and installs img at address 0:
+// the victim one tamper attacks.
+func tamperSoC(mkEng func() (edu.Engine, error), mkVer func() (edu.Verifier, error), img []byte) (*soc.SoC, error) {
+	cfg := soc.DefaultConfig()
+	var err error
+	if cfg.Engine, err = mkEng(); err != nil {
+		return nil, err
+	}
+	if cfg.Verifier, err = mkVer(); err != nil {
+		return nil, err
+	}
+	s, err := soc.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.LoadImage(0, img); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// verdict names a tamper outcome as the tables print it.
+func verdict(o attack.TamperOutcome) string {
+	if o.Accepted {
+		return "ACCEPTED"
+	}
+	return "blocked"
 }
 
 // runTampers executes spoof, splice and replay, each against its own

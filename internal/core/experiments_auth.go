@@ -82,43 +82,20 @@ func E20AuthTrees(refs int) (*Table, error) {
 
 	// Tamper verdicts depend on the authenticator structure, not its
 	// geometry: computed once per structure via the registry defaults.
+	img := make([]byte, 4096)
+	for i := range img {
+		img[i] = byte(i * 11)
+	}
 	verdicts := map[string][3]string{}
 	for _, key := range AuthKeys() {
-		key := key
-		mkSoC := func() (*soc.SoC, error) {
-			eng, err := xomEngine()
-			if err != nil {
-				return nil, err
-			}
-			acfg := soc.DefaultConfig()
-			acfg.Engine = eng
-			if acfg.Verifier, err = BuildAuthenticator(key, lineBytes); err != nil {
-				return nil, err
-			}
-			s, err := soc.New(acfg)
-			if err != nil {
-				return nil, err
-			}
-			img := make([]byte, 4096)
-			for i := range img {
-				img[i] = byte(i * 11)
-			}
-			if err := s.LoadImage(0, img); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-		spoof, splice, replay, err := runTampers(mkSoC)
+		mkVer := func() (edu.Verifier, error) { return BuildAuthenticator(key, lineBytes) }
+		spoof, splice, replay, err := runTampers(func() (*soc.SoC, error) {
+			return tamperSoC(xomEngine, mkVer, img)
+		})
 		if err != nil {
 			return nil, err
 		}
-		v := func(o attack.TamperOutcome) string {
-			if o.Accepted {
-				return "ACCEPTED"
-			}
-			return "blocked"
-		}
-		verdicts[key] = [3]string{v(spoof), v(splice), v(replay)}
+		verdicts[key] = [3]string{verdict(spoof), verdict(splice), verdict(replay)}
 	}
 
 	sizeStr := func(b uint64) string {

@@ -10,14 +10,13 @@ import (
 	"bytes"
 	"fmt"
 
-	"repro/internal/attack"
 	"repro/internal/crypto/aes"
 	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/blockengine"
-	"repro/internal/edu/integrity"
 	"repro/internal/edu/multikey"
 	"repro/internal/edu/products"
+	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
 	"repro/internal/sim/trace"
 )
@@ -25,7 +24,9 @@ import (
 // E17Integrity implements §5's future work: "take into account the
 // problem of integrity, to thwart attacks based on the modification of
 // the fetched instructions". Three active attacks against three
-// protection levels, plus what the authentication costs.
+// protection levels, plus what the authentication costs. The rows hold
+// XOM fixed and vary the flat authenticator beside it, with the keyed
+// hash (HMAC-SHA256) tag unit the General Instrument patent sketches.
 func E17Integrity(refs int) (*Table, error) {
 	t := &Table{
 		ID:         "E17 (extension)",
@@ -33,90 +34,50 @@ func E17Integrity(refs int) (*Table, error) {
 		PaperClaim: "\"it might also be relevant to take into account the problem of integrity, to thwart attacks based on the modification of the fetched instructions\" (§5)",
 		Header:     []string{"engine", "spoof", "splice", "replay", "overhead", "gates"},
 	}
-	img := make([]byte, 4096)
-	copy(img, []byte("GENUINE FIRMWARE -- entry point -- "))
-	for i := 64; i < len(img); i++ {
-		img[i] = byte(i * 7)
-	}
-
-	mkPlain := func() (edu.Engine, error) { return products.XOM([]byte("0123456789abcdef")) }
-	mkMAC := func() (edu.Engine, error) {
-		in, err := mkPlain()
-		if err != nil {
-			return nil, err
+	flat := func(fresh bool) func() (edu.Verifier, error) {
+		return func() (edu.Verifier, error) {
+			return authtree.NewFlat(authtree.FlatConfig{
+				Key: []byte("tag-key"), HMAC: true, Fresh: fresh, ProtectedLines: 1 << 16,
+			})
 		}
-		return integrity.New(integrity.Config{Inner: in, MACKey: []byte("tag-key"), Level: integrity.MACOnly})
 	}
-	mkFresh := func() (edu.Engine, error) {
-		in, err := mkPlain()
-		if err != nil {
-			return nil, err
-		}
-		return integrity.New(integrity.Config{
-			Inner: in, MACKey: []byte("tag-key"),
-			Level: integrity.MACWithFreshness, ProtectedLines: 1 << 16,
-		})
+	rows := []struct {
+		suffix string
+		mkVer  func() (edu.Verifier, error)
+	}{
+		{"", func() (edu.Verifier, error) { return nil, nil }},
+		{"+mac", flat(false)},
+		{"+mac+freshness", flat(true)},
 	}
 
 	tr := ProfileSource("sequential", refs, 17)
-	for _, mk := range []func() (edu.Engine, error){mkPlain, mkMAC, mkFresh} {
+	for _, row := range rows {
 		// One system per attack: tampering dirties state.
-		attackRun := func(f func(*soc.SoC) attack.TamperOutcome) (attack.TamperOutcome, error) {
-			eng, err := mk()
-			if err != nil {
-				return attack.TamperOutcome{}, err
-			}
-			cfg := soc.DefaultConfig()
-			cfg.Engine = eng
-			s, err := soc.New(cfg)
-			if err != nil {
-				return attack.TamperOutcome{}, err
-			}
-			if err := s.LoadImage(0, img); err != nil {
-				return attack.TamperOutcome{}, err
-			}
-			return f(s), nil
-		}
-		junk := make([]byte, 32)
-		for i := range junk {
-			junk[i] = 0xEE
-		}
-		spoof, err := attackRun(func(s *soc.SoC) attack.TamperOutcome { return attack.Spoof(s, 0x40, junk) })
-		if err != nil {
-			return nil, err
-		}
-		splice, err := attackRun(func(s *soc.SoC) attack.TamperOutcome { return attack.Splice(s, 0x00, 0x40, 32) })
-		if err != nil {
-			return nil, err
-		}
-		replay, err := attackRun(func(s *soc.SoC) attack.TamperOutcome {
-			return attack.Replay(s, 0x40, 32, func() {
-				fresh := make([]byte, 32)
-				if err := s.LoadImage(0x40, fresh); err != nil {
-					panic(err)
-				}
-			})
+		spoof, splice, replay, err := runTampers(func() (*soc.SoC, error) {
+			return tamperSoC(xomEngine, row.mkVer, firmwareImage())
 		})
 		if err != nil {
 			return nil, err
 		}
 
-		eng, err := mk()
+		eng, err := xomEngine()
 		if err != nil {
 			return nil, err
 		}
-		ov, err := MeasureOverhead(eng, tr)
+		cfg := soc.DefaultConfig()
+		if cfg.Verifier, err = row.mkVer(); err != nil {
+			return nil, err
+		}
+		base, with, err := soc.Compare(cfg, eng, tr)
 		if err != nil {
 			return nil, err
 		}
-		verdict := func(o attack.TamperOutcome) string {
-			if o.Accepted {
-				return "ACCEPTED"
-			}
-			return "blocked"
+		gates := eng.Gates()
+		if cfg.Verifier != nil {
+			gates += cfg.Verifier.Gates()
 		}
-		t.AddRow(eng.Name(), verdict(spoof), verdict(splice), verdict(replay),
-			fmt.Sprintf("%.1f%%", 100*ov), eng.Gates())
+		t.AddRow(eng.Name()+row.suffix, verdict(spoof), verdict(splice), verdict(replay),
+			fmt.Sprintf("%.1f%%", 100*with.OverheadVs(base)), gates)
 	}
 	t.Notes = append(t.Notes,
 		"MAC binds content+address (stops spoof/splice); only versioned freshness stops replay",

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/edu"
 )
 
 func TestE17IntegrityShape(t *testing.T) {
@@ -36,6 +38,26 @@ func TestE17IntegrityShape(t *testing.T) {
 	ovPlain, ovMAC, ovFresh := pct(t, plain[4]), pct(t, mac[4]), pct(t, fresh[4])
 	if !(ovPlain < ovMAC && ovMAC <= ovFresh) {
 		t.Errorf("overheads should be ordered: %v %v %v", ovPlain, ovMAC, ovFresh)
+	}
+	// Labels name the engine and the protection level; gates add the
+	// HMAC tag unit, then the 64Ki-line counter table at 8 bytes a line.
+	gates := func(row []string) int {
+		g, err := strconv.Atoi(row[5])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for i, want := range []string{"xom-aes", "xom-aes+mac", "xom-aes+mac+freshness"} {
+		if tbl.Rows[i][0] != want {
+			t.Errorf("row %d is %q, want %q", i, tbl.Rows[i][0], want)
+		}
+	}
+	if got := gates(mac) - gates(plain); got != edu.MACUnitGates {
+		t.Errorf("MAC row adds %d gates, want the tag unit's %d", got, edu.MACUnitGates)
+	}
+	if got := gates(fresh) - gates(mac); got != (1<<16)*8*edu.SRAMGatesPerByte {
+		t.Errorf("freshness adds %d gates, want the counter table's %d", got, (1<<16)*8*edu.SRAMGatesPerByte)
 	}
 }
 

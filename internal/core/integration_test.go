@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/edu"
-	"repro/internal/edu/integrity"
+	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
 	"repro/internal/sim/trace"
 )
@@ -104,27 +104,36 @@ func TestEverySurveyedEngineZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestIntegrityEngineZeroAllocsPerRef pins the authenticated path at 0
-// allocs/ref: a warmed run allocates the same at 5k and 50k refs at
-// both levels, the one per-run allocation being the wrapper's Name().
-// Reprolint cannot see into crypto/hmac, so this pin is what keeps
-// keyedhash.MAC's tag buffer and the engine's MAC header in struct
-// scratch: either one on the stack allocates once per line.
+// hmacFlat is E17's flat authenticator: HMAC-SHA256 line tags, with
+// on-chip freshness counters when fresh.
+func hmacFlat(t *testing.T, fresh bool) *authtree.Flat {
+	t.Helper()
+	v, err := authtree.NewFlat(authtree.FlatConfig{
+		Key: []byte("pin-key"), HMAC: true, Fresh: fresh, ProtectedLines: 1 << 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestIntegrityEngineZeroAllocsPerRef pins E17's authenticated path
+// (an engine beside an HMAC flat verifier) at 0 allocs/ref at both
+// protection levels: a warmed run allocates nothing at 5k and at 50k
+// refs. Reprolint cannot see into crypto/hmac, so this pin is what
+// keeps keyedhash.MAC's tag buffer and line header in struct scratch:
+// either one on the stack allocates once per line.
 func TestIntegrityEngineZeroAllocsPerRef(t *testing.T) {
-	for _, level := range []integrity.Level{integrity.MACOnly, integrity.MACWithFreshness} {
-		t.Run(level.String(), func(t *testing.T) {
-			inner, err := MustEntry("ds5002").Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := integrity.New(integrity.Config{
-				Inner: inner, MACKey: []byte("pin-key"), Level: level, ProtectedLines: 1 << 14,
-			})
+	for _, level := range []string{"mac", "mac+freshness"} {
+		ver := hmacFlat(t, level == "mac+freshness")
+		t.Run(level, func(t *testing.T) {
+			eng, err := MustEntry("ds5002").Build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := soc.DefaultConfig()
 			cfg.Engine = eng
+			cfg.Verifier = ver
 			s, err := soc.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -137,9 +146,11 @@ func TestIntegrityEngineZeroAllocsPerRef(t *testing.T) {
 				s.Run(src) // warm DRAM pages, tags and counters
 				return testing.AllocsPerRun(2, func() { s.Run(src) })
 			}
-			small, big := allocs(5000), allocs(50000)
-			if small != big || big > 1 {
-				t.Errorf("warmed Run allocated %.1f times at 5k refs and %.1f at 50k, want the same count, at most 1", small, big)
+			if small, big := allocs(5000), allocs(50000); small != 0 || big != 0 {
+				t.Errorf("warmed Run allocated %.1f times at 5k refs and %.1f at 50k, want 0", small, big)
+			}
+			if ver.Verified == 0 || ver.Violations != 0 {
+				t.Errorf("%d verified, %d violations on an untampered run", ver.Verified, ver.Violations)
 			}
 		})
 	}
@@ -228,33 +239,37 @@ func TestGilmontLeavesDataInClear(t *testing.T) {
 	}
 }
 
-// TestIntegrityWrapperComposesWithSurveyEngines: the future-work wrapper
-// must compose with any catalogued engine and keep the system sound.
-func TestIntegrityWrapperComposesWithSurveyEngines(t *testing.T) {
+// TestFlatVerifierComposesWithSurveyEngines: the authenticator is
+// orthogonal to the confidentiality engine, so every catalogued engine
+// beside an HMAC flat-fresh verifier keeps the CPU view intact and
+// fail-stops a spoofed line.
+func TestFlatVerifierComposesWithSurveyEngines(t *testing.T) {
 	img := secretImage()
-	for _, key := range []string{"xom", "aegis", "ds5240"} {
-		inner, err := MustEntry(key).Build()
+	for _, entry := range Survey() {
+		eng, err := entry.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wrapped, err := integrity.New(integrity.Config{
-			Inner: inner, MACKey: []byte("compose-key"),
-			Level: integrity.MACWithFreshness, ProtectedLines: 1 << 14,
-		})
+		ver := hmacFlat(t, true)
+		cfg := soc.DefaultConfig()
+		cfg.Engine = eng
+		cfg.Verifier = ver
+		s, err := soc.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := buildWith(t, wrapped)
+		if err := s.LoadImage(0, img); err != nil {
+			t.Fatal(err)
+		}
 		if got := s.ReadPlain(0, len(img)); !bytes.Equal(got, img) {
-			t.Errorf("%s+integrity: CPU view corrupted", key)
+			t.Errorf("%s+flat-fresh: CPU view corrupted", entry.Key)
 		}
 		// Tamper, then verify fail-stop through the system path.
-		out := attack.Spoof(s, 0x40, bytes.Repeat([]byte{0xAB}, 32))
-		if out.Accepted {
-			t.Errorf("%s+integrity: spoof accepted", key)
+		if out := attack.Spoof(s, 0x40, bytes.Repeat([]byte{0xAB}, 32)); out.Accepted {
+			t.Errorf("%s+flat-fresh: spoof accepted", entry.Key)
 		}
-		if wrapped.Violations == 0 {
-			t.Errorf("%s+integrity: violation not recorded", key)
+		if ver.Violations == 0 {
+			t.Errorf("%s+flat-fresh: violation not recorded", entry.Key)
 		}
 	}
 }

@@ -126,6 +126,25 @@ func TestMACZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("Reset/Write/SumFixed allocated %.1f times per line, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(100, func() { m.TagLine(0x40, 7, line) }); avg != 0 {
+		t.Errorf("TagLine allocated %.1f times per line, want 0", avg)
+	}
+}
+
+// TagLine is the truncated crypto/hmac tag of addr ‖ version ‖ data,
+// and each binding moves it.
+func TestTagLineAgainstStdlib(t *testing.T) {
+	var m MAC
+	m.Init([]byte("tag-key"))
+	line := []byte("genuine firmware line, 32 bytes!")
+	msg := append([]byte{0, 0, 0, 0, 0, 0, 0x12, 0x40, 0, 0, 0, 0, 0, 0, 0, 3}, line...)
+	got := m.TagLine(0x1240, 3, line)
+	if want := stdSum([]byte("tag-key"), msg); !bytes.Equal(got[:], want[:TagBytes]) {
+		t.Fatalf("TagLine = %x, want %x", got, want[:TagBytes])
+	}
+	if m.TagLine(0x1260, 3, line) == got || m.TagLine(0x1240, 4, line) == got {
+		t.Error("tag does not bind the address and the version")
+	}
 }
 
 func TestHMACProperty(t *testing.T) {

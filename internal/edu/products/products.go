@@ -394,9 +394,6 @@ func (v *VLSI) BlockBytes() int { return 1 }
 // it replaces equivalent on-chip memory).
 func (v *VLSI) Gates() int { return VLSIGates }
 
-// PageSize returns the DMA transfer granule in bytes.
-func (v *VLSI) PageSize() int { return 1 << v.pageBits }
-
 // EncryptLine implements edu.Engine.
 func (v *VLSI) EncryptLine(_ uint64, dst, src []byte) { v.c.Encrypt(dst, src) }
 

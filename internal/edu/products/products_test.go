@@ -217,8 +217,8 @@ func TestDS5240IterativeCost(t *testing.T) {
 // decipherment, and the LRU page buffer works.
 func TestVLSIPageBuffer(t *testing.T) {
 	v, _ := NewVLSI(make([]byte, 8), 4096, 2)
-	if v.PageSize() != 4096 {
-		t.Errorf("page size %d", v.PageSize())
+	if 1<<v.pageBits != 4096 {
+		t.Errorf("page size %d", 1<<v.pageBits)
 	}
 	fault := v.ReadExtraCycles(0x0000, 32, 20)
 	if fault == 0 {

@@ -43,15 +43,19 @@ type Verifier interface {
 // SRAMGatesPerByte is the accounting rule every authenticator's Gates
 // figure uses for on-chip SRAM: ~12 gate equivalents per byte (6T
 // bitcells plus decode/sense amortized). The flat freshness counter
-// table of edu/integrity, the node caches of sim/authtree, and any
-// future on-chip store all charge area through this one constant, so
-// the gate columns of E17 and E20 are directly comparable.
+// table and the tree node caches of sim/authtree, and any future
+// on-chip store, all charge area through this one constant, so the gate
+// columns of E17 and E20 are directly comparable.
 const SRAMGatesPerByte = 12
 
 // GHASHUnitGates approximates a pipelined GF(2^128) multiply-
 // accumulate datapath — the Carter–Wegman tag unit of the tree
-// authenticators. Substantially smaller than a full SHA-256 datapath
-// (integrity.MACUnitGates), which is the point of universal hashing on
-// the miss path. The AES block that masks a GMAC tag is not charged
-// here: it is assumed shared with an on-chip AES core.
+// authenticators and the default flat one. Substantially smaller than a
+// full SHA-256 datapath (MACUnitGates), which is the point of universal
+// hashing on the miss path. The AES block that masks a GMAC tag is not
+// charged here: it is assumed shared with an on-chip AES core.
 const GHASHUnitGates = 14_000
+
+// MACUnitGates approximates a keyed-hash (HMAC-SHA256) datapath — the
+// tag unit of the flat authenticator E17 builds.
+const MACUnitGates = 25_000

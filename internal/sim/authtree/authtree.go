@@ -1,9 +1,9 @@
 // Package authtree is the memory-authentication subsystem the survey's
 // future-work section points toward and AEGIS develops: integrity trees
 // over protected DRAM with only the root held on-chip. The flat
-// authenticator of edu/integrity charges O(protected memory) on-chip
-// SRAM for its freshness counters; a tree pays O(1) on-chip (the root
-// plus a bounded node cache) and moves the rest of the structure into
+// authenticator (Flat) charges O(protected memory) on-chip SRAM for
+// its freshness counters; a tree pays O(1) on-chip (the root plus a
+// bounded node cache) and moves the rest of the structure into
 // untrusted external memory, authenticated level by level.
 //
 // Two variants span the design space:
@@ -78,33 +78,37 @@ type Region struct {
 	Base, Bytes uint64
 }
 
+// The fixed tree and tag-unit geometry.
+const (
+	// arity is children per interior node.
+	log2Arity = 3
+	arity     = 1 << log2Arity
+	// tagCycles is the line-tag pipeline tail visible beyond the
+	// transfer, for the trees and the flat authenticators alike.
+	tagCycles = 8
+	// nodeHashCycles is the cost of hashing one interior node (nodes
+	// are smaller than lines).
+	nodeHashCycles = 4
+)
+
 // Config assembles a tree authenticator.
 type Config struct {
 	// Key is the 16-byte AES-128 key of the GMAC node tags.
 	Key []byte
 	// LineBytes is the protected granule — the SoC's cache line size.
 	LineBytes int
-	// Arity is children per interior node; power of two, default 8.
-	Arity int
 	// Regions are the protected DRAM windows (required, non-empty).
 	Regions []Region
 	// NodeCacheBytes is the on-chip node cache SRAM; default 4 KiB.
 	NodeCacheBytes int
 	// Variant selects HashTree or CounterTree.
 	Variant Variant
-	// TagCycles is the leaf-tag (GMAC over a line) pipeline tail
-	// visible beyond the transfer; default 8.
-	TagCycles int
-	// NodeHashCycles is the cost of hashing one interior node;
-	// default 4 (nodes are smaller than lines).
-	NodeHashCycles int
 }
 
 // Tree is one tree authenticator instance. It implements edu.Verifier.
 type Tree struct {
 	cfg        Config
 	key        *ghash.Key
-	log2Arity  uint
 	levels     int    // interior levels; level `levels` is the on-chip root
 	leaves     uint64 // leaf slots across all regions
 	nodeBytes  int
@@ -135,12 +139,6 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		return nil, fmt.Errorf("authtree: line size %d not a positive power of two", cfg.LineBytes)
 	}
-	if cfg.Arity == 0 {
-		cfg.Arity = 8
-	}
-	if cfg.Arity < 2 || cfg.Arity&(cfg.Arity-1) != 0 {
-		return nil, fmt.Errorf("authtree: arity %d not a power of two >= 2", cfg.Arity)
-	}
 	if len(cfg.Regions) == 0 {
 		return nil, fmt.Errorf("authtree: no protected regions")
 	}
@@ -157,12 +155,6 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.NodeCacheBytes < 0 {
 		return nil, fmt.Errorf("authtree: negative node cache size")
 	}
-	if cfg.TagCycles == 0 {
-		cfg.TagCycles = 8
-	}
-	if cfg.NodeHashCycles == 0 {
-		cfg.NodeHashCycles = 4
-	}
 
 	t := &Tree{
 		cfg:     cfg,
@@ -171,12 +163,9 @@ func New(cfg Config) (*Tree, error) {
 		ext:     make(map[uint64]ghash.Tag),
 		trusted: make(map[uint64]ghash.Tag),
 	}
-	for a := cfg.Arity; a > 1; a >>= 1 {
-		t.log2Arity++
-	}
 	// Interior levels until one node covers every leaf; that single
 	// top node is the on-chip root.
-	for n := t.leaves; n > uint64(cfg.Arity); n = (n + uint64(cfg.Arity) - 1) / uint64(cfg.Arity) {
+	for n := t.leaves; n > arity; n = (n + arity - 1) / arity {
 		t.levels++
 	}
 	t.levels++ // the root level itself
@@ -184,12 +173,12 @@ func New(cfg Config) (*Tree, error) {
 	switch cfg.Variant {
 	case CounterTree:
 		// Per-child 8-byte counters plus one 8-byte node tag.
-		t.nodeBytes = 8*cfg.Arity + 8
+		t.nodeBytes = 8*arity + 8
 		t.ver = make(map[uint64]uint64)
 	default:
 		// Full-width (128-bit) interior hashes: collision resistance
 		// lives here.
-		t.nodeBytes = 16 * cfg.Arity
+		t.nodeBytes = 16 * arity
 	}
 	// External node traffic: a first-order row access plus 32-bit bus
 	// beats for the node body (see DESIGN.md §7 for the rationale).
@@ -200,13 +189,6 @@ func New(cfg Config) (*Tree, error) {
 
 // Name implements edu.Verifier.
 func (t *Tree) Name() string { return t.cfg.Variant.String() }
-
-// Levels reports the interior tree depth including the root level —
-// the walk length a cold verification pays.
-func (t *Tree) Levels() int { return t.levels }
-
-// NodeBytes reports one interior node's external footprint.
-func (t *Tree) NodeBytes() int { return t.nodeBytes }
 
 // Gates implements edu.Verifier: the GHASH datapath, the node-cache
 // SRAM, and the root register — on-chip cost is independent of
@@ -250,7 +232,7 @@ func (t *Tree) version(addr uint64) uint64 {
 func (t *Tree) walkVerify(leaf uint64) uint64 {
 	var stall uint64
 	for lvl := 1; lvl < t.levels; lvl++ {
-		key := nodeKey(lvl, leaf>>(uint(lvl)*t.log2Arity))
+		key := nodeKey(lvl, leaf>>(uint(lvl)*log2Arity))
 		if t.cache.probe(key, false) {
 			t.NodeHits++
 			t.m.NodeHits.Inc()
@@ -259,8 +241,8 @@ func (t *Tree) walkVerify(leaf uint64) uint64 {
 		}
 		t.NodeFetches++
 		t.m.NodeFetches.Inc()
-		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), 0, t.fetchCost+uint64(t.cfg.NodeHashCycles))
-		stall += t.fetchCost + uint64(t.cfg.NodeHashCycles)
+		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), 0, t.fetchCost+nodeHashCycles)
+		stall += t.fetchCost + nodeHashCycles
 		if t.cache.insert(key, false) {
 			stall += t.fetchCost // dirty victim written back
 			t.rc.Emit(rec.KindDirtyPropagate, key, uint8(lvl), 0, t.fetchCost)
@@ -276,43 +258,43 @@ func (t *Tree) walkVerify(leaf uint64) uint64 {
 func (t *Tree) walkUpdate(leaf uint64) uint64 {
 	var stall uint64
 	for lvl := 1; lvl < t.levels; lvl++ {
-		key := nodeKey(lvl, leaf>>(uint(lvl)*t.log2Arity))
+		key := nodeKey(lvl, leaf>>(uint(lvl)*log2Arity))
 		if t.cache.probe(key, true) {
 			t.NodeHits++
 			t.m.NodeHits.Inc()
 			t.rc.Emit(rec.KindNodeHit, key, uint8(lvl), rec.FlagUpdate, 0)
-			return stall + uint64(t.cfg.NodeHashCycles)
+			return stall + nodeHashCycles
 		}
 		t.NodeFetches++
 		t.m.NodeFetches.Inc()
-		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), rec.FlagUpdate, t.fetchCost+2*uint64(t.cfg.NodeHashCycles))
-		stall += t.fetchCost + 2*uint64(t.cfg.NodeHashCycles) // verify, then recompute
+		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), rec.FlagUpdate, t.fetchCost+2*nodeHashCycles)
+		stall += t.fetchCost + 2*nodeHashCycles // verify, then recompute
 		if t.cache.insert(key, true) {
 			stall += t.fetchCost
 			t.rc.Emit(rec.KindDirtyPropagate, key, uint8(lvl), rec.FlagUpdate, t.fetchCost)
 		}
 	}
-	return stall + uint64(t.cfg.NodeHashCycles) // root register update
+	return stall + nodeHashCycles // root register update
 }
 
 // VerifyRead implements edu.Verifier. Two comparisons close the three
 // attacks: the recomputed tag against the external store catches
 // spoofing and splicing (content and address binding), and the external
 // store against the root-anchored value catches replay of a stale
-// (line, tag) pair.
+// (line, tag) pair. A line never seen before enrolls only as unwritten
+// DRAM (all zeros), as boot firmware initializing protected memory
+// would leave it; any other content was written around the SoC.
 func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 	leaf, protected := t.leafIndex(addr)
 	if !protected {
 		t.Unprotected++
 		return 0, true
 	}
-	stall := uint64(t.cfg.TagCycles)
+	stall := uint64(tagCycles)
 	want := t.key.TagLine(addr, t.version(addr), ct)
 	t.m.TagComputations.Inc()
 	stored, enrolled := t.ext[addr]
-	if !enrolled {
-		// First sight of a never-written line: enroll it, as boot
-		// firmware initializing protected memory would.
+	if !enrolled && unwritten(ct) {
 		//repro:allow enrollment inserts once per line; steady-state reads never reach here
 		t.ext[addr] = want
 		//repro:allow enrollment inserts once per line; steady-state reads never reach here
@@ -322,7 +304,7 @@ func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 		return stall + t.walkUpdate(leaf), true
 	}
 	stall += t.walkVerify(leaf)
-	if want != stored || stored != t.trusted[addr] {
+	if !enrolled || want != stored || stored != t.trusted[addr] {
 		t.Violations++
 		t.m.Violations.Inc()
 		return stall, false
@@ -349,7 +331,7 @@ func (t *Tree) UpdateWrite(addr uint64, ct []byte) uint64 {
 	t.ext[addr] = tag
 	//repro:allow sparse external tag store; steady-state writes hit existing keys
 	t.trusted[addr] = tag
-	return uint64(t.cfg.TagCycles) + t.walkUpdate(leaf)
+	return tagCycles + t.walkUpdate(leaf)
 }
 
 // TagAt returns the externally stored tag for a line — attacker-
@@ -363,14 +345,15 @@ func (t *Tree) TagAt(addr uint64) ([ghash.TagBytes]byte, bool) {
 // write access to external memory.
 func (t *Tree) TamperTag(addr uint64, tag [ghash.TagBytes]byte) { t.ext[addr] = tag } //repro:allow attack-harness tamper write; per-strike, timing runs never call it
 
-// NodeHitRate reports the fraction of walk terminations served by the
-// node cache.
-func (t *Tree) NodeHitRate() float64 {
-	total := t.NodeHits + t.NodeFetches
-	if total == 0 {
-		return 0
+// unwritten reports whether ct is what DRAM holds before any write:
+// all zeros.
+func unwritten(ct []byte) bool {
+	for _, b := range ct {
+		if b != 0 {
+			return false
+		}
 	}
-	return float64(t.NodeHits) / float64(total)
+	return true
 }
 
 // nodeCache is the on-chip cache of verified tree nodes: 4-way

@@ -42,7 +42,6 @@ func TestConfigValidation(t *testing.T) {
 		{Key: []byte("short"), LineBytes: 32, Regions: testRegions()},
 		{Key: testKey, LineBytes: 33, Regions: testRegions()},
 		{Key: testKey, LineBytes: 32},
-		{Key: testKey, LineBytes: 32, Regions: testRegions(), Arity: 3},
 		{Key: testKey, LineBytes: 32, Regions: []Region{{Base: 7, Bytes: 1024}}},
 	}
 	for i, cfg := range bad {
@@ -50,8 +49,19 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d accepted, want error", i)
 		}
 	}
-	if _, err := NewFlat(FlatConfig{Key: testKey, Fresh: true}); err == nil {
-		t.Error("flat freshness without a table bound accepted")
+	badFlat := []FlatConfig{
+		{Key: testKey, Fresh: true},
+		{Key: []byte("tag-key")},
+		{HMAC: true},
+	}
+	for i, cfg := range badFlat {
+		if _, err := NewFlat(cfg); err == nil {
+			t.Errorf("flat config %d accepted, want error", i)
+		}
+	}
+	// The 16-byte AES key is GMAC's: the HMAC unit takes any length.
+	if _, err := NewFlat(FlatConfig{Key: []byte("tag-key"), HMAC: true}); err != nil {
+		t.Errorf("HMAC flat rejected a 7-byte key: %v", err)
 	}
 }
 
@@ -59,17 +69,17 @@ func TestLevelsAndNodeGeometry(t *testing.T) {
 	tr := mkTree(t, HashTree, 4<<10)
 	// 5 MiB protected at 32 B/line = 160 Ki leaves; arity 8 needs
 	// ceil(log8(160Ki)) = 6 interior levels including the root.
-	if tr.Levels() != 6 {
-		t.Errorf("Levels = %d, want 6", tr.Levels())
+	if tr.levels != 6 {
+		t.Errorf("levels = %d, want 6", tr.levels)
 	}
-	if tr.NodeBytes() != 16*8 {
-		t.Errorf("hash node = %dB, want 128", tr.NodeBytes())
+	if tr.nodeBytes != 16*8 {
+		t.Errorf("hash node = %dB, want 128", tr.nodeBytes)
 	}
 	ct := mkTree(t, CounterTree, 4<<10)
-	if ct.NodeBytes() != 8*8+8 {
-		t.Errorf("counter node = %dB, want 72", ct.NodeBytes())
+	if ct.nodeBytes != 8*8+8 {
+		t.Errorf("counter node = %dB, want 72", ct.nodeBytes)
 	}
-	if ct.NodeBytes() >= tr.NodeBytes() {
+	if ct.nodeBytes >= tr.nodeBytes {
 		t.Error("counter-tree nodes should be smaller than hash-tree nodes")
 	}
 }
@@ -77,13 +87,7 @@ func TestLevelsAndNodeGeometry(t *testing.T) {
 // Legitimate write-then-read must verify, for both variants and both
 // flat schemes.
 func TestRoundTripVerifies(t *testing.T) {
-	verifiers := []edu.Verifier{
-		mkTree(t, HashTree, 4<<10),
-		mkTree(t, CounterTree, 4<<10),
-		mustFlat(t, false),
-		mustFlat(t, true),
-	}
-	for _, v := range verifiers {
+	for _, v := range allVerifiers(t) {
 		ct := line(3)
 		v.UpdateWrite(0x40, ct)
 		if _, ok := v.VerifyRead(0x40, ct); !ok {
@@ -107,26 +111,48 @@ func mustFlat(t *testing.T, fresh bool) *Flat {
 	return f
 }
 
+func mustHMACFlat(t *testing.T, fresh bool) *Flat {
+	t.Helper()
+	f, err := NewFlat(FlatConfig{Key: []byte("tag-key"), Fresh: fresh, ProtectedLines: 1 << 16, HMAC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// allVerifiers returns one fresh instance of every authenticator
+// shape: {hash-tree, counter-tree, flat-mac, flat-fresh} under GMAC,
+// then flat-mac and flat-fresh under HMAC.
+func allVerifiers(t *testing.T) []edu.Verifier {
+	return []edu.Verifier{
+		mkTree(t, HashTree, 4<<10),
+		mkTree(t, CounterTree, 4<<10),
+		mustFlat(t, false),
+		mustFlat(t, true),
+		mustHMACFlat(t, false),
+		mustHMACFlat(t, true),
+	}
+}
+
 // The three attacks at the verifier seam: spoof (content), splice
 // (address), replay (freshness).
 func TestAttackDetection(t *testing.T) {
 	type tamperCase struct {
 		name string
-		// wantDetected[i] is the expectation for
-		// {hash-tree, counter-tree, flat-mac, flat-fresh}.
-		want [4]bool
+		// want[i] is the expectation for allVerifiers()[i].
+		want [6]bool
 		run  func(v edu.Verifier) bool // returns detected
 	}
 	genuine := line(1)
 	other := line(2)
 	cases := []tamperCase{
-		{"spoof", [4]bool{true, true, true, true}, func(v edu.Verifier) bool {
+		{"spoof", [6]bool{true, true, true, true, true, true}, func(v edu.Verifier) bool {
 			v.UpdateWrite(0x40, genuine)
 			junk := line(0xEE)
 			_, ok := v.VerifyRead(0x40, junk)
 			return !ok
 		}},
-		{"splice", [4]bool{true, true, true, true}, func(v edu.Verifier) bool {
+		{"splice", [6]bool{true, true, true, true, true, true}, func(v edu.Verifier) bool {
 			v.UpdateWrite(0x00, genuine)
 			v.UpdateWrite(0x40, other)
 			// Relocate ciphertext AND tag from 0x00 to 0x40.
@@ -140,7 +166,7 @@ func TestAttackDetection(t *testing.T) {
 			_, ok := v.VerifyRead(0x40, genuine) // 0x00's bytes at 0x40
 			return !ok
 		}},
-		{"replay", [4]bool{true, true, false, true}, func(v edu.Verifier) bool {
+		{"replay", [6]bool{true, true, false, true, false, true}, func(v edu.Verifier) bool {
 			v.UpdateWrite(0x40, genuine)
 			ts := v.(interface {
 				TagAt(uint64) ([ghash.TagBytes]byte, bool)
@@ -155,13 +181,7 @@ func TestAttackDetection(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		verifiers := []edu.Verifier{
-			mkTree(t, HashTree, 4<<10),
-			mkTree(t, CounterTree, 4<<10),
-			mustFlat(t, false),
-			mustFlat(t, true),
-		}
-		for i, v := range verifiers {
+		for i, v := range allVerifiers(t) {
 			if got := tc.run(v); got != tc.want[i] {
 				t.Errorf("%s under %s: detected=%v, want %v", tc.name, v.Name(), got, tc.want[i])
 			}
@@ -199,7 +219,7 @@ func TestNodeCacheLocality(t *testing.T) {
 				stall += s
 			}
 		}
-		return stall, tr.NodeHitRate()
+		return stall, float64(tr.NodeHits) / float64(tr.NodeHits+tr.NodeFetches)
 	}
 	smallStall, smallHit := run(512)
 	bigStall, bigHit := run(16 << 10)
@@ -227,8 +247,8 @@ func TestGatesScaling(t *testing.T) {
 	if small.Gates() != big.Gates() {
 		t.Errorf("tree gates vary with protected size: %d vs %d", small.Gates(), big.Gates())
 	}
-	if big.Levels() <= small.Levels() {
-		t.Errorf("levels should grow with protected size: %d vs %d", big.Levels(), small.Levels())
+	if big.levels <= small.levels {
+		t.Errorf("levels should grow with protected size: %d vs %d", big.levels, small.levels)
 	}
 
 	flatSmall, _ := NewFlat(FlatConfig{Key: testKey, Fresh: true, ProtectedLines: (4 << 20) / 32})
@@ -242,6 +262,49 @@ func TestGatesScaling(t *testing.T) {
 	if flatSmall.Gates() != want {
 		t.Errorf("flat-fresh gates = %d, want %d (shared SRAM rule)", flatSmall.Gates(), want)
 	}
+	// The HMAC unit swaps the datapath and keeps the table.
+	hmacFresh, _ := NewFlat(FlatConfig{Key: []byte("k"), Fresh: true, ProtectedLines: (4 << 20) / 32, HMAC: true})
+	if got := hmacFresh.Gates() - flatSmall.Gates(); got != edu.MACUnitGates-edu.GHASHUnitGates {
+		t.Errorf("HMAC flat-fresh gates exceed GMAC's by %d, want %d", got, edu.MACUnitGates-edu.GHASHUnitGates)
+	}
+}
+
+// The flat authenticators charge the tag unit's 8-cycle tail per line
+// under either unit, plus one cycle for the counter-table lookup under
+// freshness, on reads and writes alike.
+func TestFlatTagCycles(t *testing.T) {
+	for _, f := range []*Flat{mustFlat(t, false), mustFlat(t, true), mustHMACFlat(t, false), mustHMACFlat(t, true)} {
+		want := uint64(8)
+		if f.cfg.Fresh {
+			want = 9
+		}
+		if w := f.UpdateWrite(0x40, line(1)); w != want {
+			t.Errorf("%s HMAC=%v: write stall %d, want %d", f.Name(), f.cfg.HMAC, w, want)
+		}
+		if r, _ := f.VerifyRead(0x40, line(1)); r != want {
+			t.Errorf("%s HMAC=%v: read stall %d, want %d", f.Name(), f.cfg.HMAC, r, want)
+		}
+	}
+}
+
+// A line the verifier has never seen enrolls only as unwritten DRAM
+// (all zeros). A strike that lands before the line's first fill leaves
+// other bytes there and must fail, not be enrolled as genuine; the
+// untouched neighbour still enrolls, and a later legitimate write
+// brings the struck line under authentication.
+func TestStrikeBeforeFirstFill(t *testing.T) {
+	for _, v := range allVerifiers(t) {
+		if _, ok := v.VerifyRead(0x40, line(0xEE)); ok {
+			t.Errorf("%s: never-seen line with attacker bytes enrolled", v.Name())
+		}
+		if _, ok := v.VerifyRead(0x60, make([]byte, 32)); !ok {
+			t.Errorf("%s: never-seen unwritten line rejected", v.Name())
+		}
+		v.UpdateWrite(0x40, line(3))
+		if _, ok := v.VerifyRead(0x40, line(3)); !ok {
+			t.Errorf("%s: struck line rejected after a legitimate write", v.Name())
+		}
+	}
 }
 
 // Steady-state verifier operations must not allocate: they sit on the
@@ -251,6 +314,7 @@ func TestVerifierZeroAllocs(t *testing.T) {
 		mkTree(t, HashTree, 1<<10),
 		mkTree(t, CounterTree, 1<<10),
 		mustFlat(t, true),
+		mustHMACFlat(t, true),
 	} {
 		ct := line(1)
 		// Warm every line's tag entry, then measure.

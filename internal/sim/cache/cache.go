@@ -127,9 +127,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns the event counters so far.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters (state stays warm).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ uint64(c.cfg.LineSize-1)

@@ -86,9 +86,6 @@ func NewHierarchy(levels ...*Cache) (*Hierarchy, error) {
 	return &Hierarchy{levels: levels}, nil
 }
 
-// Levels returns the number of composed levels.
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
 // Level returns level i (0 = nearest the CPU).
 func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
 

@@ -134,11 +134,3 @@ func (d *DRAM) ReadInto(addr uint64, dst []byte) {
 // Dump copies out [addr, addr+n): the attacker's memory image, exactly
 // what a parallel-port dump or a desoldered chip read would produce.
 func (d *DRAM) Dump(addr uint64, n int) []byte { return d.Read(addr, n) }
-
-// RowHitRate reports the fraction of accesses that hit the open row.
-func (d *DRAM) RowHitRate() float64 {
-	if d.Accesses == 0 {
-		return 0
-	}
-	return float64(d.RowHits) / float64(d.Accesses)
-}

@@ -47,8 +47,8 @@ func TestRowBufferTiming(t *testing.T) {
 	if third != uint64(cfg.RowMissCycles*cfg.ClockDivider) {
 		t.Errorf("row switch = %d cycles", third)
 	}
-	if d.RowHitRate() != 1.0/3.0 {
-		t.Errorf("row hit rate = %v", d.RowHitRate())
+	if d.RowHits != 1 || d.Accesses != 3 {
+		t.Errorf("row hits = %d of %d accesses, want 1 of 3", d.RowHits, d.Accesses)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestWriteReadProperty(t *testing.T) {
 
 func TestZeroAccessesRate(t *testing.T) {
 	d := mustDRAM(t)
-	if d.RowHitRate() != 0 {
-		t.Error("rate with no accesses should be 0")
+	if d.RowHits != 0 || d.Accesses != 0 {
+		t.Errorf("fresh DRAM counts %d row hits of %d accesses, want none", d.RowHits, d.Accesses)
 	}
 }

@@ -361,9 +361,6 @@ func (s *SoC) Resident(addr uint64) bool {
 // DRAM exposes external memory (the attacker can dump it).
 func (s *SoC) DRAM() *dram.DRAM { return s.dram }
 
-// Engine returns the installed engine.
-func (s *SoC) Engine() edu.Engine { return s.engine }
-
 // Verifier returns the installed memory authenticator (nil if none).
 func (s *SoC) Verifier() edu.Verifier { return s.verifier }
 

@@ -479,8 +479,9 @@ func TestVerifiedMissZeroAllocs(t *testing.T) {
 			}
 			// Sanity, not a tuning claim (the relative big-vs-small
 			// cache comparison lives in the authtree locality test).
-			if tc.nodeCacheBytes >= 64<<10 && ver.NodeHitRate() < 0.2 {
-				t.Errorf("large node cache hit rate %.2f, want >= 0.2", ver.NodeHitRate())
+			hitRate := float64(ver.NodeHits) / float64(ver.NodeHits+ver.NodeFetches)
+			if tc.nodeCacheBytes >= 64<<10 && hitRate < 0.2 {
+				t.Errorf("large node cache hit rate %.2f, want >= 0.2", hitRate)
 			}
 		})
 	}
@@ -771,5 +772,41 @@ func TestInnerPlacementDetectsTamper(t *testing.T) {
 	}
 	if want := []uint64{0, 0x40}; !slices.Equal(intr.violations, want) {
 		t.Errorf("intruder told of violations %#x, want %#x", intr.violations, want)
+	}
+}
+
+// TestStrikeBeforeFirstFillDetected: a protected line no write has
+// reached is trusted only as unwritten (all-zero) DRAM, so a strike
+// that lands before the line's first fill is a violation on that fill,
+// not enrolled as genuine.
+func TestStrikeBeforeFirstFillDetected(t *testing.T) {
+	tree, err := authtree.New(authtree.Config{
+		Key:       []byte("0123456789abcdef"),
+		LineBytes: 32,
+		Regions:   []authtree.Region{{Base: 0, Bytes: 1 << 20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := authtree.NewFlat(authtree.FlatConfig{Key: []byte("0123456789abcdef")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ver := range []edu.Verifier{tree, flat} {
+		cfg := DefaultConfig()
+		cfg.Engine = fixedEngine{block: 16}
+		cfg.Verifier = ver
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.DRAM().Write(0x40, bytes.Repeat([]byte{0xEE}, 32))
+		rep := s.Run(&trace.Trace{Name: "first-fill", Refs: []trace.Ref{
+			{Kind: trace.Load, Addr: 0x40, Size: 4},
+			{Kind: trace.Load, Addr: 0x80, Size: 4}, // unwritten: enrolls
+		}})
+		if rep.AuthViolations != 1 {
+			t.Errorf("%s: %d violations, want 1 (the struck line only)", ver.Name(), rep.AuthViolations)
+		}
 	}
 }
