@@ -1,6 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -348,6 +353,14 @@ func TestE16PageLocalityShape(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata/suite.golden from the suite at this commit")
+
+// TestFullSuiteRuns renders all 22 tables at 10,000 refs and pins their
+// concatenated bytes against testdata/suite.golden, so a change that
+// moves any simulated cycle or result cell fails here. Regenerate
+// deliberately with:
+//
+//	go test ./internal/core -run TestFullSuiteRuns -update
 func TestFullSuiteRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
@@ -363,12 +376,38 @@ func TestFullSuiteRuns(t *testing.T) {
 	if len(tables) != 22 {
 		t.Fatalf("%d tables, want 22", len(tables))
 	}
+	var got bytes.Buffer
 	for _, tbl := range tables {
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s: empty table", tbl.ID)
 		}
-		if tbl.String() == "" {
-			t.Errorf("%s: empty rendering", tbl.ID)
+		got.WriteString(tbl.String())
+	}
+	path := filepath.Join("testdata", "suite.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the golden file)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("suite output drifted from %s (refresh deliberately with -update):\n%s",
+			path, firstDiff(want, got.Bytes()))
+	}
+}
+
+// firstDiff renders the first differing line of got vs want.
+func firstDiff(want, got []byte) string {
+	wl := bytes.Split(want, []byte("\n"))
+	gl := bytes.Split(got, []byte("\n"))
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if !bytes.Equal(wl[i], gl[i]) {
+			return fmt.Sprintf("line %d:\n want: %s\n  got: %s", i+1, wl[i], gl[i])
 		}
 	}
+	return fmt.Sprintf("line counts differ: want %d, got %d", len(wl), len(gl))
 }
