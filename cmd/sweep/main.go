@@ -152,7 +152,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			W:        stderr,
 			Interval: *progressInterval,
 			JSON:     *progressJSON,
-			Unit:     "refs",
 			Sample:   func() obs.ProgressSample { return sampleCampaign(reg) },
 		})
 	}

@@ -45,7 +45,8 @@ func (k TamperKind) String() string {
 	}
 }
 
-// AllKinds is the default strike rotation.
+// AllKinds is the strike rotation: a schedule cycles through it in
+// order, one kind per strike slot.
 var AllKinds = []TamperKind{KindSpoof, KindSplice, KindReplay}
 
 // ScheduleConfig parameterizes an attack schedule.
@@ -56,8 +57,6 @@ type ScheduleConfig struct {
 	// PerTenK is the strike rate in tampers per 10,000 references;
 	// 0 disables the schedule.
 	PerTenK float64
-	// Kinds is the strike rotation; default AllKinds.
-	Kinds []TamperKind
 	// LineBytes is the target granule; default 32.
 	LineBytes int
 }
@@ -118,9 +117,6 @@ type pendingTamper struct {
 // NewSchedule builds a schedule; a zero rate yields a schedule that
 // never strikes (harmless to install).
 func NewSchedule(cfg ScheduleConfig) *Schedule {
-	if len(cfg.Kinds) == 0 {
-		cfg.Kinds = AllKinds
-	}
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = 32
 	}
@@ -152,12 +148,12 @@ func (sc *Schedule) Strike(refIndex uint64, ref trace.Ref, s *soc.SoC) {
 		return
 	}
 	sc.nextAt += sc.interval
-	kind := sc.cfg.Kinds[sc.kindIdx%len(sc.cfg.Kinds)]
+	kind := AllKinds[sc.kindIdx%len(AllKinds)]
 	sc.kindIdx++
 
 	switch kind {
 	case KindSpoof:
-		addr, ok := sc.pickTarget(s, la)
+		addr, ok := sc.pickTarget(s)
 		if !ok {
 			return
 		}
@@ -170,7 +166,7 @@ func (sc *Schedule) Strike(refIndex uint64, ref trace.Ref, s *soc.SoC) {
 		if !ok1 {
 			src, ok1 = sc.dataSeen.pick(sc.rng)
 		}
-		dst, ok2 := sc.pickTarget(s, la)
+		dst, ok2 := sc.pickTarget(s)
 		if !ok1 || !ok2 || src == dst {
 			return
 		}
@@ -233,7 +229,7 @@ func (sc *Schedule) Strike(refIndex uint64, ref trace.Ref, s *soc.SoC) {
 // does not currently hold on-chip — a probe attacker sees fills and
 // evictions, so it knows tampering a resident line is wasted effort
 // (either served from cache untested, or overwritten by the writeback).
-func (sc *Schedule) pickTarget(s *soc.SoC, curLine uint64) (uint64, bool) {
+func (sc *Schedule) pickTarget(s *soc.SoC) (uint64, bool) {
 	for tries := 0; tries < 16; tries++ {
 		addr, ok := sc.dataSeen.pick(sc.rng)
 		if !ok {
@@ -241,14 +237,6 @@ func (sc *Schedule) pickTarget(s *soc.SoC, curLine uint64) (uint64, bool) {
 		}
 		if !ok {
 			return 0, false
-		}
-		if addr == curLine {
-			// The line of the reference processed right after this
-			// strike. The skip dates from when a never-filled line
-			// enrolled whatever DRAM held, laundering the tamper; the
-			// verifiers now refuse such a line. Dropping the skip
-			// changes the draw sequence whenever a pick lands here.
-			continue
 		}
 		if _, tampered := sc.pending[addr]; tampered {
 			continue // already owned; re-tampering adds nothing

@@ -68,7 +68,7 @@ func E2StreamVsBlock(refs int) (*Table, error) {
 		Header:     []string{"engine", "workload", "overhead"},
 	}
 	padSrc := stream.NewPadSource(stream.NewGeffe(0x51EA), 0x51EA, 32)
-	streamEng, err := streamengine.New(streamengine.Config{Pads: padSrc, KeystreamCyclesPerByte: 1, Gates: 6000})
+	streamEng, err := streamengine.New(streamengine.Config{Pads: padSrc, Gates: 6000})
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func E4ECBLeakage() (*Table, error) {
 		return nil, err
 	}
 	padSrc := stream.NewPadSource(stream.NewGeffe(0xE4), 0xE4, 32)
-	streamEng, err := streamengine.New(streamengine.Config{Pads: padSrc, KeystreamCyclesPerByte: 1})
+	streamEng, err := streamengine.New(streamengine.Config{Pads: padSrc})
 	if err != nil {
 		return nil, err
 	}
@@ -530,14 +530,11 @@ func E11CacheSide(refs int) (*Table, error) {
 	cfg := soc.DefaultConfig()
 	mk7a := func() (edu.Engine, error) {
 		pads := stream.NewPadSource(stream.NewGeffe(0x7A), 0x7A, cfg.Cache.LineSize)
-		return streamengine.New(streamengine.Config{Pads: pads, KeystreamCyclesPerByte: 1, Gates: 6000})
+		return streamengine.New(streamengine.Config{Pads: pads, Gates: 6000})
 	}
 	mk7b := func() (edu.Engine, error) {
 		pads := stream.NewPadSource(stream.NewGeffe(0x7B), 0x7B, cfg.Cache.LineSize)
-		return cacheside.New(cacheside.Config{
-			Pads: pads, CacheAccessPenalty: 1, CacheBytes: cfg.Cache.Size,
-			KeystreamCyclesPerByte: 1, GeneratorGates: 6000,
-		})
+		return cacheside.New(cacheside.Config{Pads: pads, CacheBytes: cfg.Cache.Size})
 	}
 	// The system, not the engine, decides where the unit sits.
 	units := []struct {

@@ -176,7 +176,7 @@ func E19KeyManagement(refs int) (*Table, error) {
 	mkMulti := func() (*multikey.Engine, error) {
 		regions := make([]multikey.Region, procs)
 		for p := 0; p < procs; p++ {
-			base, limit := trace.MultiProcessConfig{}.ProcessRegion(p)
+			base, limit := trace.ProcessRegion(p)
 			inner, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, uint64(p+1))
 			if err != nil {
 				return nil, err
@@ -236,8 +236,8 @@ func E19KeyManagement(refs int) (*Table, error) {
 	line := make([]byte, 32)
 	ctA := make([]byte, 32)
 	ctB := make([]byte, 32)
-	b1, _ := trace.MultiProcessConfig{}.ProcessRegion(0)
-	b2, _ := trace.MultiProcessConfig{}.ProcessRegion(1)
+	b1, _ := trace.ProcessRegion(0)
+	b2, _ := trace.ProcessRegion(1)
 	multi.EncryptLine(b1+0x40, ctA, line)
 	multi.EncryptLine(b2+0x40, ctB, line)
 	isolated := !bytes.Equal(ctA, ctB)

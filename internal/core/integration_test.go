@@ -138,19 +138,20 @@ func TestIntegrityEngineZeroAllocsPerRef(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var rep soc.Report
 			allocs := func(refs int) float64 {
 				src := trace.SequentialSource(trace.Config{
 					Refs: refs, Seed: 1, LoadFraction: 0.35, WriteFraction: 0.3,
 					JumpRate: 0.03, Locality: 0.7,
 				})
-				s.Run(src) // warm DRAM pages, tags and counters
+				rep = s.Run(src) // warm DRAM pages, tags and counters
 				return testing.AllocsPerRun(2, func() { s.Run(src) })
 			}
 			if small, big := allocs(5000), allocs(50000); small != 0 || big != 0 {
 				t.Errorf("warmed Run allocated %.1f times at 5k refs and %.1f at 50k, want 0", small, big)
 			}
-			if ver.Verified == 0 || ver.Violations != 0 {
-				t.Errorf("%d verified, %d violations on an untampered run", ver.Verified, ver.Violations)
+			if rep.AuthStalls == 0 || rep.AuthViolations != 0 {
+				t.Errorf("%d auth stall cycles, %d violations on an untampered run", rep.AuthStalls, rep.AuthViolations)
 			}
 		})
 	}
@@ -268,8 +269,8 @@ func TestFlatVerifierComposesWithSurveyEngines(t *testing.T) {
 		if out := attack.Spoof(s, 0x40, bytes.Repeat([]byte{0xAB}, 32)); out.Accepted {
 			t.Errorf("%s+flat-fresh: spoof accepted", entry.Key)
 		}
-		if ver.Violations == 0 {
-			t.Errorf("%s+flat-fresh: violation not recorded", entry.Key)
+		if _, ok := ver.VerifyRead(0x40, s.DRAM().Dump(0x40, 32)); ok {
+			t.Errorf("%s+flat-fresh: spoofed line verifies", entry.Key)
 		}
 	}
 }

@@ -17,29 +17,29 @@ import (
 
 // Config assembles a cache-side engine.
 type Config struct {
-	// Name labels the engine.
-	Name string
 	// Pads supplies the keystream; the deciphering key stream for a line
 	// must be reproducible, so it is address-seeded like the Fig. 7a
 	// stream engine — but here a copy is also held in on-chip RAM.
 	Pads *stream.PadSource
-	// CacheAccessPenalty is the extra CPU cycles added to EVERY cache
-	// access by the in-path XOR and keystream lookup (≥1: "modifying the
-	// cache access time directly impacts the system performance").
-	CacheAccessPenalty int
 	// CacheBytes is the cache capacity; the keystream store must match
 	// it, and its area is what makes the scheme "unaffordable".
 	CacheBytes int
-	// KeystreamCyclesPerByte is the generator rate for refilling the
-	// keystream store on a miss.
-	KeystreamCyclesPerByte int
-	// GeneratorGates is the keystream generator's own area.
-	GeneratorGates int
 }
 
-// GatesPerKeystreamByte approximates on-chip SRAM cost in gate
-// equivalents per byte (6T cells plus decode/sense overhead).
-const GatesPerKeystreamByte = 12
+const (
+	// cacheAccessPenalty is the extra CPU cycles added to EVERY cache
+	// access by the in-path XOR and keystream lookup ("modifying the
+	// cache access time directly impacts the system performance").
+	cacheAccessPenalty = 1
+	// keystreamCyclesPerByte is the generator rate for refilling the
+	// keystream store on a miss.
+	keystreamCyclesPerByte = 1
+	// generatorGates is the keystream generator's own area.
+	generatorGates = 6000
+	// GatesPerKeystreamByte approximates on-chip SRAM cost in gate
+	// equivalents per byte (6T cells plus decode/sense overhead).
+	GatesPerKeystreamByte = 12
+)
 
 // Engine is a configured Figure 7b EDU.
 type Engine struct {
@@ -52,21 +52,14 @@ func New(cfg Config) (*Engine, error) {
 	switch {
 	case cfg.Pads == nil:
 		return nil, fmt.Errorf("cacheside: nil pad source")
-	case cfg.CacheAccessPenalty < 1:
-		return nil, fmt.Errorf("cacheside: access penalty must be >= 1 (the unit is on the cache path)")
 	case cfg.CacheBytes <= 0:
 		return nil, fmt.Errorf("cacheside: cache size must be positive")
-	case cfg.KeystreamCyclesPerByte <= 0:
-		return nil, fmt.Errorf("cacheside: non-positive keystream rate")
-	}
-	if cfg.Name == "" {
-		cfg.Name = "cpu<->cache stream"
 	}
 	return &Engine{cfg: cfg, pad: make([]byte, cfg.Pads.LineSize())}, nil
 }
 
 // Name implements edu.Engine.
-func (e *Engine) Name() string { return e.cfg.Name }
+func (e *Engine) Name() string { return "cpu<->cache stream" }
 
 // BlockBytes implements edu.Engine.
 func (e *Engine) BlockBytes() int { return 1 }
@@ -75,7 +68,7 @@ func (e *Engine) BlockBytes() int { return 1 }
 // memory — "to add an on-chip memory equivalent to the cache memory in
 // term of size" — which dominates.
 func (e *Engine) Gates() int {
-	return e.cfg.GeneratorGates + e.cfg.CacheBytes*GatesPerKeystreamByte
+	return generatorGates + e.cfg.CacheBytes*GatesPerKeystreamByte
 }
 
 // EncryptLine / DecryptLine: the cache stores ciphertext, and that same
@@ -105,14 +98,14 @@ func (e *Engine) xor(addr uint64, dst, src []byte) {
 
 // PerAccessCycles implements edu.Engine: the defining cost of this
 // placement — every hit pays it too.
-func (e *Engine) PerAccessCycles() uint64 { return uint64(e.cfg.CacheAccessPenalty) }
+func (e *Engine) PerAccessCycles() uint64 { return cacheAccessPenalty }
 
 // ReadExtraCycles implements edu.Engine: on a miss the keystream for the
 // incoming line must be generated (and parked in the keystream store)
 // within the external fetch window; only the shortfall stalls. This is
 // §4's constraint verbatim.
 func (e *Engine) ReadExtraCycles(_ uint64, lineBytes int, transferCycles uint64) uint64 {
-	ks := uint64(lineBytes * e.cfg.KeystreamCyclesPerByte)
+	ks := uint64(lineBytes * keystreamCyclesPerByte)
 	if ks > transferCycles {
 		return ks - transferCycles
 	}

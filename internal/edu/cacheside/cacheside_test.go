@@ -11,13 +11,7 @@ import (
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
 	pads := stream.NewPadSource(stream.NewGeffe(0), 0xcafe, 32)
-	e, err := New(Config{
-		Pads:                   pads,
-		CacheAccessPenalty:     1,
-		CacheBytes:             16 << 10,
-		KeystreamCyclesPerByte: 1,
-		GeneratorGates:         6000,
-	})
+	e, err := New(Config{Pads: pads, CacheBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,9 +22,7 @@ func TestValidation(t *testing.T) {
 	pads := stream.NewPadSource(stream.NewLFSR(0), 1, 32)
 	cases := []Config{
 		{},
-		{Pads: pads, CacheAccessPenalty: 0, CacheBytes: 1024, KeystreamCyclesPerByte: 1},
-		{Pads: pads, CacheAccessPenalty: 1, CacheBytes: 0, KeystreamCyclesPerByte: 1},
-		{Pads: pads, CacheAccessPenalty: 1, CacheBytes: 1024, KeystreamCyclesPerByte: 0},
+		{Pads: pads, CacheBytes: 0},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -41,7 +33,7 @@ func TestValidation(t *testing.T) {
 
 func TestIdentity(t *testing.T) {
 	e := newEngine(t)
-	if e.Name() == "" || e.BlockBytes() != 1 || e.NeedsRMW(1) {
+	if e.Name() != "cpu<->cache stream" || e.BlockBytes() != 1 || e.NeedsRMW(1) {
 		t.Error("identity wrong")
 	}
 }

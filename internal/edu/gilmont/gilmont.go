@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/internal/crypto/des"
-	"repro/internal/edu"
 )
 
 // Config assembles a Gilmont engine.
@@ -29,15 +28,19 @@ type Config struct {
 	// (enciphered, predicted); addresses at or above it are data and
 	// pass through in clear, per the static-code-only design.
 	CodeLimit uint64
-	// Timing is the pipelined 3-DES core (48 Feistel stages; the paper's
-	// pipeline runs one round per stage).
-	Timing edu.PipelineTiming
-	// PredictedCost is the residual cycles on a correct prediction (the
-	// handoff from the prediction buffer; ~1).
-	PredictedCost int
 	// Gates is the area estimate.
 	Gates int
 }
+
+const (
+	// pipelineLatency is the fully pipelined 3-DES core's depth: 48
+	// Feistel stages (the paper's pipeline runs one round per stage),
+	// issuing one block per cycle.
+	pipelineLatency = 3 * des.Rounds
+	// predictedCost is the residual cycles on a correct prediction: the
+	// handoff from the prediction buffer.
+	predictedCost = 1
+)
 
 // Engine is a configured Gilmont unit.
 type Engine struct {
@@ -50,8 +53,7 @@ type Engine struct {
 	Hits, Misses uint64 // prediction hits/misses on enciphered fills
 }
 
-// New builds the engine. A zero Timing defaults to the fully pipelined
-// 48-stage core (latency 48, II 1); PredictedCost defaults to 1.
+// New builds the engine.
 func New(cfg Config) (*Engine, error) {
 	t, err := des.NewTriple(cfg.Key)
 	if err != nil {
@@ -59,15 +61,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.CodeLimit == 0 {
 		return nil, fmt.Errorf("gilmont: zero code limit would cipher nothing")
-	}
-	if cfg.Timing.Latency == 0 {
-		cfg.Timing = edu.PipelineTiming{Latency: 3 * des.Rounds, II: 1}
-	}
-	if cfg.Timing.Latency <= 0 || cfg.Timing.II <= 0 {
-		return nil, fmt.Errorf("gilmont: bad timing %+v", cfg.Timing)
-	}
-	if cfg.PredictedCost == 0 {
-		cfg.PredictedCost = 1
 	}
 	return &Engine{cfg: cfg, tdes: t}, nil
 }
@@ -122,13 +115,13 @@ func (e *Engine) ReadExtraCycles(addr uint64, lineBytes int, transferCycles uint
 	e.hasPred = true
 	if predictedHit {
 		e.Hits++
-		return uint64(e.cfg.PredictedCost)
+		return predictedCost
 	}
 	e.Misses++
 	// Mispredicted (or first) fill: the line streams through the
 	// pipelined core as it arrives; the CPU waits for the critical
 	// first block's pipeline fill.
-	return uint64(e.cfg.Timing.Latency)
+	return pipelineLatency
 }
 
 // WriteExtraCycles implements edu.Engine: static code is never written
@@ -138,7 +131,7 @@ func (e *Engine) WriteExtraCycles(addr uint64, lineBytes int) uint64 {
 		return 0
 	}
 	blocks := (lineBytes + des.BlockSize - 1) / des.BlockSize
-	return uint64(e.cfg.Timing.Latency + (blocks-1)*e.cfg.Timing.II)
+	return uint64(pipelineLatency + blocks - 1)
 }
 
 // NeedsRMW implements edu.Engine: the design "is not confronted to

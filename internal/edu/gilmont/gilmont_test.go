@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"repro/internal/edu"
 )
 
 const codeLimit = 1 << 20
@@ -26,15 +24,14 @@ func TestValidation(t *testing.T) {
 	if _, err := New(Config{Key: make([]byte, 24), CodeLimit: 0}); err == nil {
 		t.Error("zero code limit accepted")
 	}
-	if _, err := New(Config{Key: make([]byte, 24), CodeLimit: 1, Timing: edu.PipelineTiming{Latency: 4, II: 0}}); err == nil {
-		t.Error("bad timing accepted")
-	}
 }
 
+// The fixed core: a fully pipelined 48-stage 3-DES, so one block drains
+// in 48 cycles.
 func TestDefaults(t *testing.T) {
 	e := newEngine(t)
-	if e.cfg.Timing.Latency != 48 || e.cfg.Timing.II != 1 {
-		t.Errorf("default timing %+v, want 48/1 pipelined 3-DES", e.cfg.Timing)
+	if got := e.WriteExtraCycles(0, 8); got != 48 {
+		t.Errorf("one-block code write = %d cycles, want 48 (pipelined 3-DES)", got)
 	}
 	if e.Name() != "gilmont-3des" || e.BlockBytes() != 8 {
 		t.Error("identity wrong")
@@ -104,8 +101,10 @@ func TestDataReadsFree(t *testing.T) {
 	if e.WriteExtraCycles(codeLimit+64, 32) != 0 {
 		t.Error("data write should cost nothing")
 	}
-	if e.WriteExtraCycles(0, 32) == 0 {
-		t.Error("code write (install path) should cost")
+	// A 32-byte code line is four 3-DES blocks through the 48-stage
+	// pipeline, one issued per cycle.
+	if got := e.WriteExtraCycles(0, 32); got != 48+3 {
+		t.Errorf("code write (install path) extra = %d, want 51", got)
 	}
 }
 

@@ -95,8 +95,6 @@ type GeneralInstrument struct {
 	// chain state: last line address fetched, to detect random access
 	lastLine uint64
 	haveLast bool
-	// Stats
-	SequentialFills, RandomFills uint64
 }
 
 // NewGeneralInstrument builds the engine from a 3-DES key (16/24 bytes)
@@ -147,10 +145,7 @@ func (g *GeneralInstrument) ReadExtraCycles(addr uint64, lineBytes int, transfer
 	cost := uint64(blocks * g.timing.Latency)
 	sequential := g.haveLast && addr == g.lastLine+uint64(lineBytes)
 	g.lastLine, g.haveLast = addr, true
-	if sequential {
-		g.SequentialFills++
-	} else {
-		g.RandomFills++
+	if !sequential {
 		// Chain restart: fetch + decipher the predecessor block.
 		cost += uint64(g.timing.Latency) + transferCycles/uint64(blocks)
 	}

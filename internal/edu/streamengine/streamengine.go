@@ -18,16 +18,14 @@ import (
 	"repro/internal/crypto/stream"
 )
 
+// keystreamCyclesPerByte is the generator's production rate in CPU
+// cycles per keystream byte: an LFSR bank emitting 8 bits per cycle.
+const keystreamCyclesPerByte = 1
+
 // Config assembles a stream engine.
 type Config struct {
-	// Name labels the engine in reports.
-	Name string
 	// Pads supplies address-indexed keystream pads.
 	Pads *stream.PadSource
-	// KeystreamCyclesPerByte is the generator's production rate in CPU
-	// cycles per keystream byte (an LFSR bank emitting 8 bits/cycle ≈ 1;
-	// a slow generator > 1 starts eating into the overlap).
-	KeystreamCyclesPerByte int
 	// Gates is the area estimate.
 	Gates int
 }
@@ -43,17 +41,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Pads == nil {
 		return nil, fmt.Errorf("streamengine: nil pad source")
 	}
-	if cfg.KeystreamCyclesPerByte <= 0 {
-		return nil, fmt.Errorf("streamengine: non-positive keystream rate")
-	}
-	if cfg.Name == "" {
-		cfg.Name = "stream"
-	}
 	return &Engine{cfg: cfg, pad: make([]byte, cfg.Pads.LineSize())}, nil
 }
 
 // Name implements edu.Engine.
-func (e *Engine) Name() string { return e.cfg.Name }
+func (e *Engine) Name() string { return "stream" }
 
 // BlockBytes implements edu.Engine: XOR is byte-granular, no RMW ever.
 func (e *Engine) BlockBytes() int { return 1 }
@@ -86,11 +78,6 @@ func (e *Engine) xor(addr uint64, dst, src []byte) {
 // PerAccessCycles implements edu.Engine.
 func (e *Engine) PerAccessCycles() uint64 { return 0 }
 
-// keystreamCycles is the time to produce a pad for n bytes.
-func (e *Engine) keystreamCycles(n int) uint64 {
-	return uint64(n * e.cfg.KeystreamCyclesPerByte)
-}
-
 // ReadExtraCycles implements edu.Engine: generation starts when the
 // address is issued and runs concurrently with the external fetch. The
 // survey's §4 constraint — "the time to create the key stream
@@ -98,7 +85,7 @@ func (e *Engine) keystreamCycles(n int) uint64 {
 // external memory data fetch otherwise it again implies important
 // performance loss" — is exactly this max(0, ks − fetch) term.
 func (e *Engine) ReadExtraCycles(_ uint64, lineBytes int, transferCycles uint64) uint64 {
-	ks := e.keystreamCycles(lineBytes)
+	ks := uint64(lineBytes * keystreamCyclesPerByte)
 	if ks > transferCycles {
 		return ks - transferCycles + 1
 	}

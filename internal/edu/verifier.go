@@ -32,7 +32,7 @@ type Verifier interface {
 	// VerifyRead authenticates the inbound ciphertext line at the
 	// line-aligned addr. ok=false is a detected tamper: the SoC
 	// responds fail-stop (zeroes the line, counts the violation,
-	// charges Config.ViolationCycles).
+	// charges the violation trap).
 	VerifyRead(addr uint64, ct []byte) (stall uint64, ok bool)
 	// UpdateWrite absorbs an outbound ciphertext line at the
 	// line-aligned addr: recompute its tag, bump freshness state, and

@@ -8,8 +8,12 @@ import (
 	"time"
 )
 
+// progressUnit names the work unit Done/Total count: simulated
+// references.
+const progressUnit = "refs"
+
 // ProgressSample is one reading of the quantity a Progress reporter
-// tracks. Done/Total are work units (references, for the sweep);
+// tracks. Done/Total are work units (progressUnit);
 // Total 0 means the goal is unknown and percent/ETA are omitted.
 // TasksDone/TasksTotal are the coarser task-level view (0/0 to omit),
 // and Note is free-form trailing context (memo hits, busy workers).
@@ -28,8 +32,6 @@ type ProgressConfig struct {
 	Interval time.Duration
 	// JSON switches from the human line to one JSON object per line.
 	JSON bool
-	// Unit names the work unit in human lines (default "refs").
-	Unit string
 	// Sample is polled at each tick. It must be safe to call from the
 	// reporter's goroutine — reading obs counters qualifies.
 	Sample func() ProgressSample
@@ -56,9 +58,6 @@ type Progress struct {
 func StartProgress(cfg ProgressConfig) *Progress {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.Unit == "" {
-		cfg.Unit = "refs"
 	}
 	now := time.Now()
 	p := &Progress{
@@ -136,7 +135,7 @@ func (p *Progress) emit(final bool) {
 	if p.cfg.JSON {
 		line := progressLine{
 			ElapsedS: round2(elapsed), Done: s.Done, Total: s.Total,
-			Unit: p.cfg.Unit, RatePerSec: round2(instRate), EtaS: round2(eta),
+			Unit: progressUnit, RatePerSec: round2(instRate), EtaS: round2(eta),
 			TasksDone: s.TasksDone, TasksTotal: s.TasksTotal,
 			Note: s.Note, Final: final,
 		}
@@ -156,11 +155,11 @@ func (p *Progress) emit(final bool) {
 		b = append(b, siCount(s.Total)...)
 	}
 	b = append(b, ' ')
-	b = append(b, p.cfg.Unit...)
+	b = append(b, progressUnit...)
 	if s.Total > 0 {
 		b = append(b, fmt.Sprintf(" (%.1f%%)", 100*float64(s.Done)/float64(s.Total))...)
 	}
-	b = append(b, fmt.Sprintf("  %s %s/s", siCount(uint64(instRate)), p.cfg.Unit)...)
+	b = append(b, fmt.Sprintf("  %s %s/s", siCount(uint64(instRate)), progressUnit)...)
 	if eta > 0 && !final {
 		b = append(b, fmt.Sprintf("  eta %s", time.Duration(eta*float64(time.Second)).Round(time.Second))...)
 	}

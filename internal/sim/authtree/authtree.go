@@ -72,8 +72,8 @@ func (v Variant) String() string {
 
 // Region is one protected window of the physical address space.
 // Regions map contiguously into the tree's leaf index space in slice
-// order; accesses outside every region bypass authentication (and are
-// counted — unprotected traffic should be a deliberate choice).
+// order; accesses outside every region bypass authentication
+// (unprotected traffic should be a deliberate choice).
 type Region struct {
 	Base, Bytes uint64
 }
@@ -107,23 +107,16 @@ type Config struct {
 
 // Tree is one tree authenticator instance. It implements edu.Verifier.
 type Tree struct {
-	cfg        Config
-	key        *ghash.Key
-	levels     int    // interior levels; level `levels` is the on-chip root
-	leaves     uint64 // leaf slots across all regions
-	nodeBytes  int
-	fetchCost  uint64 // external node fetch/writeback, CPU cycles
-	cache      nodeCache
-	ext        map[uint64]ghash.Tag // external per-line tag store (tamperable)
-	trusted    map[uint64]ghash.Tag // root-anchored ground truth
-	ver        map[uint64]uint64    // per-line counters (CounterTree)
-	Verified   uint64               // successful line verifications
-	Violations uint64               // detected tampers
-	// Unprotected counts reads/writes outside every protected region.
-	Unprotected uint64
-	// NodeHits / NodeFetches split verification walks by node-cache
-	// outcome: the locality the node cache exists to exploit.
-	NodeHits, NodeFetches uint64
+	cfg       Config
+	key       *ghash.Key
+	levels    int    // interior levels; level `levels` is the on-chip root
+	leaves    uint64 // leaf slots across all regions
+	nodeBytes int
+	fetchCost uint64 // external node fetch/writeback, CPU cycles
+	cache     nodeCache
+	ext       map[uint64]ghash.Tag // external per-line tag store (tamperable)
+	trusted   map[uint64]ghash.Tag // root-anchored ground truth
+	ver       map[uint64]uint64    // per-line counters (CounterTree)
 	// m is the live metrics bundle (zero value = publish nowhere).
 	m Metrics
 	// rc is the flight recorder (nil = no-op): walks emit per-node
@@ -234,12 +227,10 @@ func (t *Tree) walkVerify(leaf uint64) uint64 {
 	for lvl := 1; lvl < t.levels; lvl++ {
 		key := nodeKey(lvl, leaf>>(uint(lvl)*log2Arity))
 		if t.cache.probe(key, false) {
-			t.NodeHits++
 			t.m.NodeHits.Inc()
 			t.rc.Emit(rec.KindNodeHit, key, uint8(lvl), 0, 0)
 			return stall + 1
 		}
-		t.NodeFetches++
 		t.m.NodeFetches.Inc()
 		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), 0, t.fetchCost+nodeHashCycles)
 		stall += t.fetchCost + nodeHashCycles
@@ -260,12 +251,10 @@ func (t *Tree) walkUpdate(leaf uint64) uint64 {
 	for lvl := 1; lvl < t.levels; lvl++ {
 		key := nodeKey(lvl, leaf>>(uint(lvl)*log2Arity))
 		if t.cache.probe(key, true) {
-			t.NodeHits++
 			t.m.NodeHits.Inc()
 			t.rc.Emit(rec.KindNodeHit, key, uint8(lvl), rec.FlagUpdate, 0)
 			return stall + nodeHashCycles
 		}
-		t.NodeFetches++
 		t.m.NodeFetches.Inc()
 		t.rc.Emit(rec.KindNodeFetch, key, uint8(lvl), rec.FlagUpdate, t.fetchCost+2*nodeHashCycles)
 		stall += t.fetchCost + 2*nodeHashCycles // verify, then recompute
@@ -287,7 +276,6 @@ func (t *Tree) walkUpdate(leaf uint64) uint64 {
 func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 	leaf, protected := t.leafIndex(addr)
 	if !protected {
-		t.Unprotected++
 		return 0, true
 	}
 	stall := uint64(tagCycles)
@@ -299,17 +287,14 @@ func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 		t.ext[addr] = want
 		//repro:allow enrollment inserts once per line; steady-state reads never reach here
 		t.trusted[addr] = want
-		t.Verified++
 		t.m.Verified.Inc()
 		return stall + t.walkUpdate(leaf), true
 	}
 	stall += t.walkVerify(leaf)
 	if !enrolled || want != stored || stored != t.trusted[addr] {
-		t.Violations++
 		t.m.Violations.Inc()
 		return stall, false
 	}
-	t.Verified++
 	t.m.Verified.Inc()
 	return stall, true
 }
@@ -319,7 +304,6 @@ func (t *Tree) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 func (t *Tree) UpdateWrite(addr uint64, ct []byte) uint64 {
 	leaf, protected := t.leafIndex(addr)
 	if !protected {
-		t.Unprotected++
 		return 0
 	}
 	if t.ver != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/crypto/ghash"
 	"repro/internal/edu"
+	"repro/internal/obs"
 )
 
 var testKey = []byte("0123456789abcdef")
@@ -189,15 +190,15 @@ func TestAttackDetection(t *testing.T) {
 	}
 }
 
-// Unprotected addresses bypass verification (counted, free, accepted).
+// Unprotected addresses bypass verification (free, accepted).
 func TestUnprotectedBypass(t *testing.T) {
 	tr := mkTree(t, HashTree, 4<<10)
 	stall, ok := tr.VerifyRead(0x9000_0000, line(5))
 	if !ok || stall != 0 {
 		t.Fatalf("unprotected read: stall=%d ok=%v, want 0,true", stall, ok)
 	}
-	if tr.Unprotected != 1 {
-		t.Fatalf("Unprotected = %d, want 1", tr.Unprotected)
+	if stall := tr.UpdateWrite(0x9000_0000, line(5)); stall != 0 {
+		t.Fatalf("unprotected write: stall=%d, want 0", stall)
 	}
 }
 
@@ -206,6 +207,8 @@ func TestUnprotectedBypass(t *testing.T) {
 func TestNodeCacheLocality(t *testing.T) {
 	run := func(nodeCacheBytes int) (stall uint64, hitRate float64) {
 		tr := mkTree(t, HashTree, nodeCacheBytes)
+		reg := obs.NewRegistry()
+		tr.SetMetrics(NewMetrics(reg))
 		rng := rand.New(rand.NewSource(7))
 		ct := line(1)
 		// A looping working set of 512 lines (16 KiB): tree locality a
@@ -219,7 +222,8 @@ func TestNodeCacheLocality(t *testing.T) {
 				stall += s
 			}
 		}
-		return stall, float64(tr.NodeHits) / float64(tr.NodeHits+tr.NodeFetches)
+		hits, fetches := reg.Counter("authtree.node_hits").Load(), reg.Counter("authtree.node_fetches").Load()
+		return stall, float64(hits) / float64(hits+fetches)
 	}
 	smallStall, smallHit := run(512)
 	bigStall, bigHit := run(16 << 10)

@@ -41,12 +41,10 @@ type tagUnit interface {
 // freshness, a replayed stale (line, tag) pair verifies: the rollback
 // attack the survey's credit-counter examples worry about.
 type Flat struct {
-	cfg        FlatConfig
-	unit       tagUnit
-	ext        map[uint64]ghash.Tag
-	ver        map[uint64]uint64
-	Verified   uint64
-	Violations uint64
+	cfg  FlatConfig
+	unit tagUnit
+	ext  map[uint64]ghash.Tag
+	ver  map[uint64]uint64
 }
 
 // NewFlat builds a flat authenticator.
@@ -116,15 +114,9 @@ func (f *Flat) VerifyRead(addr uint64, ct []byte) (uint64, bool) {
 	stored, enrolled := f.ext[addr]
 	if !enrolled && unwritten(ct) {
 		f.ext[addr] = want //repro:allow enrollment inserts once per line; steady-state reads never reach here
-		f.Verified++
 		return stall, true
 	}
-	if !enrolled || want != stored {
-		f.Violations++
-		return stall, false
-	}
-	f.Verified++
-	return stall, true
+	return stall, enrolled && want == stored
 }
 
 // UpdateWrite implements edu.Verifier.

@@ -13,7 +13,7 @@ import (
 // allocation-free either way.
 type Metrics struct {
 	// NodeHits / NodeFetches split verification and update walks by
-	// node-cache outcome (live twin of Tree.NodeHits/NodeFetches).
+	// node-cache outcome: the locality the node cache exists to exploit.
 	NodeHits, NodeFetches *obs.Counter
 	// TagComputations counts GMAC line-tag evaluations — the tag
 	// unit's throughput demand.

@@ -45,6 +45,10 @@ type Probe interface {
 	Observe(Beat)
 }
 
+// addressCycles is the fixed per-transaction address/handshake cost in
+// bus cycles.
+const addressCycles = 2
+
 // Config fixes the bus timing parameters.
 type Config struct {
 	// WidthBytes is the data-path width (e.g. 4 for a 32-bit bus).
@@ -52,14 +56,11 @@ type Config struct {
 	// ClockDivider is CPU cycles per bus cycle (≥1); external buses run
 	// slower than the core.
 	ClockDivider int
-	// AddressCycles is the fixed per-transaction address/handshake cost
-	// in bus cycles.
-	AddressCycles int
 }
 
 // Validate checks the parameters.
 func (c Config) Validate() error {
-	if c.WidthBytes <= 0 || c.ClockDivider <= 0 || c.AddressCycles < 0 {
+	if c.WidthBytes <= 0 || c.ClockDivider <= 0 {
 		return fmt.Errorf("bus: bad config %+v", c)
 	}
 	return nil
@@ -73,7 +74,6 @@ type Bus struct {
 	// Stats
 	Transactions uint64
 	BytesMoved   uint64
-	BusyCycles   uint64 // in CPU cycles
 }
 
 // New builds a bus.
@@ -84,9 +84,6 @@ func New(cfg Config) (*Bus, error) {
 	return &Bus{cfg: cfg}, nil
 }
 
-// Config returns the timing parameters.
-func (b *Bus) Config() Config { return b.cfg }
-
 // Attach adds a probe tap. Multiple probes may coexist (a logic analyzer
 // on address lines and another on data lines, say).
 func (b *Bus) Attach(p Probe) { b.probes = append(b.probes, p) }
@@ -96,7 +93,7 @@ func (b *Bus) Attach(p Probe) { b.probes = append(b.probes, p) }
 // by the clock divider.
 func (b *Bus) CyclesFor(n int) uint64 {
 	beats := (n + b.cfg.WidthBytes - 1) / b.cfg.WidthBytes
-	return uint64(b.cfg.ClockDivider) * uint64(b.cfg.AddressCycles+beats)
+	return uint64(b.cfg.ClockDivider) * uint64(addressCycles+beats)
 }
 
 // Transfer moves data across the pins, notifying probes, and returns the
@@ -106,7 +103,6 @@ func (b *Bus) Transfer(dir Direction, addr uint64, data []byte) uint64 {
 	b.cycle += cost / uint64(b.cfg.ClockDivider)
 	b.Transactions++
 	b.BytesMoved += uint64(len(data))
-	b.BusyCycles += cost
 	if len(b.probes) > 0 {
 		// Copy so probes can retain the beat without aliasing engine
 		// buffers that will be reused.

@@ -14,7 +14,6 @@ func TestValidation(t *testing.T) {
 		{},
 		{WidthBytes: 0, ClockDivider: 1},
 		{WidthBytes: 4, ClockDivider: 0},
-		{WidthBytes: 4, ClockDivider: 1, AddressCycles: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -24,7 +23,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestCyclesFor(t *testing.T) {
-	b, err := New(Config{WidthBytes: 4, ClockDivider: 2, AddressCycles: 2})
+	b, err := New(Config{WidthBytes: 4, ClockDivider: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +38,18 @@ func TestCyclesFor(t *testing.T) {
 }
 
 func TestTransferStatsAndCost(t *testing.T) {
-	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1, AddressCycles: 1})
+	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1})
 	cost := b.Transfer(Read, 0x100, make([]byte, 16))
-	if cost != 5 { // 4 beats + 1 addr
-		t.Errorf("cost = %d, want 5", cost)
+	if cost != 6 { // 4 beats + 2 addr
+		t.Errorf("cost = %d, want 6", cost)
 	}
-	if b.Transactions != 1 || b.BytesMoved != 16 || b.BusyCycles != 5 {
-		t.Errorf("stats: txns=%d bytes=%d busy=%d", b.Transactions, b.BytesMoved, b.BusyCycles)
+	if b.Transactions != 1 || b.BytesMoved != 16 {
+		t.Errorf("stats: txns=%d bytes=%d", b.Transactions, b.BytesMoved)
 	}
 }
 
 func TestProbeSeesEveryBeat(t *testing.T) {
-	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1, AddressCycles: 1})
+	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1})
 	p := &recorder{}
 	b.Attach(p)
 	data := []byte{1, 2, 3, 4}
@@ -70,7 +69,7 @@ func TestProbeSeesEveryBeat(t *testing.T) {
 // The probe must get its own copy: mutating the engine buffer afterwards
 // must not corrupt the recorded evidence.
 func TestProbeDataIsCopied(t *testing.T) {
-	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1, AddressCycles: 0})
+	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1})
 	p := &recorder{}
 	b.Attach(p)
 	buf := []byte{0xAA, 0xBB}
@@ -82,7 +81,7 @@ func TestProbeDataIsCopied(t *testing.T) {
 }
 
 func TestMultipleProbes(t *testing.T) {
-	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1, AddressCycles: 0})
+	b, _ := New(Config{WidthBytes: 4, ClockDivider: 1})
 	p1, p2 := &recorder{}, &recorder{}
 	b.Attach(p1)
 	b.Attach(p2)
@@ -99,7 +98,7 @@ func TestDirectionString(t *testing.T) {
 }
 
 func TestCycleAdvances(t *testing.T) {
-	b, _ := New(Config{WidthBytes: 4, ClockDivider: 2, AddressCycles: 1})
+	b, _ := New(Config{WidthBytes: 4, ClockDivider: 2})
 	p := &recorder{}
 	b.Attach(p)
 	b.Transfer(Read, 0, make([]byte, 4))

@@ -10,16 +10,6 @@ import (
 	"math/bits"
 )
 
-// Policy selects the replacement discipline within a set.
-type Policy int
-
-const (
-	// LRU replaces the least recently used way.
-	LRU Policy = iota
-	// FIFO replaces in insertion order.
-	FIFO
-)
-
 // WriteMode selects the write-hit policy.
 type WriteMode int
 
@@ -37,10 +27,9 @@ type Config struct {
 	// LineSize is the block size in bytes (the survey's "cache block",
 	// the ciphering granule of the AEGIS engine).
 	LineSize int
-	// Ways is the associativity (1 = direct mapped).
+	// Ways is the associativity (1 = direct mapped). Replacement
+	// within a set is least recently used.
 	Ways int
-	// Policy is the replacement policy.
-	Policy Policy
 	// WriteMode is the write-hit policy; write misses allocate in
 	// WriteBack mode and bypass in WriteThrough mode.
 	WriteMode WriteMode
@@ -85,7 +74,7 @@ type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
-	used  uint64 // LRU timestamp or FIFO insertion order
+	used  uint64 // LRU timestamp: the tick of the last touch
 }
 
 // Cache is one cache instance.
@@ -120,9 +109,6 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(setsN - 1),
 	}, nil
 }
-
-// Config returns the geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns the event counters so far.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -179,9 +165,7 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
-			if c.cfg.Policy == LRU {
-				ways[i].used = c.tick
-			}
+			ways[i].used = c.tick
 			var res Result
 			res.Hit = true
 			res.Slot = int(set)*c.cfg.Ways + i
@@ -226,7 +210,7 @@ func (c *Cache) Access(addr uint64, isStore bool) Result {
 }
 
 // victimWay chooses the replacement way in set — the first invalid way,
-// else the policy minimum — counting the eviction and dirty-writeback
+// else the least recently used — counting the eviction and dirty-writeback
 // stats exactly as a demand miss does. It reports the line-aligned
 // address of a dirty victim that must spill before the way is reused.
 func (c *Cache) victimWay(set uint64) (way int, wbAddr uint64, writeback bool) {
@@ -274,9 +258,7 @@ func (c *Cache) Install(addr uint64) (slot int, victim DirtyLine, hasVictim bool
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			c.stats.Hits++
-			if c.cfg.Policy == LRU {
-				ways[i].used = c.tick
-			}
+			ways[i].used = c.tick
 			ways[i].dirty = true
 			return int(set)*c.cfg.Ways + i, DirtyLine{}, false
 		}

@@ -16,7 +16,7 @@ func mustCache(t testing.TB, cfg Config) *Cache {
 }
 
 func small() Config {
-	return Config{Size: 1024, LineSize: 32, Ways: 2, Policy: LRU, WriteMode: WriteBack}
+	return Config{Size: 1024, LineSize: 32, Ways: 2, WriteMode: WriteBack}
 }
 
 func TestValidation(t *testing.T) {
@@ -82,24 +82,6 @@ func TestLRUReplacement(t *testing.T) {
 	}
 	if !c.Contains(d) {
 		t.Error("new line not resident")
-	}
-}
-
-func TestFIFOReplacement(t *testing.T) {
-	cfg := small()
-	cfg.Policy = FIFO
-	c := mustCache(t, cfg)
-	setStride := uint64(32 * 16)
-	a, b, d := uint64(0), setStride, 2*setStride
-	c.Access(a, false)
-	c.Access(b, false)
-	c.Access(a, false) // touching must NOT rescue a under FIFO
-	c.Access(d, false) // evicts a (oldest insertion)
-	if c.Contains(a) {
-		t.Error("FIFO kept the oldest line after a touch")
-	}
-	if !c.Contains(b) || !c.Contains(d) {
-		t.Error("FIFO evicted the wrong line")
 	}
 }
 
@@ -236,7 +218,7 @@ func TestMissRateStats(t *testing.T) {
 // Property: the reported fill address is always the accessed line, and a
 // filled line is immediately resident.
 func TestFillInvariant(t *testing.T) {
-	c := mustCache(t, Config{Size: 4096, LineSize: 64, Ways: 4, Policy: LRU, WriteMode: WriteBack})
+	c := mustCache(t, Config{Size: 4096, LineSize: 64, Ways: 4, WriteMode: WriteBack})
 	f := func(addr uint64) bool {
 		addr %= 1 << 30
 		r := c.Access(addr, false)
@@ -273,7 +255,7 @@ func TestSmallWorkingSetConverges(t *testing.T) {
 // Property: direct-mapped cache with a power-of-two stride equal to the
 // set span thrashes 100 %.
 func TestConflictThrashing(t *testing.T) {
-	c := mustCache(t, Config{Size: 1024, LineSize: 32, Ways: 1, Policy: LRU, WriteMode: WriteBack})
+	c := mustCache(t, Config{Size: 1024, LineSize: 32, Ways: 1, WriteMode: WriteBack})
 	span := uint64(1024)
 	for i := 0; i < 100; i++ {
 		c.Access(0, false)

@@ -6,15 +6,15 @@ import (
 )
 
 func l1Config() Config {
-	return Config{Size: 1 << 10, LineSize: 32, Ways: 2, Policy: LRU, WriteMode: WriteBack}
+	return Config{Size: 1 << 10, LineSize: 32, Ways: 2, WriteMode: WriteBack}
 }
 
 func l2Config() Config {
-	return Config{Size: 4 << 10, LineSize: 32, Ways: 4, Policy: LRU, WriteMode: WriteBack}
+	return Config{Size: 4 << 10, LineSize: 32, Ways: 4, WriteMode: WriteBack}
 }
 
 func TestInstall(t *testing.T) {
-	c := mustCache(t, Config{Size: 64, LineSize: 32, Ways: 1, Policy: LRU, WriteMode: WriteBack})
+	c := mustCache(t, Config{Size: 64, LineSize: 32, Ways: 1, WriteMode: WriteBack})
 
 	// Install into an empty set: no victim, line resident and dirty.
 	slot, _, hasVictim := c.Install(0x0)

@@ -72,9 +72,7 @@ func (r *refCache) access(addr uint64, isStore bool) Result {
 	r.tick++
 	if slot := r.lookup(set, tag); slot >= 0 {
 		r.stats.Hits++
-		if r.cfg.Policy == LRU {
-			r.lines[slot].used = r.tick
-		}
+		r.lines[slot].used = r.tick
 		res := Result{Hit: true, Slot: slot}
 		if isStore && r.cfg.WriteMode == WriteBack {
 			r.lines[slot].dirty = true
@@ -103,9 +101,7 @@ func (r *refCache) install(addr uint64) (int, DirtyLine, bool) {
 	r.tick++
 	if slot := r.lookup(set, tag); slot >= 0 {
 		r.stats.Hits++
-		if r.cfg.Policy == LRU {
-			r.lines[slot].used = r.tick
-		}
+		r.lines[slot].used = r.tick
 		r.lines[slot].dirty = true
 		return slot, DirtyLine{}, false
 	}
@@ -132,17 +128,15 @@ func (r *refCache) flushDirty() []DirtyLine {
 
 // modelGeometries lists every valid geometry with 1-16 ways (so
 // direct-mapped and non-power-of-two associativity), 16-128 byte lines
-// and 1-64 sets (so a single fully-associative set), under both
-// replacement policies and both write modes.
+// and 1-64 sets (so a single fully-associative set), under both write
+// modes.
 func modelGeometries() []Config {
 	var out []Config
 	for ways := 1; ways <= 16; ways++ {
 		for ls := 16; ls <= 128; ls *= 2 {
 			for sets := 1; sets <= 64; sets *= 2 {
-				for _, p := range []Policy{LRU, FIFO} {
-					for _, wm := range []WriteMode{WriteBack, WriteThrough} {
-						out = append(out, Config{Size: sets * ls * ways, LineSize: ls, Ways: ways, Policy: p, WriteMode: wm})
-					}
+				for _, wm := range []WriteMode{WriteBack, WriteThrough} {
+					out = append(out, Config{Size: sets * ls * ways, LineSize: ls, Ways: ways, WriteMode: wm})
 				}
 			}
 		}

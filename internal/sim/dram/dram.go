@@ -4,55 +4,45 @@
 // memory content in clear form through the parallel-port").
 package dram
 
-import (
-	"fmt"
-	"math/bits"
+import "fmt"
+
+// The row-buffer timing of a 2005-flavour SDR/DDR-ish part, in
+// memory-clock cycles: fast row hits, expensive row misses (precharge +
+// activate), 2 KiB rows.
+const (
+	rowHitCycles  = 4
+	rowMissCycles = 12
+	rowSize       = 2048
 )
 
-// Config fixes the memory timing, in memory-clock cycles.
+// Config fixes the memory clock.
 type Config struct {
-	// RowHitCycles is the access time when the open row matches.
-	RowHitCycles int
-	// RowMissCycles is the access time including precharge + activate.
-	RowMissCycles int
-	// RowSize is the row-buffer span in bytes (power of two).
-	RowSize int
 	// ClockDivider is CPU cycles per memory cycle.
 	ClockDivider int
 }
 
 // Validate checks parameters.
 func (c Config) Validate() error {
-	switch {
-	case c.RowHitCycles <= 0 || c.RowMissCycles < c.RowHitCycles:
-		return fmt.Errorf("dram: bad latencies %+v", c)
-	case c.RowSize <= 0 || c.RowSize&(c.RowSize-1) != 0:
-		return fmt.Errorf("dram: row size %d not a power of two", c.RowSize)
-	case c.ClockDivider <= 0:
+	if c.ClockDivider <= 0 {
 		return fmt.Errorf("dram: bad clock divider %d", c.ClockDivider)
 	}
 	return nil
 }
 
-// DefaultConfig is a 2005-flavour SDR/DDR-ish part: fast row hits,
-// expensive row misses, 2 KiB rows, memory clock at a third of the core.
+// DefaultConfig runs the memory clock at a third of the core.
 func DefaultConfig() Config {
-	return Config{RowHitCycles: 4, RowMissCycles: 12, RowSize: 2048, ClockDivider: 3}
+	return Config{ClockDivider: 3}
 }
 
 // DRAM is one external memory instance.
 type DRAM struct {
-	cfg      Config
-	rowShift uint // log2(RowSize)
-	openRow  uint64
-	hasOpen  bool
+	cfg     Config
+	openRow uint64
+	hasOpen bool
 	// store is the page-granular backing store (4 KiB pages). Only
 	// Write creates pages; reads of unwritten memory return zeros and
 	// allocate nothing.
 	store map[uint64][]byte
-	// Stats
-	Accesses uint64
-	RowHits  uint64
 }
 
 const pageSize = 4096
@@ -62,25 +52,16 @@ func New(cfg Config) (*DRAM, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &DRAM{
-		cfg:      cfg,
-		rowShift: uint(bits.TrailingZeros(uint(cfg.RowSize))),
-		store:    make(map[uint64][]byte),
-	}, nil
+	return &DRAM{cfg: cfg, store: make(map[uint64][]byte)}, nil
 }
-
-// Config returns the timing parameters.
-func (d *DRAM) Config() Config { return d.cfg }
 
 // AccessCycles returns the CPU-cycle latency for touching addr,
 // updating the row-buffer state.
 func (d *DRAM) AccessCycles(addr uint64) uint64 {
-	row := addr >> d.rowShift
-	d.Accesses++
-	cycles := d.cfg.RowMissCycles
+	row := addr / rowSize
+	cycles := rowMissCycles
 	if d.hasOpen && d.openRow == row {
-		cycles = d.cfg.RowHitCycles
-		d.RowHits++
+		cycles = rowHitCycles
 	}
 	d.openRow, d.hasOpen = row, true
 	return uint64(cycles * d.cfg.ClockDivider)

@@ -18,9 +18,7 @@ func mustDRAM(t testing.TB) *DRAM {
 func TestValidation(t *testing.T) {
 	bad := []Config{
 		{},
-		{RowHitCycles: 4, RowMissCycles: 2, RowSize: 1024, ClockDivider: 1}, // miss < hit
-		{RowHitCycles: 4, RowMissCycles: 8, RowSize: 1000, ClockDivider: 1}, // row not pow2
-		{RowHitCycles: 4, RowMissCycles: 8, RowSize: 1024, ClockDivider: 0},
+		{ClockDivider: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -34,21 +32,18 @@ func TestValidation(t *testing.T) {
 
 func TestRowBufferTiming(t *testing.T) {
 	d := mustDRAM(t)
-	cfg := d.Config()
+	div := uint64(DefaultConfig().ClockDivider)
 	first := d.AccessCycles(0) // row miss (cold)
-	if first != uint64(cfg.RowMissCycles*cfg.ClockDivider) {
+	if first != rowMissCycles*div {
 		t.Errorf("cold access = %d cycles", first)
 	}
 	second := d.AccessCycles(64) // same 2 KiB row
-	if second != uint64(cfg.RowHitCycles*cfg.ClockDivider) {
+	if second != rowHitCycles*div {
 		t.Errorf("row hit = %d cycles", second)
 	}
-	third := d.AccessCycles(uint64(cfg.RowSize)) // next row
-	if third != uint64(cfg.RowMissCycles*cfg.ClockDivider) {
+	third := d.AccessCycles(rowSize) // next row
+	if third != rowMissCycles*div {
 		t.Errorf("row switch = %d cycles", third)
-	}
-	if d.RowHits != 1 || d.Accesses != 3 {
-		t.Errorf("row hits = %d of %d accesses, want 1 of 3", d.RowHits, d.Accesses)
 	}
 }
 
@@ -138,12 +133,5 @@ func TestWriteReadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestZeroAccessesRate(t *testing.T) {
-	d := mustDRAM(t)
-	if d.RowHits != 0 || d.Accesses != 0 {
-		t.Errorf("fresh DRAM counts %d row hits of %d accesses, want none", d.RowHits, d.Accesses)
 	}
 }

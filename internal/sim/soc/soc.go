@@ -22,10 +22,21 @@ import (
 	"repro/internal/sim/trace"
 )
 
-// DefaultL2HitCycles is the L2 access latency assumed when an L2 is
-// configured without an explicit latency: a 2005-class on-chip SRAM
-// L2, several core cycles slower than the L1.
-const DefaultL2HitCycles = 6
+// The core-side latencies, in CPU cycles, are fixed model parameters:
+// every overhead is the ratio of an engine run to a plaintext run on the
+// same geometry (DESIGN.md §4).
+const (
+	// l1HitCycles is the L1 hit latency.
+	l1HitCycles = 1
+	// l2HitCycles is the L2 access latency, charged on every line
+	// transfer between L1 and L2: a 2005-class on-chip SRAM L2, several
+	// core cycles slower than the L1.
+	l2HitCycles = 6
+	// violationCycles is the security-exception cost charged per
+	// detected verification failure (trap entry and the fail-stop
+	// decision path) before the line is zeroed.
+	violationCycles = 100
+)
 
 // Config assembles a system.
 type Config struct {
@@ -36,10 +47,6 @@ type Config struct {
 	// must be write-back (write-through through a hierarchy is not
 	// modeled).
 	L2 cache.Config
-	// L2HitCycles is the L2 access latency in CPU cycles, charged on
-	// every line transfer between L1 and L2; defaults to
-	// DefaultL2HitCycles when an L2 is configured.
-	L2HitCycles int
 	// Placement selects which hierarchy boundary the engine and
 	// verifier guard (DESIGN.md §4): the zero value picks the outermost
 	// boundary — cache<->DRAM in a single-level system, L2<->DRAM with
@@ -50,8 +57,6 @@ type Config struct {
 	Placement edu.Placement
 	Bus       bus.Config
 	DRAM      dram.Config
-	// CacheHitCycles is the L1 hit latency in CPU cycles.
-	CacheHitCycles int
 	// Engine is the bus-encryption unit; nil means edu.Null{}.
 	Engine edu.Engine
 	// Verifier is the memory authenticator (sim/authtree, or any
@@ -60,11 +65,6 @@ type Config struct {
 	// boundary — but independently of it, so any confidentiality engine
 	// composes with any authenticator.
 	Verifier edu.Verifier
-	// ViolationCycles is the security-exception cost charged per
-	// detected verification failure (trap entry and the fail-stop
-	// decision path) before the line is zeroed. Only meaningful with a
-	// Verifier installed.
-	ViolationCycles int
 	// Intruder, when non-nil, is invoked before every reference with
 	// the running reference index and told of every detected tamper:
 	// the active adversary tampering with external state mid-run
@@ -105,12 +105,10 @@ func DefaultConfig() Config {
 	return Config{
 		Cache: cache.Config{
 			Size: 16 << 10, LineSize: 32, Ways: 4,
-			Policy: cache.LRU, WriteMode: cache.WriteBack,
+			WriteMode: cache.WriteBack,
 		},
-		Bus:             bus.Config{WidthBytes: 4, ClockDivider: 2, AddressCycles: 2},
-		DRAM:            dram.DefaultConfig(),
-		CacheHitCycles:  1,
-		ViolationCycles: 100,
+		Bus:  bus.Config{WidthBytes: 4, ClockDivider: 2},
+		DRAM: dram.DefaultConfig(),
 	}
 }
 
@@ -120,7 +118,7 @@ func DefaultConfig() Config {
 func DefaultL2Config(size int) cache.Config {
 	return cache.Config{
 		Size: size, LineSize: 32, Ways: 8,
-		Policy: cache.LRU, WriteMode: cache.WriteBack,
+		WriteMode: cache.WriteBack,
 	}
 }
 
@@ -200,7 +198,6 @@ type SoC struct {
 	inner bool
 	// placement is the resolved boundary (defaults substituted).
 	placement edu.Placement
-	l2Hit     uint64
 	// curRef is the index of the reference Run is processing, for
 	// violation timestamps (detection-latency measurement).
 	curRef uint64
@@ -247,33 +244,16 @@ func New(cfg Config) (*SoC, error) {
 	if eng == nil {
 		eng = edu.Null{}
 	}
-	if cfg.CacheHitCycles <= 0 {
-		return nil, fmt.Errorf("soc: non-positive cache hit latency %d", cfg.CacheHitCycles)
-	}
-	if cfg.ViolationCycles < 0 {
-		return nil, fmt.Errorf("soc: negative violation cost %d", cfg.ViolationCycles)
-	}
 	if cfg.Cache.LineSize%eng.BlockBytes() != 0 {
 		return nil, fmt.Errorf("soc: line size %d not a multiple of engine granule %d",
 			cfg.Cache.LineSize, eng.BlockBytes())
 	}
 
 	var l2 *cache.Cache
-	l2Hit := uint64(0)
 	if cfg.L2.Size != 0 {
 		if l2, err = cache.New(cfg.L2); err != nil {
 			return nil, err
 		}
-		switch {
-		case cfg.L2HitCycles < 0:
-			return nil, fmt.Errorf("soc: negative L2 hit latency %d", cfg.L2HitCycles)
-		case cfg.L2HitCycles == 0:
-			l2Hit = DefaultL2HitCycles
-		default:
-			l2Hit = uint64(cfg.L2HitCycles)
-		}
-	} else if cfg.L2HitCycles != 0 {
-		return nil, fmt.Errorf("soc: L2 hit latency set without an L2 cache")
 	}
 
 	inner := false
@@ -324,7 +304,7 @@ func New(cfg Config) (*SoC, error) {
 	s := &SoC{
 		cfg: cfg, hier: hier, cache: c, l2: l2, bus: b, dram: d,
 		engine: eng, verifier: cfg.Verifier,
-		inner: inner, placement: placement, l2Hit: l2Hit,
+		inner: inner, placement: placement,
 		shadows:  shadows,
 		ctIn:     make([]byte, ls),
 		ctOut:    make([]byte, ls),
@@ -464,7 +444,7 @@ func (s *SoC) processEvent(ev cache.Event, rep *Report) {
 	}
 	var c, e uint64
 	if ev.Kind == cache.EvFill {
-		c = s.l2Hit
+		c = l2HitCycles
 		if chip {
 			c = s.dram.AccessCycles(ev.Addr)
 			s.dram.ReadInto(ev.Addr, far)
@@ -484,7 +464,7 @@ func (s *SoC) processEvent(ev cache.Event, rep *Report) {
 		} else if !chip {
 			copy(far, near)
 		}
-		c = s.l2Hit
+		c = l2HitCycles
 		if chip {
 			c = s.dram.AccessCycles(ev.Addr)
 			c += s.bus.Transfer(bus.Write, ev.Addr, far[:s.transferSize(ev.Addr, ls)])
@@ -539,9 +519,9 @@ func (s *SoC) decipher(lineAddr uint64, pt, ct []byte, flags uint8, rep *Report)
 		s.rc.Emit(rec.KindVerify, lineAddr, 0, 0, stall)
 	} else {
 		s.rc.Emit(rec.KindVerify, lineAddr, 0, rec.FlagFail, stall)
-		s.rc.Emit(rec.KindTrap, lineAddr, 0, 0, uint64(s.cfg.ViolationCycles))
-		stall += uint64(s.cfg.ViolationCycles)
-		rep.AuthStalls += uint64(s.cfg.ViolationCycles)
+		s.rc.Emit(rec.KindTrap, lineAddr, 0, 0, violationCycles)
+		stall += violationCycles
+		rep.AuthStalls += violationCycles
 		rep.AuthViolations++
 		clear(pt)
 		if s.cfg.Intruder != nil {
@@ -650,7 +630,6 @@ func (s *SoC) Run(src trace.RefSource) Report {
 	if s.l2 != nil {
 		s.tally.l2 = s.l2.Stats()
 	}
-	hit := uint64(s.cfg.CacheHitCycles)
 	perAccess := s.engine.PerAccessCycles()
 
 	for {
@@ -673,7 +652,7 @@ func (s *SoC) Run(src trace.RefSource) Report {
 
 		isStore := ref.Kind == trace.Store
 		res, events := s.hier.Access(ref.Addr, isStore)
-		rep.Cycles += hit + perAccess
+		rep.Cycles += l1HitCycles + perAccess
 
 		for _, ev := range events {
 			s.processEvent(ev, &rep)

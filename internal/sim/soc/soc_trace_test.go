@@ -22,7 +22,7 @@ func TestHotLoopZeroAllocsTraced(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			rc := rec.New(1 << 12)
-			s, _ := instrumentedSystem(t, reg, tc.twoLevel, rc)
+			s := instrumentedSystem(t, reg, tc.twoLevel, rc)
 			src := obsTestSource()
 			s.Run(src) // warm DRAM pages, tag stores, node cache, buffers
 			if rc.Len() == 0 {
@@ -40,7 +40,7 @@ func TestHotLoopZeroAllocsTraced(t *testing.T) {
 func TestTraceMirrorsReport(t *testing.T) {
 	reg := obs.NewRegistry()
 	rc := rec.New(1 << 19)
-	s, ver := instrumentedSystem(t, reg, true, rc)
+	s := instrumentedSystem(t, reg, true, rc)
 	rep := s.Run(obsTestSource())
 	st := rc.Seal("soc")
 	if st.Dropped != 0 {
@@ -66,14 +66,18 @@ func TestTraceMirrorsReport(t *testing.T) {
 	if got := counts[rec.KindTrap]; got != rep.AuthViolations {
 		t.Errorf("trap events = %d, report violations = %d", got, rep.AuthViolations)
 	}
-	if got, want := counts[rec.KindVerify], ver.Verified+ver.Violations; got != want {
-		t.Errorf("verify events = %d, verifier performed %d verifications", got, want)
-	}
-	if got := counts[rec.KindNodeFetch]; got != ver.NodeFetches {
-		t.Errorf("node-fetch events = %d, tree counted %d", got, ver.NodeFetches)
-	}
-	if got := counts[rec.KindNodeHit]; got != ver.NodeHits {
-		t.Errorf("node-hit events = %d, tree counted %d", got, ver.NodeHits)
+	for kind, metrics := range map[rec.Kind][]string{
+		rec.KindVerify:    {"authtree.verified", "authtree.violations"},
+		rec.KindNodeFetch: {"authtree.node_fetches"},
+		rec.KindNodeHit:   {"authtree.node_hits"},
+	} {
+		var want uint64
+		for _, name := range metrics {
+			want += reg.Counter(name).Load()
+		}
+		if got := counts[kind]; got != want {
+			t.Errorf("%v events = %d, tree counted %d %v", kind, got, want, metrics)
+		}
 	}
 	// One closing transfer record per costed hierarchy event — the same
 	// population the transfer-cycle histogram observes.

@@ -142,7 +142,7 @@ func (s *seqSource) Next() (Ref, bool) {
 		return Ref{}, false
 	}
 	s.started = true
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng, s.cfg.ComputeMean)}
+	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
 	if s.rng.Float64() < s.cfg.JumpRate {
 		s.pc = s.cfg.CodeBase + uint64(s.rng.Int63n(int64(s.cfg.CodeSize)))&^3
 	} else {
@@ -172,7 +172,7 @@ func (s *seqSource) Next() (Ref, bool) {
 		if s.rng.Float64() < 0.25 {
 			size = 1 // byte stores are what trigger worst-case RMW
 		}
-		s.pend = Ref{Kind: k, Addr: addr, Size: size, Compute: computeGap(s.rng, s.cfg.ComputeMean)}
+		s.pend = Ref{Kind: k, Addr: addr, Size: size, Compute: computeGap(s.rng)}
 		s.hasPend = true
 		s.emitted++
 	}
@@ -222,7 +222,7 @@ func (s *strideSource) Next() (Ref, bool) {
 		return Ref{}, false
 	}
 	s.started = true
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng, s.cfg.ComputeMean)}
+	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
 	s.pc += 4
 	if s.pc >= s.cfg.CodeBase+4096 { // a tight copy loop
 		s.pc = s.cfg.CodeBase
@@ -285,7 +285,7 @@ func (s *chaseSource) Next() (Ref, bool) {
 		return Ref{}, false
 	}
 	s.started = true
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng, s.cfg.ComputeMean)}
+	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
 	s.pc += 4
 	if s.pc >= s.cfg.CodeBase+256 {
 		s.pc = s.cfg.CodeBase
@@ -344,7 +344,7 @@ func (s *matrixSource) Next() (Ref, bool) {
 	}
 	s.started = true
 	const dim = 256 // 256x256 of 8-byte elements
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng, s.cfg.ComputeMean)}
+	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
 	s.pc += 4
 	if s.pc >= s.cfg.CodeBase+2048 {
 		s.pc = s.cfg.CodeBase
@@ -418,9 +418,9 @@ func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 // own seed derived from the workload's.
 func (m *multiSource) subSource(p int) *seqSource {
 	sub := m.cfg.Config
-	base, _ := m.cfg.ProcessRegion(p)
-	sub.CodeBase, sub.CodeSize = base, m.cfg.RegionBytes
-	sub.DataBase, sub.DataSize = base+m.cfg.RegionBytes, m.cfg.RegionBytes
+	base, _ := ProcessRegion(p)
+	sub.CodeBase, sub.CodeSize = base, regionBytes
+	sub.DataBase, sub.DataSize = base+regionBytes, regionBytes
 	sub.Seed = m.cfg.Seed + int64(p)*7919
 	sub.Refs = m.cfg.Refs // oversize; sliced per quantum
 	return SequentialSource(sub).(*seqSource)

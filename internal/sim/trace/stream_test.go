@@ -67,18 +67,17 @@ func TestTraceIsARefSource(t *testing.T) {
 // confined to the process's regions and seeded Seed + p*7919.
 func TestMultiProcessSourceMatchesTrace(t *testing.T) {
 	cfg := MultiProcessConfig{
-		Config:      Config{Refs: 6000, Seed: 31, LoadFraction: 0.3, WriteFraction: 0.3},
-		Procs:       3,
-		Quantum:     250,
-		RegionBytes: 64 << 10,
+		Config:  Config{Refs: 6000, Seed: 31, LoadFraction: 0.3, WriteFraction: 0.3},
+		Procs:   3,
+		Quantum: 250,
 	}
 	procs := make([]RefSource, cfg.Procs)
 	for p := range procs {
-		base, _ := cfg.ProcessRegion(p)
+		base, _ := ProcessRegion(p)
 		sub := cfg.Config
 		sub.Seed = cfg.Seed + int64(p)*7919
-		sub.CodeBase, sub.CodeSize = base, cfg.RegionBytes
-		sub.DataBase, sub.DataSize = base+cfg.RegionBytes, cfg.RegionBytes
+		sub.CodeBase, sub.CodeSize = base, regionBytes
+		sub.DataBase, sub.DataSize = base+regionBytes, regionBytes
 		procs[p] = SequentialSource(sub)
 	}
 	src := MultiProcessSource(cfg)

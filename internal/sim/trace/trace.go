@@ -99,8 +99,6 @@ type Config struct {
 	// Locality in [0,1): probability a data access revisits a recent
 	// address rather than drawing a fresh one (drives the cache hit rate).
 	Locality float64
-	// ComputeMean is the average compute gap between references.
-	ComputeMean int
 }
 
 func (c *Config) fill() {
@@ -113,24 +111,20 @@ func (c *Config) fill() {
 	if c.DataSize == 0 {
 		c.DataBase, c.DataSize = 0x4000_0000, 4<<20
 	}
-	if c.ComputeMean == 0 {
-		c.ComputeMean = 2
-	}
 }
 
-// computeGap draws a small geometric-ish compute gap around mean.
-func computeGap(rng *rand.Rand, mean int) uint16 {
-	if mean <= 0 {
-		return 0
-	}
-	g := rng.Intn(2*mean + 1)
-	return uint16(g)
+// computeMean is the average compute gap between references, in cycles.
+const computeMean = 2
+
+// computeGap draws a compute gap uniform on [0, 2*computeMean].
+func computeGap(rng *rand.Rand) uint16 {
+	return uint16(rng.Intn(2*computeMean + 1))
 }
 
 // MultiProcessConfig parameterizes the round-robin multitasking
 // workload MultiProcessSource streams: Procs processes, each confined
-// to its own code and data regions, scheduled in quanta of Quantum
-// references. It drives the key-management extension (multikey EDU):
+// to its own code and data regions (ProcessRegion), scheduled in quanta
+// of Quantum references. It drives the key-management extension (multikey EDU):
 // every quantum boundary is a protection-domain switch on the bus.
 type MultiProcessConfig struct {
 	// Config supplies the per-process knobs (jump rate, write fraction,
@@ -140,18 +134,18 @@ type MultiProcessConfig struct {
 	Procs int
 	// Quantum is references per scheduling slice (default 500).
 	Quantum int
-	// RegionBytes is each process's code and data region size
-	// (default 256 KiB each).
-	RegionBytes uint64
 }
 
-// ProcessRegion returns process p's code region [base, limit) under cfg;
-// its data region follows immediately after. The multikey experiments
-// use it to wire protection domains that match the generator.
-func (c MultiProcessConfig) ProcessRegion(p int) (base, limit uint64) {
-	c.fillMP()
-	base = uint64(p) * 2 * c.RegionBytes
-	return base, base + 2*c.RegionBytes
+// regionBytes is each process's code and data region size.
+const regionBytes = 256 << 10
+
+// ProcessRegion returns process p's address region [base, limit) in the
+// multi-process workload: its code region, then its data region, each
+// regionBytes long. The multikey experiments use it to wire protection
+// domains that match the generator.
+func ProcessRegion(p int) (base, limit uint64) {
+	base = uint64(p) * 2 * regionBytes
+	return base, base + 2*regionBytes
 }
 
 func (c *MultiProcessConfig) fillMP() {
@@ -160,8 +154,5 @@ func (c *MultiProcessConfig) fillMP() {
 	}
 	if c.Quantum == 0 {
 		c.Quantum = 500
-	}
-	if c.RegionBytes == 0 {
-		c.RegionBytes = 256 << 10
 	}
 }

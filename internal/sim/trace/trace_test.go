@@ -176,10 +176,9 @@ func TestMatrixLikeHasStores(t *testing.T) {
 
 func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 	cfg := MultiProcessConfig{
-		Config:      Config{Refs: 8000, Seed: 10, LoadFraction: 0.3, WriteFraction: 0.3},
-		Procs:       4,
-		Quantum:     250,
-		RegionBytes: 64 << 10,
+		Config:  Config{Refs: 8000, Seed: 10, LoadFraction: 0.3, WriteFraction: 0.3},
+		Procs:   4,
+		Quantum: 250,
 	}
 	tr := Drain(MultiProcessSource(cfg))
 	if len(tr.Refs) != 8000 {
@@ -189,7 +188,7 @@ func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 	// quantum boundaries must rotate processes round-robin.
 	owner := func(addr uint64) int {
 		for p := 0; p < cfg.Procs; p++ {
-			base, limit := cfg.ProcessRegion(p)
+			base, limit := ProcessRegion(p)
 			if addr >= base && addr < limit {
 				return p
 			}
@@ -213,8 +212,8 @@ func TestMultiProcessDefaults(t *testing.T) {
 	if len(tr.Refs) != 1000 || tr.Name != "multi-process" {
 		t.Errorf("defaults broken: %d refs, %q", len(tr.Refs), tr.Name)
 	}
-	base0, limit0 := MultiProcessConfig{}.ProcessRegion(0)
-	base1, _ := MultiProcessConfig{}.ProcessRegion(1)
+	base0, limit0 := ProcessRegion(0)
+	base1, _ := ProcessRegion(1)
 	if limit0 != base1 || base0 != 0 {
 		t.Errorf("regions not contiguous: [%#x,%#x) then %#x", base0, limit0, base1)
 	}
