@@ -10,9 +10,11 @@ package rec
 
 import (
 	"bufio"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -147,28 +149,33 @@ func eventArgs(ev Event) string {
 		ev.Seq, ev.Cycle, ev.Ref, ev.Addr, ev.Level, ev.Flags, ev.Arg)
 }
 
-// WriteCSV serializes tr as flat CSV, one event per row — the format
-// for spreadsheet/pandas analysis of event streams.
+// WriteCSV serializes tr as flat RFC 4180 CSV, one event per row — the
+// format for spreadsheet/pandas analysis of event streams. Track labels
+// are caller-chosen, so encoding/csv quotes them: any label reads back
+// through a csv.Reader unchanged.
 func WriteCSV(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	io.WriteString(bw, "track,seq,kind,cycle,ref,addr,level,flags,arg\n")
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"track", "seq", "kind", "cycle", "ref", "addr", "level", "flags", "arg"}); err != nil {
+		return err
+	}
+	row := make([]string, 9)
 	for i := range tr.Streams {
 		st := &tr.Streams[i]
 		for _, ev := range st.Events {
-			fmt.Fprintf(bw, "%s,%d,%s,%d,%d,0x%x,%d,%d,%d\n",
-				csvEscape(st.Track), ev.Seq, ev.Kind.String(),
-				ev.Cycle, ev.Ref, ev.Addr, ev.Level, ev.Flags, ev.Arg)
+			row[0] = st.Track
+			row[1] = strconv.FormatUint(ev.Seq, 10)
+			row[2] = ev.Kind.String()
+			row[3] = strconv.FormatUint(ev.Cycle, 10)
+			row[4] = strconv.FormatUint(ev.Ref, 10)
+			row[5] = "0x" + strconv.FormatUint(ev.Addr, 16)
+			row[6] = strconv.FormatUint(uint64(ev.Level), 10)
+			row[7] = strconv.FormatUint(uint64(ev.Flags), 10)
+			row[8] = strconv.FormatUint(ev.Arg, 10)
+			if err := cw.Write(row); err != nil {
+				return err
+			}
 		}
 	}
-	return bw.Flush()
-}
-
-// csvEscape quotes a track label if it contains CSV metacharacters.
-func csvEscape(s string) string {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ',' || c == '"' || c == '\n' {
-			return fmt.Sprintf("%q", s)
-		}
-	}
-	return s
+	cw.Flush()
+	return cw.Error()
 }

@@ -2,6 +2,7 @@ package rec
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -121,15 +122,46 @@ func TestCSVShape(t *testing.T) {
 	if len(lines)-1 != wantRows {
 		t.Errorf("%d data rows, want %d", len(lines)-1, wantRows)
 	}
-	// The comma-bearing track label must be quoted, not split.
+	// The comma-bearing track label must be quoted, not split, with its
+	// quotes doubled (RFC 4180).
 	var quoted bool
 	for _, l := range lines[1:] {
-		if strings.HasPrefix(l, `"quoted \"track\", with comma"`) {
+		if strings.HasPrefix(l, `"quoted ""track"", with comma",`) {
 			quoted = true
 		}
 	}
 	if !quoted {
 		t.Error("track label with comma was not CSV-escaped")
+	}
+}
+
+// A track label holding every CSV metacharacter — comma, quote and
+// newline — must read back through encoding/csv unchanged, one record
+// per event.
+func TestCSVRoundTripsTrackLabels(t *testing.T) {
+	label := "a,\"b\"\nc"
+	tr := &Trace{Streams: []Stream{{Track: label, Events: []Event{
+		{Seq: 0, Kind: KindFill, Addr: 0x40},
+		{Seq: 1, Kind: KindTrap, Arg: 100},
+	}}}}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("csv.Reader cannot read WriteCSV output: %v", err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want header + 2", len(recs))
+	}
+	for _, r := range recs[1:] {
+		if r[0] != label {
+			t.Errorf("track read back as %q, want %q", r[0], label)
+		}
+	}
+	if want := []string{label, "1", "trap", "0", "0", "0x0", "0", "0", "100"}; !reflect.DeepEqual(recs[2], want) {
+		t.Errorf("row = %q, want %q", recs[2], want)
 	}
 }
 
