@@ -14,26 +14,19 @@
 package modes
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 )
-
-// Block is the block-cipher contract all modes consume. Both the local
-// AES/DES implementations and crypto/cipher.Block satisfy it.
-type Block interface {
-	BlockSize() int
-	Encrypt(dst, src []byte)
-	Decrypt(dst, src []byte)
-}
 
 // ECB is Electronic CodeBook: each block enciphered independently.
 // Deterministic — identical plaintext blocks produce identical
 // ciphertext blocks, the weakness §2.2 of the survey calls out and
 // experiment E4 quantifies.
-type ECB struct{ b Block }
+type ECB struct{ b cipher.Block }
 
 // NewECB wraps b in ECB mode.
-func NewECB(b Block) *ECB { return &ECB{b} }
+func NewECB(b cipher.Block) *ECB { return &ECB{b} }
 
 func checkLen(n, bs int) {
 	if n%bs != 0 {
@@ -63,7 +56,7 @@ func (e *ECB) Decrypt(dst, src []byte) {
 // the previous ciphertext block (iv first) into scratch (a block-size
 // buffer the caller keeps in its struct, which is what keeps the hot
 // path allocation-free), then encipher.
-func cbcEncrypt(b Block, iv, scratch, dst, src []byte) {
+func cbcEncrypt(b cipher.Block, iv, scratch, dst, src []byte) {
 	bs := b.BlockSize()
 	checkLen(len(src), bs)
 	prev := iv
@@ -78,7 +71,7 @@ func cbcEncrypt(b Block, iv, scratch, dst, src []byte) {
 
 // cbcDecrypt is the CBC decryption chain. dst and src must not alias:
 // the chain needs the previous *ciphertext* block.
-func cbcDecrypt(b Block, iv, dst, src []byte) {
+func cbcDecrypt(b cipher.Block, iv, dst, src []byte) {
 	bs := b.BlockSize()
 	checkLen(len(src), bs)
 	prev := iv
@@ -108,7 +101,7 @@ const (
 // access — while chaining inside the block keeps CBC's diffusion.
 // IV(blockAddr) = E_K(addr ‖ salt) where salt is random or a counter.
 type BlockCBC struct {
-	b        Block
+	b        cipher.Block
 	mode     IVMode
 	salt     uint64            // random vector (IVRandom)
 	counters map[uint64]uint64 // per-address write counters (IVCounter)
@@ -124,7 +117,7 @@ const maxBlockSize = 64
 
 // NewBlockCBC builds an AEGIS-style per-cache-block CBC engine. salt
 // seeds the random-vector variant and the initial counter value.
-func NewBlockCBC(b Block, mode IVMode, salt uint64) *BlockCBC {
+func NewBlockCBC(b cipher.Block, mode IVMode, salt uint64) *BlockCBC {
 	if b.BlockSize() > maxBlockSize {
 		panic(fmt.Sprintf("modes: block size %d exceeds %d", b.BlockSize(), maxBlockSize))
 	}
@@ -182,7 +175,7 @@ func (a *BlockCBC) DecryptBlockAt(addr uint64, dst, src []byte) {
 // external memory — this is the property that lets a block cipher behave
 // like a stream cipher on the bus (experiment E2's winning configuration).
 type CTR struct {
-	b     Block
+	b     cipher.Block
 	nonce uint64
 	// Scratch so the per-block pad generation does not allocate; a CTR
 	// is a single hardware unit and is not goroutine-safe.
@@ -191,7 +184,7 @@ type CTR struct {
 
 // NewCTR builds a CTR pad generator keyed by b with a fixed nonce mixed
 // into every counter block.
-func NewCTR(b Block, nonce uint64) *CTR {
+func NewCTR(b cipher.Block, nonce uint64) *CTR {
 	if b.BlockSize() > maxBlockSize {
 		panic(fmt.Sprintf("modes: block size %d exceeds %d", b.BlockSize(), maxBlockSize))
 	}

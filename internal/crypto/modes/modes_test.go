@@ -13,7 +13,7 @@ import (
 	"repro/internal/crypto/des"
 )
 
-func newAES(t testing.TB) Block {
+func newAES(t testing.TB) stdcipher.Block {
 	t.Helper()
 	b, err := aes.New([]byte("0123456789abcdef"))
 	if err != nil {
@@ -22,7 +22,7 @@ func newAES(t testing.TB) Block {
 	return b
 }
 
-func newDES(t testing.TB) Block {
+func newDES(t testing.TB) stdcipher.Block {
 	t.Helper()
 	b, err := des.New([]byte("8bytekey"))
 	if err != nil {
@@ -32,7 +32,7 @@ func newDES(t testing.TB) Block {
 }
 
 func TestECBRoundtrip(t *testing.T) {
-	for name, b := range map[string]Block{"aes": newAES(t), "des": newDES(t)} {
+	for name, b := range map[string]stdcipher.Block{"aes": newAES(t), "des": newDES(t)} {
 		e := NewECB(b)
 		pt := bytes.Repeat([]byte("ABCDEFGH"), 8) // 64 bytes, multiple of both
 		ct := make([]byte, len(pt))

@@ -16,6 +16,7 @@
 package blockengine
 
 import (
+	"crypto/cipher"
 	"fmt"
 
 	"repro/internal/crypto/modes"
@@ -53,7 +54,7 @@ type Config struct {
 	// Name labels the engine in reports.
 	Name string
 	// Cipher is the block cipher core.
-	Cipher modes.Block
+	Cipher cipher.Block
 	// Mode is the operating mode.
 	Mode Mode
 	// Timing describes the hardware core (latency / initiation interval).
