@@ -103,12 +103,9 @@ type Intruder interface {
 // at half the core clock, and DefaultConfig DRAM.
 func DefaultConfig() Config {
 	return Config{
-		Cache: cache.Config{
-			Size: 16 << 10, LineSize: 32, Ways: 4,
-			WriteMode: cache.WriteBack,
-		},
-		Bus:  bus.Config{WidthBytes: 4, ClockDivider: 2},
-		DRAM: dram.DefaultConfig(),
+		Cache: cache.Config{Size: 16 << 10, LineSize: 32, Ways: 4, WriteMode: cache.WriteBack},
+		Bus:   bus.Config{WidthBytes: 4, ClockDivider: 2},
+		DRAM:  dram.DefaultConfig(),
 	}
 }
 
@@ -116,10 +113,7 @@ func DefaultConfig() Config {
 // 8-way write-back with the reference 32-byte lines — the shape the
 // campaign's -l2 axis and E22 sweep.
 func DefaultL2Config(size int) cache.Config {
-	return cache.Config{
-		Size: size, LineSize: 32, Ways: 8,
-		WriteMode: cache.WriteBack,
-	}
+	return cache.Config{Size: size, LineSize: 32, Ways: 8, WriteMode: cache.WriteBack}
 }
 
 // Report is the outcome of one run.
