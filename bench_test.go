@@ -18,7 +18,9 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/crypto/stream"
 	"repro/internal/edu"
+	"repro/internal/edu/streamengine"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
 	"repro/internal/sim/authtree"
@@ -173,6 +175,24 @@ func BenchmarkHotLoopDS5240(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	warmRunBench(b, eng)
+}
+
+// BenchmarkHotLoopStream puts the Figure 7a stream engine (E2 and E11's
+// address-seeded Geffe pads) under the same gate: its pad XOR runs on
+// every line fill and spill and holds no scratch buffer, so an
+// allocation there shows here.
+func BenchmarkHotLoopStream(b *testing.B) {
+	eng, err := streamengine.New(stream.NewPadSource(0x7A, soc.DefaultConfig().Cache.LineSize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	warmRunBench(b, eng)
+}
+
+// warmRunBench times warmed 20k-reference sequential runs of a system
+// with eng installed, one run per op.
+func warmRunBench(b *testing.B, eng edu.Engine) {
 	cfg := soc.DefaultConfig()
 	cfg.Engine = eng
 	s, err := soc.New(cfg)

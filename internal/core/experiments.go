@@ -67,8 +67,7 @@ func E2StreamVsBlock(refs int) (*Table, error) {
 		PaperClaim: "\"stream cipher seems to be more suitable in term of performance: the key stream generation can be parallelised with external data fetch\"",
 		Header:     []string{"engine", "workload", "overhead"},
 	}
-	padSrc := stream.NewPadSource(stream.NewGeffe(0x51EA), 0x51EA, 32)
-	streamEng, err := streamengine.New(streamengine.Config{Pads: padSrc, Gates: 6000})
+	streamEng, err := streamengine.New(stream.NewPadSource(0x51EA, 32))
 	if err != nil {
 		return nil, err
 	}
@@ -225,8 +224,7 @@ func E4ECBLeakage() (*Table, error) {
 	if err := run("aegis line-CBC", aegis); err != nil {
 		return nil, err
 	}
-	padSrc := stream.NewPadSource(stream.NewGeffe(0xE4), 0xE4, 32)
-	streamEng, err := streamengine.New(streamengine.Config{Pads: padSrc})
+	streamEng, err := streamengine.New(stream.NewPadSource(0xE4, 32))
 	if err != nil {
 		return nil, err
 	}
@@ -529,12 +527,10 @@ func E11CacheSide(refs int) (*Table, error) {
 	}
 	cfg := soc.DefaultConfig()
 	mk7a := func() (edu.Engine, error) {
-		pads := stream.NewPadSource(stream.NewGeffe(0x7A), 0x7A, cfg.Cache.LineSize)
-		return streamengine.New(streamengine.Config{Pads: pads, Gates: 6000})
+		return streamengine.New(stream.NewPadSource(0x7A, cfg.Cache.LineSize))
 	}
 	mk7b := func() (edu.Engine, error) {
-		pads := stream.NewPadSource(stream.NewGeffe(0x7B), 0x7B, cfg.Cache.LineSize)
-		return cacheside.New(cacheside.Config{Pads: pads, CacheBytes: cfg.Cache.Size})
+		return cacheside.New(cacheside.Config{Pads: stream.NewPadSource(0x7B, cfg.Cache.LineSize), CacheBytes: cfg.Cache.Size})
 	}
 	// The system, not the engine, decides where the unit sits.
 	units := []struct {

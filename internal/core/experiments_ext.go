@@ -172,10 +172,9 @@ func E19KeyManagement(refs int) (*Table, error) {
 		PaperClaim: "\"it will not explore the key management mechanisms relative to multitasking operating systems; refer to [2]\" — explored here",
 		Header:     []string{"quantum (refs)", "domain switches", "switch rate", "overhead vs single-key"},
 	}
-	const procs = 4
 	mkMulti := func() (*multikey.Engine, error) {
-		regions := make([]multikey.Region, procs)
-		for p := 0; p < procs; p++ {
+		regions := make([]multikey.Region, trace.Processes)
+		for p := range trace.Processes {
 			base, limit := trace.ProcessRegion(p)
 			inner, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, uint64(p+1))
 			if err != nil {
@@ -192,7 +191,6 @@ func E19KeyManagement(refs int) (*Table, error) {
 	for _, quantum := range []int{100, 500, 2000, 10000} {
 		tr := trace.MultiProcessSource(trace.MultiProcessConfig{
 			Config:  trace.Config{Refs: refs, Seed: 19, LoadFraction: 0.3, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6},
-			Procs:   procs,
 			Quantum: quantum,
 		})
 

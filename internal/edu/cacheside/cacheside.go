@@ -34,8 +34,6 @@ const (
 	// keystreamCyclesPerByte is the generator rate for refilling the
 	// keystream store on a miss.
 	keystreamCyclesPerByte = 1
-	// generatorGates is the keystream generator's own area.
-	generatorGates = 6000
 	// GatesPerKeystreamByte approximates on-chip SRAM cost in gate
 	// equivalents per byte (6T cells plus decode/sense overhead).
 	GatesPerKeystreamByte = 12
@@ -44,7 +42,6 @@ const (
 // Engine is a configured Figure 7b EDU.
 type Engine struct {
 	cfg Config
-	pad []byte // reusable pad scratch: the line transform must not allocate
 }
 
 // New builds the engine.
@@ -55,7 +52,7 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.CacheBytes <= 0:
 		return nil, fmt.Errorf("cacheside: cache size must be positive")
 	}
-	return &Engine{cfg: cfg, pad: make([]byte, cfg.Pads.LineSize())}, nil
+	return &Engine{cfg: cfg}, nil
 }
 
 // Name implements edu.Engine.
@@ -68,7 +65,7 @@ func (e *Engine) BlockBytes() int { return 1 }
 // memory — "to add an on-chip memory equivalent to the cache memory in
 // term of size" — which dominates.
 func (e *Engine) Gates() int {
-	return generatorGates + e.cfg.CacheBytes*GatesPerKeystreamByte
+	return stream.GeneratorGates + e.cfg.CacheBytes*GatesPerKeystreamByte
 }
 
 // EncryptLine / DecryptLine: the cache stores ciphertext, and that same
@@ -76,25 +73,10 @@ func (e *Engine) Gates() int {
 // boundary is the identity on the already-ciphered bytes; but LoadImage
 // and ReadPlain go through the engine, so the transform applied here is
 // the pad XOR that the CPU-side unit performs.
-func (e *Engine) EncryptLine(addr uint64, dst, src []byte) { e.xor(addr, dst, src) }
+func (e *Engine) EncryptLine(addr uint64, dst, src []byte) { e.cfg.Pads.XOR(addr, dst, src) }
 
 // DecryptLine implements edu.Engine.
-func (e *Engine) DecryptLine(addr uint64, dst, src []byte) { e.xor(addr, dst, src) }
-
-func (e *Engine) xor(addr uint64, dst, src []byte) {
-	ls := e.cfg.Pads.LineSize()
-	pad := e.pad
-	for off := 0; off < len(src); off += ls {
-		e.cfg.Pads.Pad(pad, addr+uint64(off))
-		n := len(src) - off
-		if n > ls {
-			n = ls
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ pad[i]
-		}
-	}
-}
+func (e *Engine) DecryptLine(addr uint64, dst, src []byte) { e.cfg.Pads.XOR(addr, dst, src) }
 
 // PerAccessCycles implements edu.Engine: the defining cost of this
 // placement — every hit pays it too.

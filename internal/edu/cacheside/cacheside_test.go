@@ -10,7 +10,7 @@ import (
 
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
-	pads := stream.NewPadSource(stream.NewGeffe(0), 0xcafe, 32)
+	pads := stream.NewPadSource(0xcafe, 32)
 	e, err := New(Config{Pads: pads, CacheBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +19,7 @@ func newEngine(t testing.TB) *Engine {
 }
 
 func TestValidation(t *testing.T) {
-	pads := stream.NewPadSource(stream.NewLFSR(0), 1, 32)
+	pads := stream.NewPadSource(1, 32)
 	cases := []Config{
 		{},
 		{Pads: pads, CacheBytes: 0},

@@ -1,7 +1,7 @@
 // Package streamengine implements the stream-cipher EDU of the survey's
-// Figure 2a placed between cache and memory controller: a keystream
-// generator seeded by the secret key and the line address, plus an XOR
-// gate on the data path.
+// Figure 2a placed between cache and memory controller: the
+// address-seeded Geffe keystream of stream.PadSource, plus an XOR gate
+// on the data path.
 //
 // Its defining timing property, argued in §2.2: "stream cipher seems to
 // be more suitable in term of performance: the key stream generation can
@@ -22,26 +22,17 @@ import (
 // cycles per keystream byte: an LFSR bank emitting 8 bits per cycle.
 const keystreamCyclesPerByte = 1
 
-// Config assembles a stream engine.
-type Config struct {
-	// Pads supplies address-indexed keystream pads.
-	Pads *stream.PadSource
-	// Gates is the area estimate.
-	Gates int
-}
-
 // Engine is a configured stream EDU.
 type Engine struct {
-	cfg Config
-	pad []byte // reusable pad scratch: the line transform must not allocate
+	pads *stream.PadSource
 }
 
-// New builds the engine.
-func New(cfg Config) (*Engine, error) {
-	if cfg.Pads == nil {
+// New builds the engine over an address-indexed pad source.
+func New(pads *stream.PadSource) (*Engine, error) {
+	if pads == nil {
 		return nil, fmt.Errorf("streamengine: nil pad source")
 	}
-	return &Engine{cfg: cfg, pad: make([]byte, cfg.Pads.LineSize())}, nil
+	return &Engine{pads: pads}, nil
 }
 
 // Name implements edu.Engine.
@@ -50,30 +41,15 @@ func (e *Engine) Name() string { return "stream" }
 // BlockBytes implements edu.Engine: XOR is byte-granular, no RMW ever.
 func (e *Engine) BlockBytes() int { return 1 }
 
-// Gates implements edu.Engine.
-func (e *Engine) Gates() int { return e.cfg.Gates }
+// Gates implements edu.Engine: the keystream generator.
+func (e *Engine) Gates() int { return stream.GeneratorGates }
 
-// EncryptLine implements edu.Engine. The pad is line-indexed, so the
-// transform is valid for any slice lying within one pad line.
-func (e *Engine) EncryptLine(addr uint64, dst, src []byte) { e.xor(addr, dst, src) }
+// EncryptLine implements edu.Engine. The pad is address-indexed, so the
+// transform is valid for any slice at its own address.
+func (e *Engine) EncryptLine(addr uint64, dst, src []byte) { e.pads.XOR(addr, dst, src) }
 
 // DecryptLine implements edu.Engine (XOR is its own inverse).
-func (e *Engine) DecryptLine(addr uint64, dst, src []byte) { e.xor(addr, dst, src) }
-
-func (e *Engine) xor(addr uint64, dst, src []byte) {
-	ls := e.cfg.Pads.LineSize()
-	pad := e.pad
-	for off := 0; off < len(src); off += ls {
-		e.cfg.Pads.Pad(pad, addr+uint64(off))
-		n := len(src) - off
-		if n > ls {
-			n = ls
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ pad[i]
-		}
-	}
-}
+func (e *Engine) DecryptLine(addr uint64, dst, src []byte) { e.pads.XOR(addr, dst, src) }
 
 // PerAccessCycles implements edu.Engine.
 func (e *Engine) PerAccessCycles() uint64 { return 0 }

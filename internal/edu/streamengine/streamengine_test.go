@@ -10,8 +10,7 @@ import (
 
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
-	pads := stream.NewPadSource(stream.NewGeffe(0), 0xfeed, 32)
-	e, err := New(Config{Pads: pads, Gates: 6000})
+	e, err := New(stream.NewPadSource(0xfeed, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +18,7 @@ func newEngine(t testing.TB) *Engine {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("nil pads accepted")
 	}
 }

@@ -391,7 +391,7 @@ func (s *matrixSource) Reset() {
 
 // multiSource streams the multi-process workload: per-process Sequential
 // substreams advanced lazily a quantum at a time, so the whole workload
-// is O(Procs) state instead of O(Procs x Refs) materialized slices.
+// is O(Processes) state instead of O(Processes x Refs) materialized slices.
 type multiSource struct {
 	cfg     MultiProcessConfig
 	started bool
@@ -407,8 +407,8 @@ func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	cfg.fillMP()
 	cfg.Config.fill()
 	m := &multiSource{cfg: cfg}
-	m.subs = make([]*seqSource, cfg.Procs)
-	for p := 0; p < cfg.Procs; p++ {
+	m.subs = make([]*seqSource, Processes)
+	for p := range Processes {
 		m.subs[p] = m.subSource(p)
 	}
 	return m
@@ -437,14 +437,14 @@ func (m *multiSource) Next() (Ref, bool) {
 	m.started = true
 	for rotations := 0; rotations <= len(m.subs); rotations++ {
 		if m.inQuant >= m.cfg.Quantum {
-			m.p = (m.p + 1) % m.cfg.Procs
+			m.p = (m.p + 1) % Processes
 			m.inQuant = 0
 		}
 		r, ok := m.subs[m.p].Next()
 		if !ok {
 			// Substream exhausted mid-quantum: the next process starts a
 			// fresh quantum.
-			m.p = (m.p + 1) % m.cfg.Procs
+			m.p = (m.p + 1) % Processes
 			m.inQuant = 0
 			continue
 		}
@@ -452,7 +452,7 @@ func (m *multiSource) Next() (Ref, bool) {
 		m.emitted++
 		return r, true
 	}
-	return Ref{}, false // all substreams dry (cannot happen: Procs*Refs >= Refs)
+	return Ref{}, false // all substreams dry (cannot happen: Processes*Refs >= Refs)
 }
 
 // Reset implements RefSource.

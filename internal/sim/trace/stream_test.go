@@ -13,7 +13,7 @@ func streamCfg() Config {
 // for the multi-process workload.
 func TestStreamResetReplays(t *testing.T) {
 	sources := map[string]RefSource{
-		"multi-process": MultiProcessSource(MultiProcessConfig{Config: streamCfg(), Procs: 3, Quantum: 250}),
+		"multi-process": MultiProcessSource(MultiProcessConfig{Config: streamCfg(), Quantum: 250}),
 	}
 	for name, mkSource := range Sources {
 		sources[name] = mkSource(streamCfg())
@@ -68,10 +68,9 @@ func TestTraceIsARefSource(t *testing.T) {
 func TestMultiProcessSourceMatchesTrace(t *testing.T) {
 	cfg := MultiProcessConfig{
 		Config:  Config{Refs: 6000, Seed: 31, LoadFraction: 0.3, WriteFraction: 0.3},
-		Procs:   3,
 		Quantum: 250,
 	}
-	procs := make([]RefSource, cfg.Procs)
+	procs := make([]RefSource, Processes)
 	for p := range procs {
 		base, _ := ProcessRegion(p)
 		sub := cfg.Config
@@ -82,7 +81,7 @@ func TestMultiProcessSourceMatchesTrace(t *testing.T) {
 	}
 	src := MultiProcessSource(cfg)
 	for i := 0; i < cfg.Refs; i++ {
-		want, _ := procs[(i/cfg.Quantum)%cfg.Procs].Next()
+		want, _ := procs[(i/cfg.Quantum)%Processes].Next()
 		got, ok := src.Next()
 		if !ok {
 			t.Fatalf("stream dried up at ref %d", i)

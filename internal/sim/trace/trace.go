@@ -122,22 +122,25 @@ func computeGap(rng *rand.Rand) uint16 {
 }
 
 // MultiProcessConfig parameterizes the round-robin multitasking
-// workload MultiProcessSource streams: Procs processes, each confined
-// to its own code and data regions (ProcessRegion), scheduled in quanta
-// of Quantum references. It drives the key-management extension (multikey EDU):
-// every quantum boundary is a protection-domain switch on the bus.
+// workload MultiProcessSource streams: Processes processes, each
+// confined to its own code and data regions (ProcessRegion), scheduled
+// in quanta of Quantum references. It drives the key-management
+// extension (multikey EDU): every quantum boundary is a
+// protection-domain switch on the bus.
 type MultiProcessConfig struct {
 	// Config supplies the per-process knobs (jump rate, write fraction,
 	// locality, compute gaps); region fields are ignored.
 	Config
-	// Procs is the process count (>= 1; default 4).
-	Procs int
 	// Quantum is references per scheduling slice (default 500).
 	Quantum int
 }
 
-// regionBytes is each process's code and data region size.
-const regionBytes = 256 << 10
+const (
+	// Processes is the multi-process workload's process count.
+	Processes = 4
+	// regionBytes is each process's code and data region size.
+	regionBytes = 256 << 10
+)
 
 // ProcessRegion returns process p's address region [base, limit) in the
 // multi-process workload: its code region, then its data region, each
@@ -149,9 +152,6 @@ func ProcessRegion(p int) (base, limit uint64) {
 }
 
 func (c *MultiProcessConfig) fillMP() {
-	if c.Procs == 0 {
-		c.Procs = 4
-	}
 	if c.Quantum == 0 {
 		c.Quantum = 500
 	}

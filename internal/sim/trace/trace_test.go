@@ -177,7 +177,6 @@ func TestMatrixLikeHasStores(t *testing.T) {
 func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 	cfg := MultiProcessConfig{
 		Config:  Config{Refs: 8000, Seed: 10, LoadFraction: 0.3, WriteFraction: 0.3},
-		Procs:   4,
 		Quantum: 250,
 	}
 	tr := Drain(MultiProcessSource(cfg))
@@ -187,7 +186,7 @@ func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 	// Every reference must sit inside exactly one process's region, and
 	// quantum boundaries must rotate processes round-robin.
 	owner := func(addr uint64) int {
-		for p := 0; p < cfg.Procs; p++ {
+		for p := range Processes {
 			base, limit := ProcessRegion(p)
 			if addr >= base && addr < limit {
 				return p
@@ -200,7 +199,7 @@ func TestMultiProcessRegionsAndQuanta(t *testing.T) {
 		if p < 0 {
 			t.Fatalf("ref %d addr %#x outside every region", i, r.Addr)
 		}
-		want := (i / cfg.Quantum) % cfg.Procs
+		want := (i / cfg.Quantum) % Processes
 		if p != want {
 			t.Fatalf("ref %d owned by process %d, want %d (round robin)", i, p, want)
 		}
