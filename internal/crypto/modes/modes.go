@@ -210,16 +210,6 @@ func (c *CTR) padOne(counter uint64) []byte {
 	return pad
 }
 
-// Pad writes the keystream pad for the given starting counter (usually
-// the bus address divided by block size) into dst, any length.
-func (c *CTR) Pad(dst []byte, counter uint64) {
-	bs := c.b.BlockSize()
-	for off := 0; off < len(dst); off += bs {
-		copy(dst[off:], c.padOne(counter))
-		counter++
-	}
-}
-
 // XOR applies the pad for counter to src, writing dst (encrypt and
 // decrypt are the same operation).
 func (c *CTR) XOR(dst, src []byte, counter uint64) {

@@ -17,10 +17,15 @@ package stream
 
 import "math/bits"
 
-// GeneratorGates is the keystream generator's area in gate equivalents,
-// shared by the Figure 7a stream engine and the Figure 7b cache-side
-// engine.
-const GeneratorGates = 6000
+// The keystream generator's cost, shared by the Figure 7a stream
+// engine and the Figure 7b cache-side engine.
+const (
+	// GeneratorGates is the generator's area in gate equivalents.
+	GeneratorGates = 6000
+	// CyclesPerByte is the generator's production rate in CPU cycles
+	// per keystream byte: an LFSR bank emitting 8 bits per cycle.
+	CyclesPerByte = 1
+)
 
 // PadSource is the address-seeded keystream a bus engine XORs into its
 // lines: the pad for line L is the Geffe stream seeded with secret ^

@@ -31,9 +31,6 @@ const (
 	// access by the in-path XOR and keystream lookup ("modifying the
 	// cache access time directly impacts the system performance").
 	cacheAccessPenalty = 1
-	// keystreamCyclesPerByte is the generator rate for refilling the
-	// keystream store on a miss.
-	keystreamCyclesPerByte = 1
 	// GatesPerKeystreamByte approximates on-chip SRAM cost in gate
 	// equivalents per byte (6T cells plus decode/sense overhead).
 	GatesPerKeystreamByte = 12
@@ -87,7 +84,7 @@ func (e *Engine) PerAccessCycles() uint64 { return cacheAccessPenalty }
 // within the external fetch window; only the shortfall stalls. This is
 // §4's constraint verbatim.
 func (e *Engine) ReadExtraCycles(_ uint64, lineBytes int, transferCycles uint64) uint64 {
-	ks := uint64(lineBytes * keystreamCyclesPerByte)
+	ks := uint64(lineBytes * stream.CyclesPerByte)
 	if ks > transferCycles {
 		return ks - transferCycles
 	}

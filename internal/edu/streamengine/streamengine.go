@@ -18,10 +18,6 @@ import (
 	"repro/internal/crypto/stream"
 )
 
-// keystreamCyclesPerByte is the generator's production rate in CPU
-// cycles per keystream byte: an LFSR bank emitting 8 bits per cycle.
-const keystreamCyclesPerByte = 1
-
 // Engine is a configured stream EDU.
 type Engine struct {
 	pads *stream.PadSource
@@ -61,7 +57,7 @@ func (e *Engine) PerAccessCycles() uint64 { return 0 }
 // external memory data fetch otherwise it again implies important
 // performance loss" — is exactly this max(0, ks − fetch) term.
 func (e *Engine) ReadExtraCycles(_ uint64, lineBytes int, transferCycles uint64) uint64 {
-	ks := uint64(lineBytes * keystreamCyclesPerByte)
+	ks := uint64(lineBytes * stream.CyclesPerByte)
 	if ks > transferCycles {
 		return ks - transferCycles + 1
 	}

@@ -173,6 +173,36 @@ func TestLoadImageReadPlainRoundtrip(t *testing.T) {
 	}
 }
 
+// LoadImage and ReadPlain work through the SoC's line scratch: a
+// reinstall over written lines allocates nothing, ReadPlain only its
+// output, and a short last line is installed zero-padded.
+func TestLoadImageReadPlainAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Engine = fixedEngine{block: 16}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := cfg.Cache.LineSize
+	img := bytes.Repeat([]byte{0xff}, 4*ls)
+	if err := s.LoadImage(0x1000, img); err != nil {
+		t.Fatal(err)
+	}
+	if n := allocsPerRun(20, func() { _ = s.LoadImage(0x1000, img) }); n != 0 {
+		t.Errorf("LoadImage over written lines: %v allocs, want 0", n)
+	}
+	if n := allocsPerRun(20, func() { _ = s.ReadPlain(0x1000, len(img)) }); n != 1 {
+		t.Errorf("ReadPlain: %v allocs, want 1 (its output)", n)
+	}
+	if err := s.LoadImage(0x1000, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("x"), make([]byte, ls-1)...)
+	if got := s.ReadPlain(0x1000, ls); !bytes.Equal(got, want) {
+		t.Errorf("short last line installed as %x, want %x", got, want)
+	}
+}
+
 func TestLoadImageAlignment(t *testing.T) {
 	s, _ := New(DefaultConfig())
 	if err := s.LoadImage(0x1001, []byte("x")); err == nil {

@@ -51,62 +51,91 @@ func Drain(src RefSource) *Trace {
 	}
 }
 
-// streamBase carries the state every source shares: the seeded RNG
-// and the emitted-reference count that bounds the stream.
-type streamBase struct {
+// gen is every seeded workload: the shared generator state (filled
+// Config, seeded RNG, emitted count, pending-reference queue) plus one
+// step, which queues a fetch and the data references that follow it.
+// Next cuts a step's output at Config.Refs; the draws of a cut step
+// come after the stream's last reference, so they never show.
+type gen struct {
 	name    string
-	seed    int64
-	started bool
+	cfg     Config
+	step    func(*gen)
 	rng     *rand.Rand
 	src     rand.Source // rng's source, reseeded in place on Reset
 	emitted int
-	limit   int
+	q       [4]Ref // one step: the fetch and up to three data references
+	qi, qn  int
+	// Workload state, rewound by Reset.
+	pc       uint64
+	addr     uint64   // streaming's data cursor
+	row, col int      // matrix-like's element
+	recent   []uint64 // sequential's recently touched data addresses
 }
 
-func newStreamBase(name string, cfg *Config) streamBase {
+func newGen(name string, cfg Config, step func(*gen)) *gen {
+	cfg.fill()
 	src := rand.NewSource(cfg.Seed)
-	return streamBase{name: name, seed: cfg.Seed, limit: cfg.Refs, src: src, rng: rand.New(src)}
+	g := &gen{name: name, cfg: cfg, step: step, src: src, rng: rand.New(src)}
+	g.recent = make([]uint64, 0, 64)
+	g.rewind()
+	return g
 }
 
 // Label implements RefSource.
-func (b *streamBase) Label() string { return b.name }
+func (g *gen) Label() string { return g.name }
 
-// resetBase rewinds the shared state; it reports whether the caller
-// must also rewind its own generator state (false when the source was
-// never started, so there is nothing to rewind). Reseeding the retained
-// rand.Source keeps Reset allocation-free.
-func (b *streamBase) resetBase() bool {
-	if !b.started {
-		return false
+// Next implements RefSource.
+func (g *gen) Next() (Ref, bool) {
+	if g.emitted >= g.cfg.Refs {
+		return Ref{}, false
 	}
-	b.src.Seed(b.seed)
-	b.started = false
-	b.emitted = 0
-	return true
+	if g.qi == g.qn {
+		g.qi, g.qn = 0, 0
+		g.step(g)
+	}
+	r := g.q[g.qi]
+	g.qi++
+	g.emitted++
+	return r, true
 }
 
-// seqSource streams the sequential, code-only and firmware workloads.
-type seqSource struct {
-	streamBase
-	cfg     Config
-	pc      uint64
-	recent  []uint64
-	pend    Ref
-	hasPend bool
+// Reset implements RefSource. A source that has emitted nothing has
+// nothing to rewind; reseeding the retained rand.Source keeps Reset
+// allocation-free.
+func (g *gen) Reset() {
+	if g.emitted == 0 {
+		return
+	}
+	g.src.Seed(g.cfg.Seed)
+	g.rewind()
+}
+
+func (g *gen) rewind() {
+	g.emitted, g.qi, g.qn = 0, 0, 0
+	g.pc, g.addr = g.cfg.CodeBase, g.cfg.DataBase
+	g.row, g.col = 0, 0
+	g.recent = g.recent[:0]
+}
+
+func (g *gen) push(r Ref) {
+	g.q[g.qn] = r
+	g.qn++
+}
+
+// fetch queues the instruction fetch at pc and falls through to the
+// next instruction, wrapping to CodeBase after loop bytes.
+func (g *gen) fetch(loop uint64) {
+	g.push(Ref{Kind: Fetch, Addr: g.pc, Size: 4, Compute: computeGap(g.rng)})
+	g.pc += 4
+	if g.pc >= g.cfg.CodeBase+loop {
+		g.pc = g.cfg.CodeBase
+	}
 }
 
 // SequentialSource streams straight-line code with occasional jumps
 // and a configurable mix of data accesses: the general-purpose
 // workload.
-func SequentialSource(cfg Config) RefSource {
-	cfg.fill()
-	return &seqSource{
-		streamBase: newStreamBase("sequential", &cfg),
-		cfg:        cfg,
-		pc:         cfg.CodeBase,
-		recent:     make([]uint64, 0, 64),
-	}
-}
+func SequentialSource(cfg Config) RefSource { return newGen("sequential", cfg, (*gen).sequential) }
 
 // CodeOnlySource streams pure instruction fetches (Sequential with the
 // data knobs forced to zero): the static-code workload Gilmont's engine
@@ -114,9 +143,7 @@ func SequentialSource(cfg Config) RefSource {
 func CodeOnlySource(cfg Config) RefSource {
 	cfg.LoadFraction = 0
 	cfg.WriteFraction = 0
-	s := SequentialSource(cfg).(*seqSource)
-	s.name = "code-only"
-	return s
+	return newGen("code-only", cfg, (*gen).sequential)
 }
 
 // FirmwareSource returns a microcontroller-class Sequential stream: a
@@ -127,266 +154,99 @@ func CodeOnlySource(cfg Config) RefSource {
 func FirmwareSource(cfg Config) RefSource {
 	cfg.CodeBase, cfg.CodeSize = 0, 16<<10
 	cfg.DataBase, cfg.DataSize = 0x4000_0000, 32<<10
-	s := SequentialSource(cfg).(*seqSource)
-	s.name = "firmware"
-	return s
+	return newGen("firmware", cfg, (*gen).sequential)
 }
 
-// Next implements RefSource.
-func (s *seqSource) Next() (Ref, bool) {
-	if s.hasPend {
-		s.hasPend = false
-		return s.pend, true
+// sequential is the sequential, code-only and firmware step: a fetch
+// that jumps with probability JumpRate, then with probability
+// LoadFraction a data access that revisits a recent address with
+// probability Locality.
+func (g *gen) sequential() {
+	c, rng := &g.cfg, g.rng
+	g.fetch(c.CodeSize)
+	if rng.Float64() < c.JumpRate {
+		g.pc = c.CodeBase + uint64(rng.Int63n(int64(c.CodeSize)))&^3
 	}
-	if s.emitted >= s.limit {
-		return Ref{}, false
-	}
-	s.started = true
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
-	if s.rng.Float64() < s.cfg.JumpRate {
-		s.pc = s.cfg.CodeBase + uint64(s.rng.Int63n(int64(s.cfg.CodeSize)))&^3
-	} else {
-		s.pc += 4
-		if s.pc >= s.cfg.CodeBase+s.cfg.CodeSize {
-			s.pc = s.cfg.CodeBase
-		}
-	}
-	s.emitted++
-	if s.emitted < s.limit && s.rng.Float64() < s.cfg.LoadFraction {
-		var addr uint64
-		if len(s.recent) > 0 && s.rng.Float64() < s.cfg.Locality {
-			addr = s.recent[s.rng.Intn(len(s.recent))]
-		} else {
-			addr = s.cfg.DataBase + uint64(s.rng.Int63n(int64(s.cfg.DataSize)))&^3
-			if len(s.recent) < cap(s.recent) {
-				s.recent = append(s.recent, addr)
-			} else {
-				s.recent[s.rng.Intn(len(s.recent))] = addr
-			}
-		}
-		k := Load
-		if s.rng.Float64() < s.cfg.WriteFraction {
-			k = Store
-		}
-		size := uint8(4)
-		if s.rng.Float64() < 0.25 {
-			size = 1 // byte stores are what trigger worst-case RMW
-		}
-		s.pend = Ref{Kind: k, Addr: addr, Size: size, Compute: computeGap(s.rng)}
-		s.hasPend = true
-		s.emitted++
-	}
-	return r, true
-}
-
-// Reset implements RefSource.
-func (s *seqSource) Reset() {
-	if !s.resetBase() {
+	if rng.Float64() >= c.LoadFraction {
 		return
 	}
-	s.pc = s.cfg.CodeBase
-	s.recent = s.recent[:0]
-	s.hasPend = false
-}
-
-// strideSource streams the streaming workload.
-type strideSource struct {
-	streamBase
-	cfg     Config
-	pc      uint64
-	addr    uint64
-	pend    Ref
-	hasPend bool
+	var addr uint64
+	if len(g.recent) > 0 && rng.Float64() < c.Locality {
+		addr = g.recent[rng.Intn(len(g.recent))]
+	} else {
+		addr = c.DataBase + uint64(rng.Int63n(int64(c.DataSize)))&^3
+		if len(g.recent) < cap(g.recent) {
+			g.recent = append(g.recent, addr)
+		} else {
+			g.recent[rng.Intn(len(g.recent))] = addr
+		}
+	}
+	k := Load
+	if rng.Float64() < c.WriteFraction {
+		k = Store
+	}
+	size := uint8(4)
+	if rng.Float64() < 0.25 {
+		size = 1 // byte stores are what trigger worst-case RMW
+	}
+	g.push(Ref{Kind: k, Addr: addr, Size: size, Compute: computeGap(rng)})
 }
 
 // StreamingSource streams long unit-stride data scans (memcpy-like)
 // with sparse control: the friendliest case for prefetch and pipelined
 // deciphering.
-func StreamingSource(cfg Config) RefSource {
-	cfg.fill()
-	return &strideSource{
-		streamBase: newStreamBase("streaming", &cfg),
-		cfg:        cfg,
-		pc:         cfg.CodeBase,
-		addr:       cfg.DataBase,
-	}
-}
+func StreamingSource(cfg Config) RefSource { return newGen("streaming", cfg, (*gen).streaming) }
 
-// Next implements RefSource.
-func (s *strideSource) Next() (Ref, bool) {
-	if s.hasPend {
-		s.hasPend = false
-		return s.pend, true
+// streaming is the streaming step: a fetch in a tight copy loop, then
+// the next word of the data scan.
+func (g *gen) streaming() {
+	g.fetch(4096)
+	k := Load
+	if g.rng.Float64() < g.cfg.WriteFraction {
+		k = Store
 	}
-	if s.emitted >= s.limit {
-		return Ref{}, false
+	g.push(Ref{Kind: k, Addr: g.addr, Size: 4})
+	g.addr += 4
+	if g.addr >= g.cfg.DataBase+g.cfg.DataSize {
+		g.addr = g.cfg.DataBase
 	}
-	s.started = true
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
-	s.pc += 4
-	if s.pc >= s.cfg.CodeBase+4096 { // a tight copy loop
-		s.pc = s.cfg.CodeBase
-	}
-	s.emitted++
-	if s.emitted < s.limit {
-		k := Load
-		if s.rng.Float64() < s.cfg.WriteFraction {
-			k = Store
-		}
-		s.pend = Ref{Kind: k, Addr: s.addr, Size: 4, Compute: 0}
-		s.hasPend = true
-		s.emitted++
-		s.addr += 4
-		if s.addr >= s.cfg.DataBase+s.cfg.DataSize {
-			s.addr = s.cfg.DataBase
-		}
-	}
-	return r, true
-}
-
-// Reset implements RefSource.
-func (s *strideSource) Reset() {
-	if !s.resetBase() {
-		return
-	}
-	s.pc = s.cfg.CodeBase
-	s.addr = s.cfg.DataBase
-	s.hasPend = false
-}
-
-// chaseSource streams the pointer-chase workload.
-type chaseSource struct {
-	streamBase
-	cfg     Config
-	pc      uint64
-	pend    Ref
-	hasPend bool
 }
 
 // PointerChaseSource streams dependent random loads (linked-list
 // traversal): the workload with no latency-hiding opportunity, worst
 // case for any deciphering latency on the miss path.
 func PointerChaseSource(cfg Config) RefSource {
-	cfg.fill()
-	return &chaseSource{
-		streamBase: newStreamBase("pointer-chase", &cfg),
-		cfg:        cfg,
-		pc:         cfg.CodeBase,
-	}
+	return newGen("pointer-chase", cfg, (*gen).pointerChase)
 }
 
-// Next implements RefSource.
-func (s *chaseSource) Next() (Ref, bool) {
-	if s.hasPend {
-		s.hasPend = false
-		return s.pend, true
-	}
-	if s.emitted >= s.limit {
-		return Ref{}, false
-	}
-	s.started = true
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
-	s.pc += 4
-	if s.pc >= s.cfg.CodeBase+256 {
-		s.pc = s.cfg.CodeBase
-	}
-	s.emitted++
-	if s.emitted < s.limit {
-		addr := s.cfg.DataBase + uint64(s.rng.Int63n(int64(s.cfg.DataSize)))&^7
-		s.pend = Ref{Kind: Load, Addr: addr, Size: 8, Compute: 0}
-		s.hasPend = true
-		s.emitted++
-	}
-	return r, true
-}
-
-// Reset implements RefSource.
-func (s *chaseSource) Reset() {
-	if !s.resetBase() {
-		return
-	}
-	s.pc = s.cfg.CodeBase
-	s.hasPend = false
-}
-
-// matrixSource streams the matrix-like workload.
-type matrixSource struct {
-	streamBase
-	cfg      Config
-	pc       uint64
-	row, col int
-	pend     [3]Ref
-	pendN    int
-	pendI    int
+// pointerChase is the pointer-chase step: a fetch, then a load from a
+// random 8-byte slot of the data region.
+func (g *gen) pointerChase() {
+	g.fetch(256)
+	addr := g.cfg.DataBase + uint64(g.rng.Int63n(int64(g.cfg.DataSize)))&^7
+	g.push(Ref{Kind: Load, Addr: addr, Size: 8})
 }
 
 // MatrixLikeSource streams blocked row/column sweeps over a square
 // matrix region: moderate locality, balanced loads and stores — the
 // numeric kernel stand-in.
-func MatrixLikeSource(cfg Config) RefSource {
-	cfg.fill()
-	return &matrixSource{
-		streamBase: newStreamBase("matrix-like", &cfg),
-		cfg:        cfg,
-		pc:         cfg.CodeBase,
-	}
-}
+func MatrixLikeSource(cfg Config) RefSource { return newGen("matrix-like", cfg, (*gen).matrixLike) }
 
-// Next implements RefSource.
-func (s *matrixSource) Next() (Ref, bool) {
-	if s.pendI < s.pendN {
-		r := s.pend[s.pendI]
-		s.pendI++
-		return r, true
+// matrixLike is the matrix-like step over 256x256 matrices of 8-byte
+// elements: a fetch, then the A[row][col] load, B[col][row] load and
+// C[row][col] store.
+func (g *gen) matrixLike() {
+	const dim = 256
+	g.fetch(2048)
+	base := g.cfg.DataBase
+	g.push(Ref{Kind: Load, Addr: base + uint64(g.row*dim+g.col)*8, Size: 8})
+	g.push(Ref{Kind: Load, Addr: base + uint64(dim*dim)*8 + uint64(g.col*dim+g.row)*8, Size: 8})
+	g.push(Ref{Kind: Store, Addr: base + 2*uint64(dim*dim)*8 + uint64(g.row*dim+g.col)*8, Size: 8})
+	g.col++
+	if g.col == dim {
+		g.col = 0
+		g.row = (g.row + 1) % dim
 	}
-	if s.emitted >= s.limit {
-		return Ref{}, false
-	}
-	s.started = true
-	const dim = 256 // 256x256 of 8-byte elements
-	r := Ref{Kind: Fetch, Addr: s.pc, Size: 4, Compute: computeGap(s.rng)}
-	s.pc += 4
-	if s.pc >= s.cfg.CodeBase+2048 {
-		s.pc = s.cfg.CodeBase
-	}
-	s.emitted++
-	if s.emitted >= s.limit {
-		return r, true
-	}
-	// A[row][col] load, B[col][row] load, C[row][col] store pattern.
-	a := s.cfg.DataBase + uint64(s.row*dim+s.col)*8
-	b := s.cfg.DataBase + uint64(dim*dim)*8 + uint64(s.col*dim+s.row)*8
-	cAddr := s.cfg.DataBase + 2*uint64(dim*dim)*8 + uint64(s.row*dim+s.col)*8
-	s.pendI, s.pendN = 0, 0
-	s.pend[s.pendN] = Ref{Kind: Load, Addr: a, Size: 8}
-	s.pendN++
-	s.emitted++
-	if s.emitted < s.limit {
-		s.pend[s.pendN] = Ref{Kind: Load, Addr: b, Size: 8}
-		s.pendN++
-		s.emitted++
-	}
-	if s.emitted < s.limit {
-		s.pend[s.pendN] = Ref{Kind: Store, Addr: cAddr, Size: 8}
-		s.pendN++
-		s.emitted++
-	}
-	s.col++
-	if s.col == dim {
-		s.col = 0
-		s.row = (s.row + 1) % dim
-	}
-	return r, true
-}
-
-// Reset implements RefSource.
-func (s *matrixSource) Reset() {
-	if !s.resetBase() {
-		return
-	}
-	s.pc = s.cfg.CodeBase
-	s.row, s.col = 0, 0
-	s.pendI, s.pendN = 0, 0
 }
 
 // multiSource streams the multi-process workload: per-process Sequential
@@ -394,8 +254,7 @@ func (s *matrixSource) Reset() {
 // is O(Processes) state instead of O(Processes x Refs) materialized slices.
 type multiSource struct {
 	cfg     MultiProcessConfig
-	started bool
-	subs    []*seqSource
+	subs    [Processes]*gen
 	p       int // current process
 	inQuant int // refs taken from the current process this quantum
 	emitted int
@@ -407,23 +266,18 @@ func MultiProcessSource(cfg MultiProcessConfig) RefSource {
 	cfg.fillMP()
 	cfg.Config.fill()
 	m := &multiSource{cfg: cfg}
-	m.subs = make([]*seqSource, Processes)
-	for p := range Processes {
-		m.subs[p] = m.subSource(p)
+	for p := range m.subs {
+		// Process p's Sequential substream, confined to its regions and
+		// seeded from the workload's seed. Each is as long as the whole
+		// workload, so none runs dry before the workload ends.
+		sub := cfg.Config
+		base, _ := ProcessRegion(p)
+		sub.CodeBase, sub.CodeSize = base, regionBytes
+		sub.DataBase, sub.DataSize = base+regionBytes, regionBytes
+		sub.Seed = cfg.Seed + int64(p)*7919
+		m.subs[p] = newGen("sequential", sub, (*gen).sequential)
 	}
 	return m
-}
-
-// subSource builds process p's confined Sequential substream, with its
-// own seed derived from the workload's.
-func (m *multiSource) subSource(p int) *seqSource {
-	sub := m.cfg.Config
-	base, _ := ProcessRegion(p)
-	sub.CodeBase, sub.CodeSize = base, regionBytes
-	sub.DataBase, sub.DataSize = base+regionBytes, regionBytes
-	sub.Seed = m.cfg.Seed + int64(p)*7919
-	sub.Refs = m.cfg.Refs // oversize; sliced per quantum
-	return SequentialSource(sub).(*seqSource)
 }
 
 // Label implements RefSource.
@@ -434,35 +288,20 @@ func (m *multiSource) Next() (Ref, bool) {
 	if m.emitted >= m.cfg.Refs {
 		return Ref{}, false
 	}
-	m.started = true
-	for rotations := 0; rotations <= len(m.subs); rotations++ {
-		if m.inQuant >= m.cfg.Quantum {
-			m.p = (m.p + 1) % Processes
-			m.inQuant = 0
-		}
-		r, ok := m.subs[m.p].Next()
-		if !ok {
-			// Substream exhausted mid-quantum: the next process starts a
-			// fresh quantum.
-			m.p = (m.p + 1) % Processes
-			m.inQuant = 0
-			continue
-		}
-		m.inQuant++
-		m.emitted++
-		return r, true
+	if m.inQuant >= m.cfg.Quantum {
+		m.p = (m.p + 1) % Processes
+		m.inQuant = 0
 	}
-	return Ref{}, false // all substreams dry (cannot happen: Processes*Refs >= Refs)
+	r, _ := m.subs[m.p].Next()
+	m.inQuant++
+	m.emitted++
+	return r, true
 }
 
 // Reset implements RefSource.
 func (m *multiSource) Reset() {
-	if !m.started {
-		return
-	}
-	for p := range m.subs {
-		m.subs[p].Reset()
+	for _, sub := range m.subs {
+		sub.Reset()
 	}
 	m.p, m.inQuant, m.emitted = 0, 0, 0
-	m.started = false
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"maps"
+	"slices"
 	"testing"
 )
 
@@ -188,4 +190,66 @@ func TestSourcesPinned(t *testing.T) {
 			t.Errorf("%s: stream digest %s, pinned %s", name, got, want)
 		}
 	}
+}
+
+// inRegions reports whether r lies where src may emit it: a fetch in
+// the code region, a data reference in the data region (each process's
+// own for multi-process), and no data reference from code-only.
+func inRegions(src RefSource, r Ref) bool {
+	if m, ok := src.(*multiSource); ok {
+		p := int(r.Addr / (2 * regionBytes))
+		if p >= len(m.subs) {
+			return false
+		}
+		base, _ := ProcessRegion(p)
+		return (r.Kind == Fetch) == (r.Addr < base+regionBytes)
+	}
+	g := src.(*gen)
+	if r.Kind == Fetch {
+		return r.Addr >= g.cfg.CodeBase && r.Addr < g.cfg.CodeBase+g.cfg.CodeSize
+	}
+	return g.name != "code-only" && r.Addr >= g.cfg.DataBase && r.Addr < g.cfg.DataBase+g.cfg.DataSize
+}
+
+// FuzzSources holds every seeded workload, at any seed, knob set,
+// length up to 4096 and reset point, to three properties: exactly Refs
+// references come out, a Reset after any prefix replays the whole
+// stream, and every reference stays in its region (inRegions).
+func FuzzSources(f *testing.F) {
+	names := append(slices.Sorted(maps.Keys(Sources)), "multi-process")
+	for w := range names {
+		f.Add(uint8(w), int64(23), 0.05, 0.4, 0.3, 0.6, uint16(1001), uint16(500), uint16(7))
+		f.Add(uint8(w), int64(0), 0.0, 0.0, 0.0, 0.0, uint16(4), uint16(1), uint16(0))
+	}
+	f.Fuzz(func(t *testing.T, w uint8, seed int64, jump, load, write, locality float64, refs, resetAt, quantum uint16) {
+		name := names[int(w)%len(names)]
+		cfg := Config{
+			Refs: 1 + int(refs)%4096, Seed: seed,
+			JumpRate: jump, LoadFraction: load, WriteFraction: write, Locality: locality,
+		}
+		mk := func() RefSource {
+			if name == "multi-process" {
+				return MultiProcessSource(MultiProcessConfig{Config: cfg, Quantum: int(quantum)})
+			}
+			return Sources[name](cfg)
+		}
+		src := mk()
+		want := Drain(src).Refs
+		if len(want) != cfg.Refs {
+			t.Fatalf("%s: %d refs, want %d", name, len(want), cfg.Refs)
+		}
+		for i, r := range want {
+			if !inRegions(src, r) {
+				t.Fatalf("%s: ref %d (%v at %#x) outside its region", name, i, r.Kind, r.Addr)
+			}
+		}
+		src = mk()
+		for range int(resetAt) % (cfg.Refs + 1) {
+			src.Next()
+		}
+		src.Reset()
+		if got := Drain(src).Refs; !slices.Equal(got, want) {
+			t.Fatalf("%s: Reset after %d refs did not replay the stream", name, int(resetAt)%(cfg.Refs+1))
+		}
+	})
 }
