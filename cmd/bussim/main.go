@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	base, with, err := soc.Compare(soc.DefaultConfig(), eng, src)
+	base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), eng, src)
 	if err != nil {
 		fmt.Fprintln(stderr, "bussim:", err)
 		return 1

@@ -51,15 +51,15 @@ func TestHelpExitsZero(t *testing.T) {
 	}
 }
 
-// wantCycles runs soc.Compare for engine on the source cfg describes and
-// returns the two cycle lines bussim must print for it.
+// wantCycles runs soc.Baselines.Compare for engine on the source cfg
+// describes and returns the two cycle lines bussim must print for it.
 func wantCycles(t *testing.T, engine, workload string, cfg trace.Config) []string {
 	t.Helper()
 	eng, err := core.MustEntry(engine).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, with, err := soc.Compare(soc.DefaultConfig(), eng, trace.Sources[workload](cfg))
+	base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), eng, trace.Sources[workload](cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,8 +216,8 @@ func (r *Runner) RunContext(ctx context.Context, jobs int) (*Report, error) {
 
 // socConfig builds the system geometry for a grid point, starting from
 // the experiments' reference system. The returned config carries the
-// task's EDU placement; baseline runs clear it (a Null-engine system
-// has no EDU boundary).
+// task's EDU placement; baseline runs drop it with soc.Config.Baseline
+// (a plaintext system has no EDU boundary).
 func socConfig(cfg TaskConfig) (soc.Config, error) {
 	sc := soc.DefaultConfig()
 	sc.Cache.Size = cfg.CacheSize
@@ -289,9 +289,7 @@ func (r *Runner) runTaskRec(cfg TaskConfig, rc *rec.Recorder) Result {
 	// (point, hierarchy) key, so the first task there simulates it and
 	// every other engine/auth/placement combination reuses the report.
 	base, err := r.store.baselines.get(cfg.BaselineKey(), func() (soc.Report, error) {
-		bcfg := sc
-		bcfg.Engine = edu.Null{}
-		bcfg.Placement = edu.PlacementNone
+		bcfg := sc.Baseline()
 		if r.m != nil {
 			bcfg.Metrics = r.m.SoC
 		}

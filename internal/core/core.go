@@ -6,7 +6,8 @@
 //
 // The package Example is typical use: build a registered engine, put it
 // on a simulated bus under a probe, and measure its overhead with
-// soc.Compare. Each experiment is one call, e.g. E6Aegis(DefaultRefs).
+// soc.Baselines.Compare, whose baselines an experiment shares across its
+// engines. Each experiment is one call, e.g. E6Aegis(DefaultRefs).
 package core
 
 import (
@@ -17,7 +18,6 @@ import (
 	"repro/internal/edu"
 	"repro/internal/edu/gilmont"
 	"repro/internal/edu/products"
-	"repro/internal/sim/soc"
 	"repro/internal/sim/trace"
 )
 
@@ -200,14 +200,4 @@ func ProfileSource(name string, refs int, seed int64) trace.RefSource {
 	cfg, _ := WorkloadProfile(name, refs)
 	cfg.Seed = seed
 	return trace.Sources[name](cfg)
-}
-
-// MeasureOverhead runs eng against the baseline on src with the
-// standard system configuration and returns the fractional overhead.
-func MeasureOverhead(eng edu.Engine, src trace.RefSource) (float64, error) {
-	base, with, err := soc.Compare(soc.DefaultConfig(), eng, src)
-	if err != nil {
-		return 0, err
-	}
-	return with.OverheadVs(base), nil
 }

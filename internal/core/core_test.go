@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim/soc"
 	"repro/internal/sim/trace"
 )
 
@@ -101,17 +102,17 @@ func TestWorkloadRegistriesMatch(t *testing.T) {
 	}
 }
 
-func TestMeasureOverheadPositiveForCostlyEngine(t *testing.T) {
+func TestCompareOverheadPositiveForCostlyEngine(t *testing.T) {
 	eng, err := MustEntry("gi").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.SequentialSource(trace.Config{Refs: 5000, Seed: 1, LoadFraction: 0.4, WriteFraction: 0.3})
-	ov, err := MeasureOverhead(eng, tr)
+	base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), eng, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov <= 0 {
+	if ov := with.OverheadVs(base); ov <= 0 {
 		t.Errorf("GI overhead %v, want > 0", ov)
 	}
 }

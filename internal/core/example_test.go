@@ -53,12 +53,14 @@ func Example() {
 		attack.DuplicateBlockRatio(system.DRAM().Dump(0, len(secret)), 16),
 		attack.DuplicateBlockRatio(secret, 16))
 
-	// 5. What did it cost? Same trace, plaintext system.
+	// 5. What did it cost? Same trace on cfg.Baseline(), the plaintext
+	// system. One soc.Baselines simulates it once for every engine
+	// compared on this geometry and workload.
 	fresh, err := entry.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, with, err := soc.Compare(soc.DefaultConfig(), fresh, workload)
+	base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), fresh, workload)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,17 +40,18 @@ func E1SurveyTable(refs int) (*Table, error) {
 		Header:     []string{"engine", "cipher", "blk(bits)", "gates", "overhead", "claimed"},
 	}
 	src := standardSource("sequential", refs)
+	baselines := soc.Baselines{}
 	for _, entry := range Survey() {
 		eng, err := entry.Build()
 		if err != nil {
 			return nil, fmt.Errorf("E1: %s: %w", entry.Key, err)
 		}
-		ov, err := MeasureOverhead(eng, src)
+		base, with, err := baselines.Compare(soc.DefaultConfig(), eng, src)
 		if err != nil {
 			return nil, fmt.Errorf("E1: %s: %w", entry.Key, err)
 		}
 		t.AddRow(entry.Name, entry.Cipher, entry.BlockBits, eng.Gates(),
-			fmt.Sprintf("%.1f%%", 100*ov), entry.ClaimedCost)
+			fmt.Sprintf("%.1f%%", 100*with.OverheadVs(base)), entry.ClaimedCost)
 	}
 	t.Notes = append(t.Notes,
 		"overhead vs identical plaintext system, sequential workload (35% data refs, 30% writes, 3% jumps)")
@@ -92,15 +93,16 @@ func E2StreamVsBlock(refs int) (*Table, error) {
 	}
 
 	workloads := []trace.RefSource{standardSource("code-only", refs), standardSource("pointer-chase", refs)}
+	baselines := soc.Baselines{}
 	for _, eng := range []edu.Engine{streamEng, iterative, ctr} {
 		for _, src := range workloads {
 			// Fresh engine state per run where it matters (these are
 			// stateless on the read path, reuse is fine).
-			ov, err := MeasureOverhead(eng, src)
+			base, with, err := baselines.Compare(soc.DefaultConfig(), eng, src)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(eng.Name(), src.Label(), fmt.Sprintf("%.2f%%", 100*ov))
+			t.AddRow(eng.Name(), src.Label(), fmt.Sprintf("%.2f%%", 100*with.OverheadVs(base)))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -119,6 +121,7 @@ func E3WritePenalty(refs int) (*Table, error) {
 		PaperClaim: "\"a write operation can have an even worst impact on the performance\" (§2.2)",
 		Header:     []string{"write fraction", "engine", "RMW events", "overhead"},
 	}
+	baselines := soc.Baselines{}
 	for _, wf := range []float64{0.1, 0.3, 0.5, 0.7} {
 		tr := trace.SequentialSource(trace.Config{
 			Refs: refs, Seed: 21, LoadFraction: 0.4, WriteFraction: wf, JumpRate: 0.02, Locality: 0.5,
@@ -147,7 +150,7 @@ func E3WritePenalty(refs int) (*Table, error) {
 		}
 
 		for _, eng := range []edu.Engine{ecb, ctr} {
-			base, with, err := soc.Compare(cfg, eng, tr)
+			base, with, err := baselines.Compare(cfg, eng, tr)
 			if err != nil {
 				return nil, err
 			}
@@ -248,6 +251,7 @@ func E5CBCRandomAccess(refs int) (*Table, error) {
 		PaperClaim: "\"cipher block chaining technique is very robust but implies unacceptable CPU performance degradation for random accesses\" (§3)",
 		Header:     []string{"jump rate", "gi-3des-cbc overhead", "xom-ecb overhead", "cbc/ecb ratio"},
 	}
+	baselines := soc.Baselines{}
 	for _, jr := range []float64{0.0, 0.02, 0.05, 0.1, 0.2} {
 		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 31, JumpRate: jr, CodeSize: 4 << 20})
 
@@ -255,7 +259,7 @@ func E5CBCRandomAccess(refs int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ovCBC, err := MeasureOverhead(gi, tr)
+		base, withCBC, err := baselines.Compare(soc.DefaultConfig(), gi, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -263,10 +267,11 @@ func E5CBCRandomAccess(refs int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ovECB, err := MeasureOverhead(xom, tr)
+		_, withECB, err := baselines.Compare(soc.DefaultConfig(), xom, tr)
 		if err != nil {
 			return nil, err
 		}
+		ovCBC, ovECB := withCBC.OverheadVs(base), withECB.OverheadVs(base)
 		ratio := 0.0
 		if ovECB > 0 {
 			ratio = ovCBC / ovECB
@@ -315,17 +320,18 @@ func E6Aegis(refs int) (*Table, error) {
 		whole bool
 		ii    int
 	}{{true, 1}, {false, 1}, {true, 14}}
+	baselines := soc.Baselines{}
 	for _, v := range variants {
 		for _, src := range workloads {
 			eng, err := build(v.whole, v.ii)
 			if err != nil {
 				return nil, err
 			}
-			ov, err := MeasureOverhead(eng, src)
+			base, with, err := baselines.Compare(soc.DefaultConfig(), eng, src)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(eng.Name(), src.Label(), fmt.Sprintf("%.1f%%", 100*ov), eng.Gates())
+			t.AddRow(eng.Name(), src.Label(), fmt.Sprintf("%.1f%%", 100*with.OverheadVs(base)), eng.Gates())
 		}
 	}
 
@@ -370,11 +376,11 @@ func E7XomPipeline(refs int) (*Table, error) {
 		return nil, err
 	}
 	for _, src := range WorkloadSources(refs) {
-		ov, err := MeasureOverhead(xom, src)
+		base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), xom, src)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow("overhead on "+src.Label(), fmt.Sprintf("%.2f%%", 100*ov))
+		t.AddRow("overhead on "+src.Label(), fmt.Sprintf("%.2f%%", 100*with.OverheadVs(base)))
 	}
 	t.Notes = append(t.Notes,
 		"the survey: \"taking into account only the latency doesn't inform about the overall system cost\" — hence the per-workload rows")
@@ -411,7 +417,7 @@ func E8Gilmont(refs int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, with, err := soc.Compare(soc.DefaultConfig(), eng, tr)
+		base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), eng, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -501,7 +507,7 @@ func E10CodePack(refs int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, with, err := soc.Compare(cfg, eng, tr)
+		base, with, err := soc.Baselines{}.Compare(cfg, eng, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -537,6 +543,7 @@ func E11CacheSide(refs int) (*Table, error) {
 		placement edu.Placement
 		mk        func() (edu.Engine, error)
 	}{{edu.PlacementCacheMem, mk7a}, {edu.PlacementCPUCache, mk7b}}
+	baselines := soc.Baselines{}
 	for _, src := range WorkloadSources(refs)[:3] {
 		for _, u := range units {
 			eng, err := u.mk()
@@ -544,7 +551,7 @@ func E11CacheSide(refs int) (*Table, error) {
 				return nil, err
 			}
 			cfg.Placement = u.placement
-			base, with, err := soc.Compare(cfg, eng, src)
+			base, with, err := baselines.Compare(cfg, eng, src)
 			if err != nil {
 				return nil, err
 			}
@@ -605,11 +612,12 @@ func E12CompressThenEncrypt(refs int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseE, withE, err := soc.Compare(cfg, xom, tr)
+	baselines := soc.Baselines{}
+	base, withE, err := baselines.Compare(cfg, xom, tr)
 	if err != nil {
 		return nil, err
 	}
-	ovEnc := withE.OverheadVs(baseE)
+	ovEnc := withE.OverheadVs(base)
 	t.AddRow("overhead: encryption only (xom-aes)", fmt.Sprintf("%.2f%%", 100*ovEnc))
 
 	inner, err := products.XOM([]byte("0123456789abcdef"))
@@ -622,11 +630,11 @@ func E12CompressThenEncrypt(refs int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseC, withC, err := soc.Compare(cfg, combo, tr)
+	_, withC, err := baselines.Compare(cfg, combo, tr)
 	if err != nil {
 		return nil, err
 	}
-	ovCombo := withC.OverheadVs(baseC)
+	ovCombo := withC.OverheadVs(base)
 	t.AddRow("overhead: compress-then-encrypt", fmt.Sprintf("%.2f%%", 100*ovCombo))
 	t.Notes = append(t.Notes,
 		"compression shrinks the ciphered payload and the bus traffic; the survey's proposed mitigation",
@@ -802,12 +810,13 @@ func E16VlsiDma(refs int) (*Table, error) {
 		ProfileSource("sequential", refs, 72),
 		trace.PointerChaseSource(trace.Config{Refs: refs, Seed: 73, DataSize: 16 << 20}),
 	}
+	baselines := soc.Baselines{}
 	for _, src := range workloads {
 		vlsi, err := products.NewVLSI([]byte("on-chip!"), 4096, 8)
 		if err != nil {
 			return nil, err
 		}
-		ovV, err := MeasureOverhead(vlsi, src)
+		base, withV, err := baselines.Compare(soc.DefaultConfig(), vlsi, src)
 		if err != nil {
 			return nil, err
 		}
@@ -815,12 +824,12 @@ func E16VlsiDma(refs int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ovL, err := MeasureOverhead(perLine, src)
+		_, withL, err := baselines.Compare(soc.DefaultConfig(), perLine, src)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(src.Label(), fmt.Sprintf("%.1f%%", 100*vlsi.PageFaultRate()),
-			fmt.Sprintf("%.2f%%", 100*ovV), fmt.Sprintf("%.2f%%", 100*ovL))
+			fmt.Sprintf("%.2f%%", 100*withV.OverheadVs(base)), fmt.Sprintf("%.2f%%", 100*withL.OverheadVs(base)))
 	}
 	t.Notes = append(t.Notes,
 		"page residency amortizes the DES core on local workloads; scattered access defeats it",

@@ -51,33 +51,18 @@ func E20AuthTrees(refs int) (*Table, error) {
 		}
 	}
 
-	// The plaintext baseline and the engine-only run are shared by
-	// every row: the engine never changes.
-	cfg := soc.DefaultConfig()
-	eng, err := xomEngine()
-	if err != nil {
-		return nil, err
-	}
-	base, engOnly, err := soc.Compare(cfg, eng, tr)
-	if err != nil {
-		return nil, err
-	}
-
 	// measure runs the engine+verifier system on the shared trace and
-	// returns overhead vs the plaintext baseline.
+	// returns overhead vs the plaintext baseline, which every row shares.
+	baselines := soc.Baselines{}
 	measure := func(ver edu.Verifier) (float64, error) {
 		eng, err := xomEngine()
 		if err != nil {
 			return 0, err
 		}
-		vcfg := cfg
-		vcfg.Engine = eng
-		vcfg.Verifier = ver
-		s, err := soc.New(vcfg)
-		if err != nil {
-			return 0, err
-		}
-		return s.Run(tr).OverheadVs(base), nil
+		cfg := soc.DefaultConfig()
+		cfg.Verifier = ver
+		base, with, err := baselines.Compare(cfg, eng, tr)
+		return with.OverheadVs(base), err
 	}
 
 	// Tamper verdicts depend on the authenticator structure, not its
@@ -106,16 +91,19 @@ func E20AuthTrees(refs int) (*Table, error) {
 	}
 
 	// none: the engine-only reference row.
+	ov, err := measure(nil)
+	if err != nil {
+		return nil, err
+	}
 	vd := verdicts["none"]
-	t.AddRow("none", "-", "-", fmt.Sprintf("%.1f%%", 100*engOnly.OverheadVs(base)), 0, vd[0], vd[1], vd[2])
+	t.AddRow("none", "-", "-", fmt.Sprintf("%.1f%%", 100*ov), 0, vd[0], vd[1], vd[2])
 
 	// flat-mac: constant on-chip area, no freshness.
 	flat, err := authtree.NewFlat(authtree.FlatConfig{Key: e20Key})
 	if err != nil {
 		return nil, err
 	}
-	ov, err := measure(flat)
-	if err != nil {
+	if ov, err = measure(flat); err != nil {
 		return nil, err
 	}
 	vd = verdicts["flat-mac"]

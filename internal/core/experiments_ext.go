@@ -51,6 +51,7 @@ func E17Integrity(refs int) (*Table, error) {
 	}
 
 	tr := ProfileSource("sequential", refs, 17)
+	baselines := soc.Baselines{}
 	for _, row := range rows {
 		// One system per attack: tampering dirties state.
 		spoof, splice, replay, err := runTampers(func() (*soc.SoC, error) {
@@ -68,7 +69,7 @@ func E17Integrity(refs int) (*Table, error) {
 		if cfg.Verifier, err = row.mkVer(); err != nil {
 			return nil, err
 		}
-		base, with, err := soc.Compare(cfg, eng, tr)
+		base, with, err := baselines.Compare(cfg, eng, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -97,6 +98,7 @@ func E18Ablations(refs int) (*Table, error) {
 		Header:     []string{"knob", "setting", "overhead"},
 	}
 	tr := ProfileSource("sequential", refs, 18)
+	baselines := soc.Baselines{}
 
 	measure := func(mut func(*soc.Config)) (float64, error) {
 		eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xab1a7e)
@@ -105,7 +107,7 @@ func E18Ablations(refs int) (*Table, error) {
 		}
 		cfg := soc.DefaultConfig()
 		mut(&cfg)
-		base, with, err := soc.Compare(cfg, eng, tr)
+		base, with, err := baselines.Compare(cfg, eng, tr)
 		if err != nil {
 			return 0, err
 		}
@@ -148,7 +150,7 @@ func E18Ablations(refs int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, with, err := soc.Compare(soc.DefaultConfig(), eng, tr)
+		base, with, err := baselines.Compare(soc.DefaultConfig(), eng, tr)
 		if err != nil {
 			return nil, err
 		}

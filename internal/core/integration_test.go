@@ -167,7 +167,7 @@ func TestEnginesDoNotPerturbCacheBehaviour(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, with, err := soc.Compare(soc.DefaultConfig(), eng, tr)
+		base, with, err := soc.Baselines{}.Compare(soc.DefaultConfig(), eng, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,9 @@ import (
 )
 
 // Streaming is not allowed to change a single measured number: for
-// every registered engine, driving soc.Compare with a streaming
-// RefSource must produce reports identical to driving it with the
-// materialized *trace.Trace built from the same trace.Config.
+// every registered engine, driving soc.Baselines.Compare with a
+// streaming RefSource must produce reports identical to driving it with
+// the materialized *trace.Trace built from the same trace.Config.
 func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 	tcfg := trace.Config{
 		Refs: 6000, Seed: 41,
@@ -22,7 +22,7 @@ func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseM, withM, err := soc.Compare(soc.DefaultConfig(), engM, trace.Drain(trace.SequentialSource(tcfg)))
+			baseM, withM, err := soc.Baselines{}.Compare(soc.DefaultConfig(), engM, trace.Drain(trace.SequentialSource(tcfg)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +31,7 @@ func TestStreamingReportsMatchMaterializedForAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseS, withS, err := soc.Compare(soc.DefaultConfig(), engS, trace.SequentialSource(tcfg))
+			baseS, withS, err := soc.Baselines{}.Compare(soc.DefaultConfig(), engS, trace.SequentialSource(tcfg))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,13 +89,6 @@ func (d *DRAM) Write(addr uint64, data []byte) {
 	}
 }
 
-// Read fetches n bytes at addr; untouched memory reads as zero.
-func (d *DRAM) Read(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	d.ReadInto(addr, out)
-	return out
-}
-
 // ReadInto fetches len(dst) bytes at addr into dst without allocating —
 // the simulator's hot fill path. Unwritten ranges read as zeros.
 func (d *DRAM) ReadInto(addr uint64, dst []byte) {
@@ -114,4 +107,8 @@ func (d *DRAM) ReadInto(addr uint64, dst []byte) {
 
 // Dump copies out [addr, addr+n): the attacker's memory image, exactly
 // what a parallel-port dump or a desoldered chip read would produce.
-func (d *DRAM) Dump(addr uint64, n int) []byte { return d.Read(addr, n) }
+func (d *DRAM) Dump(addr uint64, n int) []byte {
+	out := make([]byte, n)
+	d.ReadInto(addr, out)
+	return out
+}

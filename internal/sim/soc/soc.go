@@ -667,7 +667,7 @@ func (s *SoC) Run(src trace.RefSource) Report {
 	}
 
 	// Drain the dirty lines and fold their writeback traffic into the
-	// report; Compare flushes both systems, keeping the overhead
+	// report; a baseline run flushes too, keeping the overhead
 	// comparison apples-to-apples.
 	s.flushing = true
 	for _, ev := range s.hier.Flush() {
@@ -686,25 +686,44 @@ func (s *SoC) Run(src trace.RefSource) Report {
 	return rep
 }
 
-// Compare runs the same workload on a baseline (Null engine) system and
-// a system with eng installed, both built from cfg, and returns both
-// reports. This is the canonical overhead measurement every experiment
-// uses: identical geometry, identical reference stream (Run rewinds src,
-// and a seeded source replays its references), engine as the only delta.
-func Compare(cfg Config, eng edu.Engine, src trace.RefSource) (base, with Report, err error) {
-	bcfg := cfg
-	bcfg.Engine = edu.Null{}
-	bcfg.Verifier = nil
-	bcfg.Intruder = nil
-	bsoc, err := New(bcfg)
-	if err != nil {
-		return base, with, err
-	}
-	base = bsoc.Run(src)
+// Baseline is the plaintext reference system for cfg: its geometry
+// (caches, bus, DRAM) with no engine, verifier, intruder, placement,
+// metrics or recorder. Every overhead is a run of cfg over a run of
+// cfg.Baseline() on the same references.
+func (cfg Config) Baseline() Config {
+	return Config{Cache: cfg.Cache, L2: cfg.L2, Bus: cfg.Bus, DRAM: cfg.DRAM}
+}
 
-	ecfg := cfg
-	ecfg.Engine = eng
-	esoc, err := New(ecfg)
+// Baselines memoizes baseline reports by geometry and source. A source
+// is keyed by identity: Run rewinds it and a seeded source replays the
+// same references, so its baseline never changes. Make one with
+// Baselines{}; it is not safe for concurrent use.
+type Baselines map[baselineKey]Report
+
+type baselineKey struct {
+	cfg Config
+	src trace.RefSource
+}
+
+// Compare runs src on cfg.Baseline() and on cfg with eng installed and
+// returns both reports: the canonical overhead measurement, with the
+// engine (and verifier, placement, intruder) as the only delta. The
+// baseline is simulated on the first Compare of its (geometry, source)
+// pair and reused after that.
+func (b Baselines) Compare(cfg Config, eng edu.Engine, src trace.RefSource) (base, with Report, err error) {
+	key := baselineKey{cfg.Baseline(), src}
+	base, ok := b[key]
+	if !ok {
+		bsoc, err := New(key.cfg)
+		if err != nil {
+			return base, with, err
+		}
+		base = bsoc.Run(src)
+		b[key] = base
+	}
+
+	cfg.Engine = eng
+	esoc, err := New(cfg)
 	if err != nil {
 		return base, with, err
 	}

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestBaselineRunBasics(t *testing.T) {
 func TestEngineAddsOverhead(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := fixedEngine{block: 16, readCost: 20, writeCost: 10}
-	base, with, err := Compare(cfg, eng, smallTrace())
+	base, with, err := Baselines{}.Compare(cfg, eng, smallTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestEngineAddsOverhead(t *testing.T) {
 }
 
 func TestZeroCostEngineZeroOverhead(t *testing.T) {
-	base, with, err := Compare(DefaultConfig(), fixedEngine{block: 1}, smallTrace())
+	base, with, err := Baselines{}.Compare(DefaultConfig(), fixedEngine{block: 1}, smallTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestZeroCostEngineZeroOverhead(t *testing.T) {
 
 func TestPerAccessCyclesCharged(t *testing.T) {
 	cfg := DefaultConfig()
-	base, with, err := Compare(cfg, fixedEngine{block: 1, perAccess: 1}, smallTrace())
+	base, with, err := Baselines{}.Compare(cfg, fixedEngine{block: 1, perAccess: 1}, smallTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,112 @@ func TestPerAccessCyclesCharged(t *testing.T) {
 	want := base.Cycles + with.Refs
 	if with.Cycles != want {
 		t.Errorf("per-access accounting: got %d, want %d", with.Cycles, want)
+	}
+}
+
+// TestBaselinesMatchFresh: a shared baseline is exactly the run it
+// stands for. Over both geometries and every engine, verifier,
+// placement and intruder, Compare's base equals a fresh run of
+// cfg.Baseline() and its with a fresh run of cfg, on the whole Report;
+// and one baseline is simulated per (geometry, source) pair, where two
+// sources that share a label but not a seed are two pairs.
+func TestBaselinesMatchFresh(t *testing.T) {
+	source := func(seed int64) trace.RefSource {
+		return trace.SequentialSource(trace.Config{
+			Refs: 2000, Seed: seed, LoadFraction: 0.4, WriteFraction: 0.4, JumpRate: 0.03, Locality: 0.5,
+			CodeBase: 0, CodeSize: crossingCode, DataBase: crossingBase, DataSize: 32 << 10,
+		})
+	}
+	srcs := []trace.RefSource{source(1), source(2)}
+	if srcs[0].Label() != srcs[1].Label() {
+		t.Fatalf("labels %q and %q differ", srcs[0].Label(), srcs[1].Label())
+	}
+	engines := []struct {
+		name string
+		mk   func() (edu.Engine, error)
+	}{
+		{"null", func() (edu.Engine, error) { return edu.Null{}, nil }},
+		{"fixed", func() (edu.Engine, error) { return fixedEngine{block: 16, readCost: 7, writeCost: 3}, nil }},
+		{"aes", func() (edu.Engine, error) { return products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xb5) }},
+	}
+	verifiers := []struct {
+		name string
+		mk   func() (edu.Verifier, error)
+	}{
+		{"none", func() (edu.Verifier, error) { return nil, nil }},
+		{"flat", func() (edu.Verifier, error) {
+			return authtree.NewFlat(authtree.FlatConfig{Key: []byte("0123456789abcdef")})
+		}},
+		{"tree", func() (edu.Verifier, error) {
+			return authtree.New(authtree.Config{
+				Key: []byte("0123456789abcdef"), LineBytes: 32, NodeCacheBytes: 4 << 10,
+				Regions: []authtree.Region{{Base: 0, Bytes: 1 << 20}, {Base: crossingBase, Bytes: 1 << 20}},
+			})
+		}},
+	}
+	run := func(cfg Config, src trace.RefSource) Report {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Run(src)
+	}
+
+	b := Baselines{}
+	var struck uint64 // violations the intruders caused: the axis is live
+	for _, l2 := range []bool{false, true} {
+		for _, placement := range []edu.Placement{edu.PlacementNone, edu.PlacementCPUCache} {
+			for _, e := range engines {
+				for _, v := range verifiers {
+					for _, intrude := range []bool{false, true} {
+						// Engines, verifiers and intruders are stateful:
+						// every run gets its own.
+						mk := func() Config {
+							cfg := DefaultConfig()
+							if l2 {
+								cfg.L2 = l2Config(64 << 10)
+							}
+							cfg.Placement = placement
+							var err error
+							if cfg.Engine, err = e.mk(); err != nil {
+								t.Fatal(err)
+							}
+							if cfg.Verifier, err = v.mk(); err != nil {
+								t.Fatal(err)
+							}
+							if intrude {
+								cfg.Intruder = &corruptor{at: 500}
+							}
+							return cfg
+						}
+						for i, src := range srcs {
+							name := fmt.Sprintf("l2=%v/%v/%s/%s/intruder=%v/src%d", l2, placement, e.name, v.name, intrude, i)
+							cfg := mk()
+							base, with, err := b.Compare(cfg, cfg.Engine, src)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							fresh := mk()
+							if want := run(fresh.Baseline(), src); base != want {
+								t.Errorf("%s: shared baseline differs from a fresh one:\n got  %+v\n want %+v", name, base, want)
+							}
+							if want := run(fresh, src); with != want {
+								t.Errorf("%s: engine run differs from a fresh one:\n got  %+v\n want %+v", name, with, want)
+							}
+							if intrude {
+								struck += with.AuthViolations
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if struck == 0 {
+		t.Error("no intruder's tamper was detected; the intruder axis is not exercised")
+	}
+	if want := 2 * len(srcs); len(b) != want {
+		t.Errorf("%d baselines simulated, want %d (geometries x sources)", len(b), want)
 	}
 }
 

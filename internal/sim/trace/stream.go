@@ -15,7 +15,8 @@ import "math/rand"
 //
 // Sources are single-goroutine objects. Reset rewinds a source to its
 // first reference (a generator reseeds its RNG from Config.Seed), so
-// soc.Compare replays the same stream on the baseline and the engine.
+// soc.Baselines.Compare replays the same stream on the baseline and on
+// every engine compared with it.
 type RefSource interface {
 	// Label names the workload in reports.
 	Label() string
