@@ -12,8 +12,10 @@
 package repro
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/campaign"
@@ -152,11 +154,40 @@ func hotLoopBench(b *testing.B, engineKey string, withMetrics, withTrace bool) {
 	s.Run(mkSrc(20000)) // warm DRAM pages, metric cells, recorder ring
 	src := mkSrc(b.N)
 	b.SetBytes(int64(cfg.Bus.WidthBytes)) // architectural bytes per reference
-	b.ReportAllocs()
-	b.ResetTimer()
+	startAllocWindow(b)
 	s.Run(src)
 	b.StopTimer()
 	reportPerRef(b, 1)
+}
+
+// startAllocWindow opens a gated benchmark's timed window on a quiet
+// runtime. allocs/op counts every heap allocation in the process, and
+// the runtime allocates on its own after a GC cycle: the unique-map
+// cleanup that net/netip's handles register (net/http links it in)
+// takes 2 objects, 48 B, per cycle, and a P's timer heap grows by one
+// object now and then. A cycle that the setup started and that ended
+// inside the window read as 48 B/op, 2 allocs/op at -benchtime 1x. So
+// collect first and wait until the process has gone quietMs
+// milliseconds without an allocation (at most maxWaitMs); the window
+// still counts every allocation the timed loop makes.
+func startAllocWindow(b *testing.B) {
+	b.Helper()
+	const quietMs, maxWaitMs = 5, 200
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	last, quiet := ms.Mallocs, 0
+	for i := 0; i < maxWaitMs && quiet < quietMs; i++ {
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&ms)
+		if ms.Mallocs == last {
+			quiet++
+		} else {
+			last, quiet = ms.Mallocs, 0
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 }
 
 func BenchmarkHotLoopPlaintext(b *testing.B)    { hotLoopBench(b, "", false, false) }
@@ -204,8 +235,7 @@ func warmRunBench(b *testing.B, eng edu.Engine) {
 		LoadFraction: 0.35, WriteFraction: 0.3, JumpRate: 0.03, Locality: 0.7,
 	})
 	s.Run(src) // warm DRAM pages
-	b.ReportAllocs()
-	b.ResetTimer()
+	startAllocWindow(b)
 	for i := 0; i < b.N; i++ {
 		s.Run(src)
 	}
@@ -249,8 +279,7 @@ func BenchmarkHotLoopL2(b *testing.B) {
 	s.Run(mkSrc(20000)) // warm DRAM pages, tag stores, node cache, event buffers
 	src := mkSrc(b.N)
 	b.SetBytes(int64(cfg.Bus.WidthBytes))
-	b.ReportAllocs()
-	b.ResetTimer()
+	startAllocWindow(b)
 	s.Run(src)
 	b.StopTimer()
 	reportPerRef(b, 1)
@@ -302,8 +331,7 @@ func verifiedRunBench(b *testing.B, ver edu.Verifier) {
 	profile.Seed = 7
 	src := trace.FirmwareSource(profile)
 	s.Run(src) // warm tag stores, node cache, DRAM pages
-	b.ReportAllocs()
-	b.ResetTimer()
+	startAllocWindow(b)
 	for i := 0; i < b.N; i++ {
 		s.Run(src)
 	}

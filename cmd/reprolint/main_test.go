@@ -80,7 +80,7 @@ func TestTimingOutput(t *testing.T) {
 		t.Errorf("stdout must stay clean under -timing, got:\n%s", stdout.String())
 	}
 	errOut := stderr.String()
-	for _, want := range []string{"compiler", "hotpathalloc", "shardpurity", "atomicdiscipline", "total"} {
+	for _, want := range []string{"compiler", "hotpathalloc", "determinism", "atomicdiscipline", "devirt", "total"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("timing output missing %q\nstderr:\n%s", want, errOut)
 		}

@@ -173,7 +173,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *tracePath != "" {
-		if err := writeTrace(*tracePath, campaign.TraceOf(rep)); err != nil {
+		if err := rec.WriteFile(*tracePath, campaign.TraceOf(rep)); err != nil {
 			return fail(err)
 		}
 	}
@@ -199,21 +199,6 @@ func sampleCampaign(reg *obs.Registry) obs.ProgressSample {
 		TasksTotal: uint64(reg.Gauge("campaign.tasks_total").Load()),
 		Note:       note,
 	}
-}
-
-// writeTrace dumps the canonical merged flight-recorder trace: CSV when
-// the path says so, otherwise Chrome trace_event JSON Perfetto can load
-// directly.
-func writeTrace(path string, tr *rec.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	write := rec.WriteChrome
-	if strings.HasSuffix(path, ".csv") {
-		write = rec.WriteCSV
-	}
-	return errors.Join(write(f, tr), f.Close())
 }
 
 // serveDebug starts the diagnostics endpoint: net/http/pprof under

@@ -21,7 +21,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	st := rc.Seal(fmt.Sprintf("E21 auth=%s attack=%g refs=%d", *auth, *rate, *refs))
 
 	if *outPath != "" {
-		if err := writeTrace(*outPath, &rec.Trace{Streams: []rec.Stream{st}}); err != nil {
+		if err := rec.WriteFile(*outPath, &rec.Trace{Streams: []rec.Stream{st}}); err != nil {
 			return fail(err)
 		}
 	}
@@ -265,17 +264,4 @@ func check(w io.Writer, path string) error {
 		fmt.Fprintf(w, "  %-40s %6d events  %s\n", st.Track, len(st.Events), strings.Join(parts, " "))
 	}
 	return nil
-}
-
-// writeTrace picks the export format from the suffix, like sweep -trace.
-func writeTrace(path string, tr *rec.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	write := rec.WriteChrome
-	if strings.HasSuffix(path, ".csv") {
-		write = rec.WriteCSV
-	}
-	return errors.Join(write(f, tr), f.Close())
 }

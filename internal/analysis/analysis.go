@@ -48,7 +48,7 @@ type Analyzer struct {
 }
 
 // All is the full reprolint suite in reporting order.
-var All = []*Analyzer{HotPathAlloc, Determinism, ShardPurity, AtomicDiscipline, Devirt}
+var All = []*Analyzer{HotPathAlloc, Determinism, AtomicDiscipline, Devirt}
 
 // Timing records the wall-clock cost of one analyzer, or of the
 // compiler pass HotPathAlloc reads, so lint runtime is a tracked

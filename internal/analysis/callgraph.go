@@ -245,7 +245,7 @@ func (p *Program) reachableFrom(roots []*FuncInfo) []reached {
 func (p *Program) allRoots() []*FuncInfo {
 	seen := make(map[*FuncInfo]bool)
 	var out []*FuncInfo
-	for _, c := range []contract{contractHotpath, contractDeterministic, contractShardpure} {
+	for _, c := range []contract{contractHotpath, contractDeterministic} {
 		for _, fi := range p.markers.roots(c) {
 			if !seen[fi] {
 				seen[fi] = true

@@ -14,10 +14,14 @@ import (
 // Flagged: wall-clock reads (time.Now/Since/Until and timer
 // constructors); the global math/rand generator (explicit *rand.Rand
 // instances threaded from seeds are fine — that's the repo's idiom);
-// environment/host reads (os.Getenv, os.Hostname, os.Getpid, ...); and
-// ranging over a map, whose iteration order is deliberately random,
-// unless the body is the sorted-keys idiom: collect keys with
-// k = append(k, key) and sort them later in the same function.
+// environment/host reads (os.Getenv, os.Hostname, os.Getpid, ...);
+// host-parallelism and goroutine-count reads (runtime.GOMAXPROCS,
+// NumCPU, NumGoroutine); writes (assignment, ++/--, map/index stores)
+// whose base resolves to a package-level variable, which concurrent
+// tasks would share; and ranging over a map, whose iteration order is
+// deliberately random, unless the body is the sorted-keys idiom:
+// collect keys with k = append(k, key) and sort them later in the same
+// function.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "flags host-state and ordering nondeterminism reachable from //repro:deterministic roots",
@@ -49,6 +53,11 @@ var bannedCalls = map[string]map[string]string{
 		"UserCacheDir":  "reads host state",
 		"UserConfigDir": "reads host state",
 		"TempDir":       "reads host state",
+	},
+	"runtime": {
+		"GOMAXPROCS":   "reads host parallelism",
+		"NumCPU":       "reads host parallelism",
+		"NumGoroutine": "reads goroutine identity",
 	},
 }
 
@@ -82,6 +91,12 @@ func checkDeterministic(prog *Program, r reached) []Diagnostic {
 
 	inspectShallow(fi.Body(), func(n ast.Node, stack []ast.Node) bool {
 		switch node := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range node.Lhs {
+				reportPkgWrite(pkg, lhs, report)
+			}
+		case *ast.IncDecStmt:
+			reportPkgWrite(pkg, node.X, report)
 		case *ast.CallExpr:
 			checkBannedCall(pkg, node, report)
 		case *ast.RangeStmt:
@@ -110,6 +125,68 @@ func checkBannedCall(pkg *Package, call *ast.CallExpr, report func(token.Pos, st
 	if (path == "math/rand" || path == "math/rand/v2") && !randConstructors[name] {
 		report(call.Pos(), "global math/rand."+name+" shares seed state across the process; thread a *rand.Rand from a task seed")
 	}
+}
+
+func reportPkgWrite(pkg *Package, lhs ast.Expr, report func(token.Pos, string)) {
+	if v := pkgLevelTarget(pkg, lhs); v != nil {
+		report(lhs.Pos(), "package-level state written ("+v.Name()+"): concurrent tasks must not share mutable state")
+	}
+}
+
+// pkgLevelTarget resolves a write destination to the package-level
+// variable it mutates, or nil for locals, parameters and fields of
+// local values. Writes THROUGH a package-level base count: pkgMap[k],
+// pkgVar.field and pkgSlice[i] all mutate shared state.
+func pkgLevelTarget(pkg *Package, e ast.Expr) *types.Var {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			v := identVar(pkg, x)
+			if v != nil && isPkgLevel(v) {
+				return v
+			}
+			return nil
+		case *ast.SelectorExpr:
+			// Qualified reference to another package's variable.
+			if _, ok := pkg.Info.Uses[identOf(x.X)].(*types.PkgName); ok {
+				if v, ok := pkg.Info.Uses[x.Sel].(*types.Var); ok && isPkgLevel(v) {
+					return v
+				}
+				return nil
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+func identOf(e ast.Expr) *ast.Ident {
+	id, _ := ast.Unparen(e).(*ast.Ident)
+	return id
+}
+
+func identVar(pkg *Package, id *ast.Ident) *types.Var {
+	if id == nil {
+		return nil
+	}
+	if v, ok := pkg.Info.Uses[id].(*types.Var); ok {
+		return v
+	}
+	v, _ := pkg.Info.Defs[id].(*types.Var)
+	return v
+}
+
+// isPkgLevel reports whether v is declared at package scope (the scope
+// whose parent is the universe).
+func isPkgLevel(v *types.Var) bool {
+	return v.Parent() != nil && v.Parent().Parent() == types.Universe
 }
 
 // isSortedKeysIdiom recognizes the one blessed map-range shape:

@@ -161,11 +161,13 @@ func TestMetricsDisciplineFixture(t *testing.T) {
 	runFixture(t, "metricsfix", HotPathAlloc)
 }
 
-// TestShardPurityFixture also runs Devirt: shardfix carries the
-// devirtualization cases (interface dispatch with two implementers,
-// func value in a struct field, method value, reflect blind spot).
-func TestShardPurityFixture(t *testing.T) {
-	runFixture(t, "shardfix", ShardPurity, Devirt)
+// TestDeterminismShardFixture runs Determinism over the campaign-task
+// cases (shared writes, host parallelism, goroutine identity) and also
+// runs Devirt: shardfix carries the devirtualization cases (interface
+// dispatch with two implementers, func value in a struct field, method
+// value, reflect blind spot).
+func TestDeterminismShardFixture(t *testing.T) {
+	runFixture(t, "shardfix", Determinism, Devirt)
 }
 
 func TestAtomicDisciplineFixture(t *testing.T) {

@@ -18,13 +18,11 @@ import (
 //	                         file.
 //	//repro:deterministic  — same placement rules; the reachable code must
 //	                         not consult wall-clock time, global RNG, the
-//	                         environment, or unsorted map iteration.
-//	//repro:shardpure      — same placement rules; the reachable code must
-//	                         not write package-level state, read the
-//	                         clock/environment, or depend on goroutine or
-//	                         host identity. This is the static form of the
-//	                         -jobs 1 ≡ -jobs N contract: a task's result
-//	                         may depend only on its own inputs.
+//	                         environment, host parallelism or goroutine
+//	                         identity, write package-level state, or
+//	                         range over a map unsorted. This is the static
+//	                         form of the -jobs 1 ≡ -jobs N contract: a
+//	                         task's result may depend only on its inputs.
 //	//repro:allow <reason> — on (or directly above) a flagged line:
 //	                         suppresses diagnostics on that line. The
 //	                         reason is mandatory; the driver counts and
@@ -35,7 +33,6 @@ const (
 	markerPrefix      = "//repro:"
 	markerHotpath     = "hotpath"
 	markerDeterminism = "deterministic"
-	markerShardpure   = "shardpure"
 	markerAllow       = "allow"
 )
 
@@ -45,7 +42,6 @@ type contract int
 const (
 	contractHotpath contract = iota
 	contractDeterministic
-	contractShardpure
 )
 
 // FuncInfo is the per-function record the analyzers share. It covers
@@ -61,7 +57,6 @@ type FuncInfo struct {
 
 	Hotpath       bool
 	Deterministic bool
-	Shardpure     bool
 }
 
 // Body returns the function's body block (nil for bodyless decls).
@@ -96,10 +91,8 @@ func (fi *FuncInfo) marked(c contract) bool {
 	switch c {
 	case contractHotpath:
 		return fi.Hotpath
-	case contractDeterministic:
-		return fi.Deterministic
 	default:
-		return fi.Shardpure
+		return fi.Deterministic
 	}
 }
 
@@ -155,7 +148,7 @@ func (ms *markerSet) collectFile(prog *Program, pkg *Package, file *ast.File) {
 		}
 	}
 
-	var fileHot, fileDet, fileShard bool
+	var fileHot, fileDet bool
 	for _, group := range file.Comments {
 		fileLevel := group.End() < file.Package
 		target := funcDocs[group]
@@ -166,19 +159,16 @@ func (ms *markerSet) collectFile(prog *Program, pkg *Package, file *ast.File) {
 			}
 			pos := prog.Fset.Position(c.Pos())
 			switch directive {
-			case markerHotpath, markerDeterminism, markerShardpure:
+			case markerHotpath, markerDeterminism:
 				switch {
 				case target != nil:
 					fi := ms.funcInfo(pkg, target)
 					fi.setMarker(directive)
 				case fileLevel:
-					switch directive {
-					case markerHotpath:
+					if directive == markerHotpath {
 						fileHot = true
-					case markerDeterminism:
+					} else {
 						fileDet = true
-					default:
-						fileShard = true
 					}
 				default:
 					ms.diags = append(ms.diags, Diagnostic{
@@ -214,7 +204,7 @@ func (ms *markerSet) collectFile(prog *Program, pkg *Package, file *ast.File) {
 		}
 	}
 
-	if fileHot || fileDet || fileShard {
+	if fileHot || fileDet {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -223,7 +213,6 @@ func (ms *markerSet) collectFile(prog *Program, pkg *Package, file *ast.File) {
 			fi := ms.funcInfo(pkg, fd)
 			fi.Hotpath = fi.Hotpath || fileHot
 			fi.Deterministic = fi.Deterministic || fileDet
-			fi.Shardpure = fi.Shardpure || fileShard
 		}
 	}
 
@@ -250,8 +239,6 @@ func (fi *FuncInfo) setMarker(directive string) {
 		fi.Hotpath = true
 	case markerDeterminism:
 		fi.Deterministic = true
-	case markerShardpure:
-		fi.Shardpure = true
 	}
 }
 

@@ -6,8 +6,9 @@ import (
 )
 
 // TestMarkerGrammar pins the framework-level diagnostics: unknown
-// directives, misplaced markers, reason-less allows, and stale allows
-// each produce a file:line finding.
+// directives (the retired //repro:shardpure among them), misplaced
+// markers, reason-less allows, and stale allows each produce a
+// file:line finding.
 func TestMarkerGrammar(t *testing.T) {
 	prog, err := Load(".", "./testdata/src/markersfix")
 	if err != nil {
@@ -23,6 +24,7 @@ func TestMarkerGrammar(t *testing.T) {
 		12: "//repro:hotpath must be on a function's doc comment or before the package clause",
 		16: "//repro:allow requires a reason",
 		20: "stale //repro:allow",
+		26: "unknown directive //repro:shardpure",
 	}
 	var fixtureDiags []Diagnostic
 	for _, d := range res.Diags {

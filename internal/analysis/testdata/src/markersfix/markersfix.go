@@ -21,4 +21,9 @@ func stale() int {
 	return x
 }
 
-var _, _, _, _ = unknownDirective, misplaced, reasonless, stale
+// retiredShardpure carries the marker folded into //repro:deterministic.
+//
+//repro:shardpure
+func retiredShardpure() {}
+
+var _, _, _, _, _ = unknownDirective, misplaced, reasonless, stale, retiredShardpure

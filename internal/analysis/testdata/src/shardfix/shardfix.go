@@ -1,9 +1,10 @@
-// Package shardfix is the shard-purity fixture: shared package-level
-// state, clock/environment reads, host-identity reads, global RNG —
-// and the devirtualization cases the whole-program graph must resolve
-// (interface dispatch with two implementers, a function value stored in
-// a struct field, a method value, and a reflect call the graph must
-// surface as a blind spot rather than silently skip).
+// Package shardfix is the determinism fixture for campaign-task code:
+// shared package-level state, clock/environment reads, host-identity
+// reads, global RNG — and the devirtualization cases the whole-program
+// graph must resolve (interface dispatch with two implementers, a
+// function value stored in a struct field, a method value, and a
+// reflect call the graph must surface as a blind spot rather than
+// silently skip).
 package shardfix
 
 import (
@@ -17,44 +18,44 @@ import (
 var sharedCounter int
 var sharedTable = map[string]int{}
 
-//repro:shardpure
+//repro:deterministic
 func WritesShared() {
-	sharedCounter++      // want `package-level state written \(sharedCounter\): sharded tasks must not share mutable state`
+	sharedCounter++      // want `package-level state written \(sharedCounter\): concurrent tasks must not share mutable state`
 	sharedTable["k"] = 1 // want `package-level state written \(sharedTable\)`
 }
 
-//repro:shardpure
+//repro:deterministic
 func ReadsClock() int64 {
-	return time.Now().UnixNano() // want `call to time\.Now reads the wall clock: a shard's result must depend only on its inputs`
+	return time.Now().UnixNano() // want `call to time\.Now reads the wall clock$`
 }
 
-//repro:shardpure
+//repro:deterministic
 func ReadsEnv() string {
 	return os.Getenv("SHARD") // want `call to os\.Getenv reads the environment`
 }
 
-//repro:shardpure
+//repro:deterministic
 func HostParallelism() int {
 	return runtime.GOMAXPROCS(0) // want `call to runtime\.GOMAXPROCS reads host parallelism`
 }
 
-//repro:shardpure
+//repro:deterministic
 func GoroutineIdentity() int {
 	return runtime.NumGoroutine() // want `call to runtime\.NumGoroutine reads goroutine identity`
 }
 
-//repro:shardpure
+//repro:deterministic
 func GlobalRNG() int {
-	return rand.Intn(6) // want `global math/rand\.Intn shares process-wide seed state across shards`
+	return rand.Intn(6) // want `global math/rand\.Intn shares seed state across the process`
 }
 
-//repro:shardpure
+//repro:deterministic
 func SeededRNG(seed int64) int {
 	r := rand.New(rand.NewSource(seed)) // seeded from the task: clean
 	return r.Intn(6)
 }
 
-//repro:shardpure
+//repro:deterministic
 func LocalState() int {
 	local := map[string]int{}
 	local["k"] = 1 // local map: clean
@@ -75,7 +76,7 @@ func (dirtyWorker) work() {
 	sharedCounter++ // want `package-level state written \(sharedCounter\).*reached from shardfix\.IfaceDispatch`
 }
 
-//repro:shardpure
+//repro:deterministic
 func IfaceDispatch(w worker) {
 	w.work() // devirtualizes to both implementers; no marker on either
 }
@@ -88,7 +89,7 @@ func dirtyFn() {
 	sharedTable["x"] = 2 // want `package-level state written \(sharedTable\).*reached from shardfix\.FieldFuncValue`
 }
 
-//repro:shardpure
+//repro:deterministic
 func FieldFuncValue() {
 	h := holder{fn: dirtyFn}
 	h.fn()
@@ -100,13 +101,13 @@ func (w *cleanWorker) tamper() {
 	sharedCounter = 7 // want `package-level state written \(sharedCounter\).*reached from shardfix\.MethodValue`
 }
 
-//repro:shardpure
+//repro:deterministic
 func MethodValue(w *cleanWorker) {
 	f := w.tamper
 	f()
 }
 
-//repro:shardpure
+//repro:deterministic
 func Reflective(v reflect.Value) {
 	v.Call(nil) // want `call through reflect cannot be devirtualized`
 }

@@ -1,5 +1,4 @@
 //repro:deterministic
-//repro:shardpure
 package campaign
 
 import (

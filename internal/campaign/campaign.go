@@ -240,8 +240,6 @@ func socConfig(cfg TaskConfig) (soc.Config, error) {
 // is never recorded live (its owning task is scheduling-dependent);
 // the memoized base cycle count is synthesized into a KindBaseline
 // record instead, keeping every stream a pure function of its task.
-//
-//repro:shardpure
 func (r *Runner) runTask(cfg TaskConfig) Result {
 	if r.tr == nil {
 		return r.runTaskRec(cfg, nil)

@@ -9,7 +9,7 @@ import (
 
 // DefaultJobs is the worker count used when the caller passes jobs <= 0:
 // one worker per available CPU.
-func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
+func DefaultJobs() int { return runtime.GOMAXPROCS(0) } //repro:allow the worker count only sets how many goroutines pull task indices; results are slotted by index
 
 // forEach runs fn(i) for i in [0, n) on a bounded pool of `jobs`
 // goroutines pulling indices from a shared atomic counter. It is the

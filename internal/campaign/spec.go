@@ -74,9 +74,7 @@ type Spec struct {
 // Fill applies defaults to empty axes.
 func (s *Spec) Fill() {
 	if len(s.Engines) == 0 {
-		for _, e := range core.Survey() {
-			s.Engines = append(s.Engines, e.Key)
-		}
+		s.Engines = core.EngineKeys()
 	}
 	if len(s.Workloads) == 0 {
 		s.Workloads = WorkloadNames()

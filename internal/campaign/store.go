@@ -17,13 +17,14 @@
 // campaigns — a restarted sweepd replays only the points that had not
 // finished.
 //
-//repro:shardpure
+//repro:deterministic
 package campaign
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 
@@ -86,22 +87,16 @@ type storeSnapshot struct {
 // WriteSnapshot persists every completed entry to w. Failed cells
 // (Result.Err != "") are skipped — they are configuration errors,
 // cheap to rediscover and better re-validated by the build that loads
-// the snapshot — and flight-recorder streams are never persisted.
+// the snapshot — and flight-recorder streams are never persisted
+// (Result.Trace is not serialized).
 func (s *Store) WriteSnapshot(w io.Writer) error {
-	snap := storeSnapshot{
+	results := s.results.snapshot()
+	maps.DeleteFunc(results, func(_ string, r Result) bool { return r.Err != "" })
+	return json.NewEncoder(w).Encode(storeSnapshot{
 		Version:   SnapshotVersion,
 		Baselines: s.baselines.snapshot(),
-		Results:   make(map[string]Result),
-	}
-	for k, r := range s.results.snapshot() {
-		if r.Err != "" {
-			continue
-		}
-		r.Trace = nil
-		snap.Results[k] = r
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
+		Results:   results,
+	})
 }
 
 // ReadSnapshot seeds the store from a snapshot written by
@@ -121,11 +116,7 @@ func (s *Store) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("campaign: store snapshot version %d (this build reads %d)",
 			snap.Version, SnapshotVersion)
 	}
-	for k, v := range snap.Results {
-		if v.Err != "" || v.Key() != k {
-			delete(snap.Results, k)
-		}
-	}
+	maps.DeleteFunc(snap.Results, func(k string, v Result) bool { return v.Err != "" || v.Key() != k })
 	s.results.seed(snap.Results)
 	s.baselines.seed(snap.Baselines)
 	return nil

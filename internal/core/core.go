@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/crypto/modes"
 	"repro/internal/edu"
@@ -131,6 +132,16 @@ func Survey() []SurveyEntry {
 	}
 }
 
+// EngineKeys lists the surveyed designs' keys in registry order.
+func EngineKeys() []string {
+	entries := Survey()
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return keys
+}
+
 // Entry looks up a surveyed design by key.
 func Entry(key string) (SurveyEntry, error) {
 	for _, e := range Survey() {
@@ -138,7 +149,8 @@ func Entry(key string) (SurveyEntry, error) {
 			return e, nil
 		}
 	}
-	return SurveyEntry{}, fmt.Errorf("core: unknown engine %q (known: best, vlsi, gi, ds5002, ds5240, gilmont, xom, aegis)", key)
+	return SurveyEntry{}, fmt.Errorf("core: unknown engine %q (known: %s)",
+		key, strings.Join(EngineKeys(), ", "))
 }
 
 // MustEntry is Entry for known-good keys; it panics on typos.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,8 +44,17 @@ func TestEntryLookup(t *testing.T) {
 	if err != nil || e.Key != "aegis" {
 		t.Errorf("Entry(aegis): %v, %v", e.Key, err)
 	}
-	if _, err := Entry("nonsense"); err == nil {
-		t.Error("unknown key accepted")
+	_, err = Entry("nonsense")
+	if err == nil {
+		t.Fatal("unknown key accepted")
+	}
+	_, known, _ := strings.Cut(strings.TrimSuffix(err.Error(), ")"), "(known: ")
+	var keys []string
+	for _, e := range Survey() {
+		keys = append(keys, e.Key)
+	}
+	if !slices.Equal(strings.Split(known, ", "), keys) {
+		t.Errorf("unknown-key error %q must list every registered engine %v", err, keys)
 	}
 	defer func() {
 		if recover() == nil {

@@ -163,15 +163,6 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
-// Mean returns the average observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // HistogramBucket is one populated histogram bucket in a snapshot:
 // Count observations fell in [Lo, Hi].
 type HistogramBucket struct {

@@ -12,8 +12,10 @@ import (
 	"bufio"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -178,4 +180,18 @@ func WriteCSV(w io.Writer, tr *Trace) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteFile writes tr to path: CSV when the path ends in ".csv",
+// otherwise Chrome trace_event JSON that Perfetto loads directly.
+func WriteFile(path string, tr *Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	write := WriteChrome
+	if strings.HasSuffix(path, ".csv") {
+		write = WriteCSV
+	}
+	return errors.Join(write(f, tr), f.Close())
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,6 +165,36 @@ func TestCSVRoundTripsTrackLabels(t *testing.T) {
 	}
 	if want := []string{label, "1", "trap", "0", "0", "0x0", "0", "0", "100"}; !reflect.DeepEqual(recs[2], want) {
 		t.Errorf("row = %q, want %q", recs[2], want)
+	}
+}
+
+// TestWriteFilePicksFormatBySuffix: a ".csv" path gets WriteCSV's
+// bytes, any other path WriteChrome's.
+func TestWriteFilePicksFormatBySuffix(t *testing.T) {
+	tr := sampleTrace()
+	for name, write := range map[string]func(io.Writer, *Trace) error{
+		"trace.csv":  WriteCSV,
+		"trace.json": WriteChrome,
+		"trace":      WriteChrome,
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := WriteFile(path, tr); err != nil {
+			t.Fatalf("WriteFile(%s): %v", name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := write(&want, tr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("WriteFile(%s) wrote the wrong format:\n%s", name, got)
+		}
+	}
+	if err := WriteFile(filepath.Join(t.TempDir(), "missing", "t.csv"), tr); err == nil {
+		t.Error("WriteFile into a missing directory: want an error")
 	}
 }
 
