@@ -102,7 +102,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if !slices.Contains(campaign.Formats, *format) {
 		return fail(fmt.Errorf("unknown format %q (want %s)", *format, strings.Join(campaign.Formats, ", ")))
 	}
-	runner, err := campaign.NewRunner(spec)
+	store := campaign.NewStore()
+	runner, err := campaign.NewRunnerWith(spec, store)
 	if err != nil {
 		return fail(err)
 	}
@@ -179,7 +180,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if !*quiet {
 		fmt.Fprintf(stderr, "sweep: %d points, jobs=%d, baselines simulated=%d cached-hits=%d, %s\n",
-			len(rep.Results), *jobs, runner.BaselineRuns(), runner.BaselineHits(),
+			len(rep.Results), *jobs, store.BaselineRuns(), store.BaselineHits(),
 			elapsed.Round(time.Millisecond))
 	}
 	return 0

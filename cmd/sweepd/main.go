@@ -2,13 +2,15 @@
 // engine promoted to a long-lived HTTP fabric. POST a grid spec (the
 // same JSON `sweep -spec` reads) to /sweeps and it is validated,
 // expanded, and enqueued on a bounded admission queue (429 on
-// overflow) feeding one shared worker pool; stream incremental NDJSON
-// rows from /sweeps/{id}/results as points complete, fetch the final
-// report — byte-identical to the sweep CLI on the same spec — from
+// overflow); every admitted sweep runs through the same
+// campaign.Runner.RunOn loop the sweep CLI uses, on one shared worker
+// pool of -workers goroutines. Stream incremental NDJSON rows from
+// /sweeps/{id}/results as points complete, fetch the final report —
+// byte-identical to the sweep CLI on the same spec — from
 // /sweeps/{id}/result, and DELETE to cancel. All sweeps share one
 // process-lifetime baseline/result store, so concurrent users with
 // overlapping grids reuse each other's work; -store persists it across
-// restarts.
+// restarts, and is how a daemon boots warm.
 //
 //	sweepd -addr localhost:8344
 //	curl -X POST -d '{"engines":["aegis"],"workloads":["sequential"],"refs":[20000]}' localhost:8344/sweeps
@@ -16,10 +18,6 @@
 //	curl 'localhost:8344/sweeps/s1-91c2e0f7/result?format=csv'
 //	curl -X DELETE localhost:8344/sweeps/s1-91c2e0f7          # cancel
 //	curl localhost:8344/metrics                               # fabric + store counters
-//
-// Grid axis flags (the sweep CLI's vocabulary) define an optional
-// warm-up sweep executed before the server starts serving: a fleet
-// bring-up can pre-compute the baselines its users' grids will share.
 package main
 
 import (
@@ -50,13 +48,12 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "localhost:8344", "listen address")
-	workers := fs.Int("workers", campaign.DefaultJobs(), "shared simulation worker pool size (also runs the warm-up sweep)")
+	workers := fs.Int("workers", campaign.DefaultJobs(), "shared simulation worker pool size")
 	queueDepth := fs.Int("queue", 16, "admission queue depth (sweeps waiting to execute; overflow answers 429)")
 	maxActive := fs.Int("max-active", 2, "sweeps feeding the worker pool concurrently")
 	maxTasks := fs.Int("max-tasks", 65536, "largest grid expansion accepted (413 beyond)")
 	storePath := fs.String("store", "", "shared-store checkpoint file: loaded at boot, rewritten after every sweep and at shutdown")
 	traceCap := fs.String("trace-cap", "", "arm per-sweep flight recording with this per-task ring capacity in events, K/M suffixes ok (debugging; default off)")
-	specFlags := campaign.RegisterSpecFlags(fs)
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -88,27 +85,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) int {
 		return fail(err)
 	}
 	defer srv.Close()
-
-	// The optional warm-up sweep primes the shared store before traffic
-	// arrives: every grid its users later POST that overlaps these axes
-	// is served from memo.
-	if !specFlags.Empty() {
-		spec, err := specFlags.Spec()
-		if err != nil {
-			return fail(err)
-		}
-		runner, err := campaign.NewRunnerWith(spec, srv.Store())
-		if err != nil {
-			return fail(err)
-		}
-		start := time.Now()
-		rep, err := runner.RunContext(ctx, *workers)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "sweepd: warm-up %d points, baselines simulated=%d, %s\n",
-			len(rep.Results), runner.BaselineRuns(), time.Since(start).Round(time.Millisecond))
-	}
 
 	// Bind before announcing so scripts (and the e2e tests) can watch
 	// stderr for the live address — including a kernel-assigned :0 port.

@@ -206,23 +206,6 @@ func TestGracefulShutdownWritesCheckpoint(t *testing.T) {
 	}
 }
 
-func TestWarmupAxesPrimeTheStore(t *testing.T) {
-	// Grid axis flags run a warm-up sweep before serving: the first POST
-	// of an overlapping grid is served from memo.
-	base, _ := daemon(t, "-engines", "aegis", "-workloads", "sequential", "-refs", "1500")
-	id := postSpec(t, base, `{"engines":["aegis"],"workloads":["sequential"],"refs":[1500]}`)
-	get(t, base+"/sweeps/"+id+"/results")
-	var st struct {
-		MemoHits uint64 `json:"memo_hits"`
-	}
-	if err := json.Unmarshal([]byte(get(t, base+"/sweeps/"+id)), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.MemoHits != 1 {
-		t.Errorf("warmed POST memo hits = %d, want 1", st.MemoHits)
-	}
-}
-
 func TestBadFlagAndBadSpecExitNonzero(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -231,8 +214,6 @@ func TestBadFlagAndBadSpecExitNonzero(t *testing.T) {
 	}{
 		{[]string{"-no-such-flag"}, 2, "no-such-flag"},
 		{[]string{"-addr", "127.0.0.1:0", "-trace-cap", "nope"}, 1, "-trace-cap"},
-		// A warm-up axis typo fails startup, not the first request.
-		{[]string{"-addr", "127.0.0.1:0", "-engines", "warp-drive"}, 1, "warp-drive"},
 	} {
 		var stderr bytes.Buffer
 		code := run(context.Background(), tc.args, io.Discard, &stderr)

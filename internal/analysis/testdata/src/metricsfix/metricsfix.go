@@ -43,6 +43,6 @@ func Snap(h *obs.Histogram) uint64 {
 
 // Reader is unmarked: reader-side registry walks are fine off the hot
 // path, so this function must produce no diagnostics.
-func Reader(r *obs.Registry) []string {
-	return r.Names()
+func Reader(r *obs.Registry) obs.Snapshot {
+	return r.Snapshot()
 }

@@ -104,18 +104,6 @@ func NewRunnerWith(spec Spec, store *Store) (*Runner, error) {
 // executes — the exact Spec a Report built from this runner carries.
 func (r *Runner) Spec() Spec { return r.spec }
 
-// Store returns the runner's backing store.
-func (r *Runner) Store() *Store { return r.store }
-
-// BaselineRuns reports how many plaintext baseline simulations actually
-// executed; BaselineHits how many were served from cache. Both are
-// store-lifetime counts: on a shared store they span every runner
-// attached to it.
-func (r *Runner) BaselineRuns() int64 { return r.store.BaselineRuns() }
-
-// BaselineHits is the cache-served baseline lookup count.
-func (r *Runner) BaselineHits() int64 { return r.store.BaselineHits() }
-
 // OnResult installs an incremental delivery hook: fn is called once for
 // every task Exec finishes (simulated or memo-served), from the worker
 // goroutine that finished it, in completion order — NOT expansion
@@ -126,9 +114,9 @@ func (r *Runner) BaselineHits() int64 { return r.store.BaselineHits() }
 func (r *Runner) OnResult(fn func(Task, Result)) { r.onResult = fn }
 
 // Plan expands the grid and, when a metrics bundle is installed,
-// publishes the campaign denominators (tasks_total, refs_planned). Run
-// calls it implicitly; external schedulers call it once and then Exec
-// each task.
+// publishes the campaign denominators (tasks_total, refs_planned).
+// RunOn calls it implicitly; a caller that schedules tasks itself calls
+// it once and then Exec each task.
 func (r *Runner) Plan() []Task {
 	tasks := r.spec.Expand()
 	if r.m != nil {
@@ -140,9 +128,7 @@ func (r *Runner) Plan() []Task {
 
 // Exec executes one expanded task: the shared-store lookup, the
 // simulation on miss, the metrics bookkeeping, and the delivery hook.
-// It is the unit of work an external scheduler submits (the sweep
-// service's shared worker pool runs Exec closures from many sweeps on
-// one pool); Run is forEach over Exec.
+// It is the unit of work RunOn submits to a Pool.
 func (r *Runner) Exec(t Task) Result {
 	if r.m != nil {
 		r.m.TasksStarted.Inc()
@@ -189,17 +175,27 @@ func Canceled(cfg TaskConfig) Result {
 	return Result{TaskConfig: cfg, Err: CanceledErr}
 }
 
-// RunContext is Run with cooperative cancellation. Cancellation is
-// task-granular: in-flight simulations finish (a task is never left
-// half-run, so the shared store only ever holds complete values), no
-// new tasks start, and the error is ctx.Err(). The returned report
-// then holds partial state in canonical order — every completed point
-// plus a Canceled placeholder in each slot whose task never ran.
+// RunContext is Run with cooperative cancellation: RunOn on a private
+// pool of `jobs` workers.
 func (r *Runner) RunContext(ctx context.Context, jobs int) (*Report, error) {
+	p := NewPool(jobs)
+	defer p.Close()
+	return r.RunOn(ctx, p)
+}
+
+// RunOn is the one loop that runs a sweep: it expands the grid, submits
+// every task to p in expansion order, slots each result by its index
+// and builds the canonical report. Many sweeps may share one pool.
+// Cancellation is task-granular: in-flight simulations finish (a task
+// is never left half-run, so the shared store only ever holds complete
+// values), no new tasks start, and the error is ctx.Err(). The returned
+// report then holds partial state in canonical order — every completed
+// point plus a Canceled placeholder in each slot whose task never ran.
+func (r *Runner) RunOn(ctx context.Context, p *Pool) (*Report, error) {
 	tasks := r.Plan()
 	out := make([]Result, len(tasks))
 	done := make([]bool, len(tasks))
-	forEachCtx(ctx, jobs, len(tasks), func(i int) {
+	p.each(ctx, len(tasks), func(i int) {
 		out[i] = r.Exec(tasks[i])
 		done[i] = true
 	})

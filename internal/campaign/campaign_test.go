@@ -62,10 +62,10 @@ func TestBaselineComputedOnce(t *testing.T) {
 	rep := r.Run(8)
 	engines := len(spec.Engines)
 	points := len(rep.Results) / engines
-	if got, want := r.BaselineRuns(), int64(points); got != want {
+	if got, want := r.store.BaselineRuns(), int64(points); got != want {
 		t.Errorf("baseline simulations = %d, want %d (one per grid point)", got, want)
 	}
-	if got, want := r.BaselineHits(), int64((engines-1)*points); got != want {
+	if got, want := r.store.BaselineHits(), int64((engines-1)*points); got != want {
 		t.Errorf("baseline cache hits = %d, want %d", got, want)
 	}
 	// Shared baseline must mean shared cycle count: every engine at one
@@ -81,9 +81,9 @@ func TestBaselineComputedOnce(t *testing.T) {
 
 	// Re-running the same grid on the same runner resimulates nothing:
 	// every task is served from the result cache.
-	runs := r.Store().ResultRuns()
+	runs := r.store.ResultRuns()
 	r.Run(8)
-	if got := r.Store().ResultRuns(); got != runs {
+	if got := r.store.ResultRuns(); got != runs {
 		t.Errorf("re-run executed %d new tasks, want 0", got-runs)
 	}
 }
@@ -103,8 +103,8 @@ func TestSeedSharing(t *testing.T) {
 	if a.Seed() == c.Seed() {
 		t.Errorf("distinct geometries should shard to distinct seeds")
 	}
-	if a.Hash() == b.Hash() {
-		t.Errorf("distinct engines must have distinct config hashes")
+	if a.Key() == b.Key() {
+		t.Errorf("distinct engines must have distinct config keys")
 	}
 }
 
@@ -306,7 +306,7 @@ func TestSweepDeterminismWithHierarchy(t *testing.T) {
 	if len(baseAt) != 2 {
 		t.Errorf("expected 2 distinct baselines (single-level + 32K L2), got %d", len(baseAt))
 	}
-	if got, want := r.BaselineRuns(), int64(2); got != want {
+	if got, want := r.store.BaselineRuns(), int64(2); got != want {
 		t.Errorf("baseline simulations = %d, want %d (one per hierarchy)", got, want)
 	}
 	// The outer placement must actually be filtered relative to inner

@@ -87,10 +87,6 @@ func (c TaskConfig) BaselineKey() string {
 	return fmt.Sprintf("%s l2=%d", c.PointKey(), c.L2Size)
 }
 
-// Hash is a stable 64-bit FNV-1a hash of Key; it survives process
-// restarts (no map iteration, no pointer identity involved).
-func (c TaskConfig) Hash() uint64 { return hashString(c.Key()) }
-
 // Seed derives the task's trace seed from the engine-independent point
 // hash. Parallel and sequential sweeps hand each task this same seed,
 // so scheduling order cannot perturb a single generated reference.

@@ -10,11 +10,10 @@ import (
 	"repro/internal/edu"
 )
 
-// SpecFlags binds the grid axes to a FlagSet so every front end — the
-// sweep CLI and sweepd's warm-up axes — constructs its Spec from one
-// definition of the flag vocabulary, with one help text and one parse
-// path. Register with RegisterSpecFlags, then call Spec after
-// fs.Parse.
+// SpecFlags binds the grid axes to a FlagSet, so the sweep CLI builds
+// its Spec from one definition of the flag vocabulary, with one help
+// text and one parse path. Register with RegisterSpecFlags, then call
+// Spec after fs.Parse.
 type SpecFlags struct {
 	engines, workloads, refs, cache, l2, placement *string
 	line, bus, auths, attack                       *string
@@ -38,8 +37,7 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 }
 
 // Empty reports whether no grid-axis flag was set — the all-defaults
-// sweep. sweep -spec refuses axis flags beside it, and sweepd runs its
-// warm-up sweep only when one is set.
+// sweep. sweep -spec refuses axis flags beside it.
 func (f *SpecFlags) Empty() bool {
 	return *f.engines == "" && *f.workloads == "" && *f.refs == "" &&
 		*f.cache == "" && *f.l2 == "" && *f.placement == "" &&

@@ -47,8 +47,8 @@ func TestRunnerObserve(t *testing.T) {
 	if got := reg.Gauge("campaign.workers_busy").Load(); got != 0 {
 		t.Errorf("workers_busy = %d after Run, want 0", got)
 	}
-	if got := reg.Gauge("campaign.baseline_runs").Load(); got != runner.BaselineRuns() {
-		t.Errorf("baseline_runs = %d, want %d", got, runner.BaselineRuns())
+	if got := reg.Gauge("campaign.baseline_runs").Load(); got != runner.store.BaselineRuns() {
+		t.Errorf("baseline_runs = %d, want %d", got, runner.store.BaselineRuns())
 	}
 
 	// Every planned reference simulated exactly once: each task's trace

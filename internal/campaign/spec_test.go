@@ -180,8 +180,8 @@ func TestHashStability(t *testing.T) {
 	if l2cfg.Seed() != cfg.Seed() {
 		t.Error("an L2 must not fork the trace seed")
 	}
-	if cfg.Hash() != hashString(wantKey) {
-		t.Errorf("Hash does not match FNV-1a of Key")
+	if cfg.Seed() != int64(hashString(wantPoint)&(1<<63-1)) {
+		t.Errorf("Seed does not match FNV-1a of PointKey")
 	}
 	if cfg.Seed() < 0 {
 		t.Errorf("Seed must be non-negative, got %d", cfg.Seed())

@@ -72,7 +72,7 @@ func TestRunContextCancelReportsPartialState(t *testing.T) {
 			completed, canceled, delivered)
 	}
 	// The canceled placeholders never entered the store.
-	if _, nres := r.Store().Len(); nres != completed {
+	if _, nres := r.store.Len(); nres != completed {
 		t.Errorf("store holds %d results, want %d", nres, completed)
 	}
 
@@ -91,7 +91,7 @@ func TestRunContextCancelReportsPartialState(t *testing.T) {
 	if got, want := emitJSON(t, full), emitJSON(t, fresh); got != want {
 		t.Error("post-cancel rerun differs from a cold run")
 	}
-	if runs := r.Store().ResultRuns(); runs != 4 {
+	if runs := r.store.ResultRuns(); runs != 4 {
 		t.Errorf("store simulated %d points across cancel+rerun, want 4 (no recompute, no loss)", runs)
 	}
 }

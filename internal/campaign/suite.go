@@ -2,6 +2,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -32,7 +33,9 @@ func RunSuite(ids []string, refs, jobs int) ([]*core.Table, error) {
 
 	tables := make([]*core.Table, len(exps))
 	errs := make([]error, len(exps))
-	forEach(jobs, len(exps), func(i int) {
+	p := NewPool(jobs)
+	defer p.Close()
+	p.each(context.Background(), len(exps), func(i int) {
 		tbl, err := exps[i].Run(refs)
 		if err != nil {
 			errs[i] = fmt.Errorf("%s: %w", exps[i].ID, err)

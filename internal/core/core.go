@@ -82,7 +82,7 @@ func Survey() []SurveyEntry {
 			ModeDesc:    "CBC chained + MAC",
 			ClaimedCost: "\"unacceptable CPU performance degradation for random accesses\"",
 			Build: func() (edu.Engine, error) {
-				return products.NewGeneralInstrument(key24, key8)
+				return products.NewGeneralInstrument(key24)
 			},
 		},
 		{

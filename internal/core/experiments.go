@@ -255,7 +255,7 @@ func E5CBCRandomAccess(refs int) (*Table, error) {
 	for _, jr := range []float64{0.0, 0.02, 0.05, 0.1, 0.2} {
 		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 31, JumpRate: jr, CodeSize: 4 << 20})
 
-		gi, err := products.NewGeneralInstrument([]byte("0123456789abcdef01234567"), []byte("mac-key!"))
+		gi, err := products.NewGeneralInstrument([]byte("0123456789abcdef01234567"))
 		if err != nil {
 			return nil, err
 		}

@@ -201,6 +201,3 @@ func (e *Engine) NeedsRMW(writeBytes int) bool {
 	}
 	return writeBytes < e.cfg.Cipher.BlockSize()
 }
-
-// Mode returns the configured mode (used by reports and ablations).
-func (e *Engine) Mode() Mode { return e.cfg.Mode }

@@ -56,8 +56,8 @@ func TestDefaultNameAndModeString(t *testing.T) {
 	if ECB.String() != "ECB" || CTR.String() != "CTR" || Mode(9).String() != "unknown" {
 		t.Error("mode strings wrong")
 	}
-	if e.Mode() != LineCBC {
-		t.Error("Mode accessor wrong")
+	if e.cfg.Mode != LineCBC {
+		t.Error("default mode wrong")
 	}
 }
 

@@ -97,15 +97,13 @@ type GeneralInstrument struct {
 	haveLast bool
 }
 
-// NewGeneralInstrument builds the engine from a 3-DES key (16/24 bytes)
-// and an 8-byte (one DES block) MAC key, which is checked but unused.
-func NewGeneralInstrument(desKey, macKey []byte) (*GeneralInstrument, error) {
+// NewGeneralInstrument builds the engine from a 3-DES key (16/24
+// bytes). The CBC-MAC is modelled by its cost alone, so it takes no
+// key.
+func NewGeneralInstrument(desKey []byte) (*GeneralInstrument, error) {
 	t, err := des.NewTriple(desKey)
 	if err != nil {
 		return nil, fmt.Errorf("products: gi: %w", err)
-	}
-	if len(macKey) != des.BlockSize {
-		return nil, fmt.Errorf("products: gi: MAC key: %w", des.KeySizeError(len(macKey)))
 	}
 	return &GeneralInstrument{
 		cbc:    modes.NewBlockCBC(t, modes.IVRandom, 0x6131),
@@ -265,9 +263,6 @@ func (e *DS5002) WriteExtraCycles(uint64, int) uint64 { return 1 }
 
 // NeedsRMW implements edu.Engine: byte granularity never needs RMW.
 func (e *DS5002) NeedsRMW(int) bool { return false }
-
-// Inner exposes the modeled part for the Kuhn attack harness.
-func (e *DS5002) Inner() *ds5002.DS5002 { return e.d }
 
 // DS5240 is the Figure 6 successor: 64-bit DES/3-DES bus ciphering with
 // an iterative core (one round per cycle).

@@ -2,7 +2,6 @@ package products
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -42,7 +41,7 @@ func TestAllEnginesRoundtripAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, err := NewGeneralInstrument(make([]byte, 24), make([]byte, 8))
+	gi, err := NewGeneralInstrument(make([]byte, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +86,8 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := AEGIS(make([]byte, 5), modes.IVCounter, 0); err == nil {
 		t.Error("AEGIS bad key accepted")
 	}
-	if _, err := NewGeneralInstrument(make([]byte, 5), make([]byte, 8)); err == nil {
+	if _, err := NewGeneralInstrument(make([]byte, 5)); err == nil {
 		t.Error("GI bad DES key accepted")
-	}
-	if _, err := NewGeneralInstrument(make([]byte, 24), make([]byte, 5)); err == nil {
-		t.Error("GI bad MAC key accepted")
 	}
 	if _, err := NewBest(make([]byte, 5)); err == nil {
 		t.Error("Best bad key accepted")
@@ -137,7 +133,7 @@ func TestXomQuotedLatency(t *testing.T) {
 }
 
 func TestGIChainRestartPenalty(t *testing.T) {
-	g, _ := NewGeneralInstrument(make([]byte, 24), make([]byte, 8))
+	g, _ := NewGeneralInstrument(make([]byte, 24))
 	const line = 32
 	transfer := uint64(20)
 	first := g.ReadExtraCycles(0x0000, line, transfer) // random (cold)
@@ -157,19 +153,10 @@ func TestGIChainRestartPenalty(t *testing.T) {
 	}
 }
 
-// GI's CBC-MAC is modelled by its cost and its key alone: the
-// constructor takes exactly one DES block of MAC key (16 and 24 bytes
-// are valid 3-DES keys, not MAC keys), and the write path pays the MAC
-// pass on top of the CBC pass.
+// GI's CBC-MAC is modelled by its cost alone: the write path pays the
+// MAC pass on top of the CBC pass.
 func TestGIMAC(t *testing.T) {
-	for _, n := range []int{0, 7, 9, 16, 24} {
-		_, err := NewGeneralInstrument(make([]byte, 24), make([]byte, n))
-		var kse des.KeySizeError
-		if !errors.As(err, &kse) || int(kse) != n {
-			t.Errorf("%d-byte MAC key: err = %v, want a des.KeySizeError(%d)", n, err, n)
-		}
-	}
-	g, err := NewGeneralInstrument(make([]byte, 24), make([]byte, 8))
+	g, err := NewGeneralInstrument(make([]byte, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +178,8 @@ func TestDS5002ByteGranularity(t *testing.T) {
 	if e.ReadExtraCycles(0, 32, 20) != 1 || e.WriteExtraCycles(0, 32) != 1 {
 		t.Error("DS5002 combinational costs wrong")
 	}
-	if e.Inner() == nil {
-		t.Error("Inner() must expose the part for the attack harness")
+	if e.d == nil {
+		t.Error("DS5002 engine has no modeled part")
 	}
 }
 

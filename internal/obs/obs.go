@@ -147,22 +147,6 @@ func (h *Histogram) AddBatch(b *HistogramBatch) {
 	*b = HistogramBatch{}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // HistogramBucket is one populated histogram bucket in a snapshot:
 // Count observations fell in [Lo, Hi].
 type HistogramBucket struct {

@@ -190,14 +190,6 @@ func New(capacity int) *Recorder {
 	return &Recorder{buf: make([]Event, n), mask: uint64(n - 1)}
 }
 
-// Cap reports the ring capacity in events (0 for a nil/zero recorder).
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Stamp sets the simulated-cycle time and reference index subsequent
 // Emit calls record. The hot loop stamps once per reference and once
 // per costed transfer; everything a reference causes shares its stamp.

@@ -19,7 +19,7 @@ func TestNilAndZeroRecorderAreNoOps(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.Stamp(1, 2)
 	nilRec.Emit(KindFill, 0x40, 0, 0, 7)
-	if nilRec.Len() != 0 || nilRec.Dropped() != 0 || nilRec.Cap() != 0 {
+	if nilRec.Len() != 0 || nilRec.Dropped() != 0 {
 		t.Error("nil recorder reported state")
 	}
 	if st := nilRec.Seal("x"); len(st.Events) != 0 || st.Track != "x" {
@@ -39,8 +39,8 @@ func TestCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, DefaultCap}, {-5, DefaultCap}, {1, 16}, {16, 16}, {17, 32}, {1000, 1024},
 	} {
-		if got := New(tc.ask).Cap(); got != tc.want {
-			t.Errorf("New(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
+		if got := len(New(tc.ask).buf); got != tc.want {
+			t.Errorf("New(%d) ring holds %d events, want %d", tc.ask, got, tc.want)
 		}
 	}
 }

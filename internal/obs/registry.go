@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 )
 
@@ -136,28 +135,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names lists every registered metric name, sorted — the inventory the
-// docs and tests pin.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the snapshot as indented JSON (map keys sort, so

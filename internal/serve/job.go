@@ -50,9 +50,9 @@ type Status struct {
 // sweepJob is one admitted sweep: its runner (sharing the server
 // store), its private metrics registry, the canonical-order result
 // re-sequencer the NDJSON stream reads, and the final report. The
-// runner, registry, task list and done flags serve only the run:
-// finalize drops them, and a finished sweep keeps its report and the
-// final Status sample.
+// runner, registry and done flags serve only the run: finalize drops
+// them, and a finished sweep keeps its report and the final Status
+// sample.
 type sweepJob struct {
 	id     string
 	spec   campaign.Spec
@@ -63,7 +63,6 @@ type sweepJob struct {
 	mu    sync.Mutex
 	state string
 	reg   *obs.Registry
-	tasks []campaign.Task
 	out   []campaign.Result
 	done  []bool
 	// avail is the length of the contiguous completed prefix of out:
@@ -99,14 +98,14 @@ func (j *sweepJob) broadcast() {
 	j.notify = make(chan struct{})
 }
 
-// begin sizes the re-sequencer for the expanded grid and moves the job
-// to running.
-func (j *sweepJob) begin(tasks []campaign.Task) {
+// begin sizes the re-sequencer for the grid and moves the job to
+// running.
+func (j *sweepJob) begin() {
+	n := j.spec.Size()
 	j.mu.Lock()
 	j.state = StateRunning
-	j.tasks = tasks
-	j.out = make([]campaign.Result, len(tasks))
-	j.done = make([]bool, len(tasks))
+	j.out = make([]campaign.Result, n)
+	j.done = make([]bool, n)
 	j.broadcast()
 	j.mu.Unlock()
 }
@@ -126,32 +125,24 @@ func (j *sweepJob) record(t campaign.Task, res campaign.Result) {
 	j.mu.Unlock()
 }
 
-// finalize fills every never-run slot with its Canceled placeholder,
-// assembles the canonical report (identical to what Runner.RunContext
-// would have returned), and settles the terminal state.
-func (j *sweepJob) finalize() {
+// finalize installs the report RunOn returned and settles the terminal
+// state. The report's results become the stream's rows: the released
+// prefix is unchanged (the same results, in the same slots) and the
+// Canceled placeholders of a stopped sweep stream after it.
+func (j *sweepJob) finalize(rep *campaign.Report, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for i := range j.out {
-		if !j.done[i] {
-			j.out[i] = campaign.Canceled(j.tasks[i].Cfg)
-			j.done[i] = true
-		}
-	}
-	j.avail = len(j.out)
-	j.report = &campaign.Report{
-		Spec:    j.spec,
-		Results: j.out,
-		Summary: campaign.Summarize(j.out),
-	}
-	if err := j.ctx.Err(); err != nil {
+	j.report = rep
+	j.out = rep.Results
+	j.avail = len(rep.Results)
+	if err != nil {
 		j.state = StateCanceled
 		j.err = err
 	} else {
 		j.state = StateDone
 	}
 	j.final = j.sample()
-	j.runner, j.reg, j.tasks, j.done = nil, nil, nil, nil
+	j.runner, j.reg, j.done = nil, nil, nil
 	j.broadcast()
 }
 
@@ -177,10 +168,6 @@ func (j *sweepJob) status() Status {
 // sample reads the job's state and its live registry; callers hold
 // j.mu.
 func (j *sweepJob) sample() Status {
-	nTasks := len(j.tasks)
-	if j.state == StateQueued {
-		nTasks = j.spec.Size()
-	}
 	var errStr string
 	if j.err != nil {
 		errStr = j.err.Error()
@@ -188,7 +175,7 @@ func (j *sweepJob) sample() Status {
 	return Status{
 		ID:          j.id,
 		State:       j.state,
-		Tasks:       nTasks,
+		Tasks:       j.spec.Size(),
 		Rows:        j.avail,
 		TasksDone:   j.reg.Counter("campaign.tasks_done").Load(),
 		TaskErrors:  j.reg.Counter("campaign.task_errors").Load(),

@@ -1,12 +1,14 @@
 // Package serve is the sweep service: the long-lived campaign fabric
 // behind cmd/sweepd. It accepts grid specs over HTTP, validates and
-// expands them, and enqueues them on a bounded admission queue feeding
-// one shared worker pool; results stream incrementally as NDJSON in
-// canonical expansion order, and the final report is byte-identical to
-// what the sweep CLI emits for the same spec. Every sweep shares one
-// campaign.Store, so overlapping grids from concurrent users reuse
-// each other's baselines and completed points instead of recomputing
-// them — the sharing the hash-derived per-task seeds were built for.
+// expands them, and enqueues them on a bounded admission queue. Each
+// admitted sweep runs through campaign.Runner.RunOn — the loop the
+// sweep CLI runs — on one shared campaign.Pool; results stream
+// incrementally as NDJSON in canonical expansion order, and the final
+// report is byte-identical to what the sweep CLI emits for the same
+// spec. Every sweep shares one campaign.Store, so overlapping grids
+// from concurrent users reuse each other's baselines and completed
+// points instead of recomputing them — the sharing the hash-derived
+// per-task seeds were built for.
 //
 // The fabric lives strictly above soc.Run: nothing here touches the
 // simulation hot path, and a grid point's bytes are the same whether
@@ -81,10 +83,9 @@ type Server struct {
 	reg   *obs.Registry
 	mux   *http.ServeMux
 
-	queue    chan *sweepJob
-	work     chan func()
-	dispWG   sync.WaitGroup
-	workerWG sync.WaitGroup
+	queue  chan *sweepJob
+	pool   *campaign.Pool
+	dispWG sync.WaitGroup
 
 	mu     sync.Mutex
 	sweeps map[string]*sweepJob
@@ -127,7 +128,6 @@ func New(cfg Config) *Server {
 		store:     cfg.Store,
 		reg:       reg,
 		queue:     make(chan *sweepJob, cfg.QueueDepth),
-		work:      make(chan func()),
 		sweeps:    make(map[string]*sweepJob),
 		admitted:  reg.Counter("serve.sweeps_admitted"),
 		rejected:  reg.Counter("serve.sweeps_rejected"),
@@ -152,9 +152,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Store returns the shared cross-request store.
-func (s *Server) Store() *campaign.Store { return s.store }
-
 // Handler is the service's HTTP surface. It is live before Start —
 // sweeps POSTed early are admitted and wait in the queue.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -168,15 +165,7 @@ func (s *Server) Start() error {
 			return fmt.Errorf("serve: loading store checkpoint: %w", err)
 		}
 	}
-	for w := 0; w < s.cfg.Workers; w++ {
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			for fn := range s.work {
-				fn()
-			}
-		}()
-	}
+	s.pool = campaign.NewPool(s.cfg.Workers)
 	for d := 0; d < s.cfg.MaxActive; d++ {
 		s.dispWG.Add(1)
 		go s.dispatch()
@@ -184,8 +173,9 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Close stops admission, cancels every live sweep, drains the pool,
-// and writes a final checkpoint. Idempotent.
+// Close stops admission, cancels every live sweep, drains the
+// dispatchers and then the pool, and writes a final checkpoint.
+// Idempotent, and safe before Start.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -203,8 +193,9 @@ func (s *Server) Close() error {
 	}
 	close(s.queue)
 	s.dispWG.Wait()
-	close(s.work)
-	s.workerWG.Wait()
+	if s.pool != nil {
+		s.pool.Close()
+	}
 	if s.cfg.SnapshotPath != "" {
 		return s.saveSnapshot()
 	}
@@ -219,8 +210,8 @@ func (s *Server) saveSnapshot() error {
 	return s.store.SaveFile(s.cfg.SnapshotPath)
 }
 
-// dispatch is one sweep executor: it claims admitted sweeps and feeds
-// their tasks to the shared worker pool. MaxActive of these run.
+// dispatch claims admitted sweeps and runs each on the shared worker
+// pool. MaxActive of these run.
 func (s *Server) dispatch() {
 	defer s.dispWG.Done()
 	for j := range s.queue {
@@ -236,40 +227,20 @@ func (s *Server) dispatch() {
 	}
 }
 
-// runJob expands the sweep and submits each task to the shared pool in
-// expansion order, stopping at cancellation. The per-task closures run
-// Runner.Exec, which fires the job's record hook; after the last
-// submitted task drains, the job finalizes into its canonical report.
+// runJob runs one sweep through Runner.RunOn on the shared pool. The
+// job's record hook streams results as they land; the report RunOn
+// returns is the job's canonical final state. The outcome is counted
+// before finalize makes the sweep terminal, so /metrics already counts
+// a sweep any client sees finished.
 func (s *Server) runJob(j *sweepJob) {
-	runner := j.runner
-	tasks := runner.Plan()
-	j.begin(tasks)
-	var wg sync.WaitGroup
-	for _, t := range tasks {
-		if j.ctx.Err() != nil {
-			break
-		}
-		fn := func() {
-			defer wg.Done()
-			if j.ctx.Err() != nil {
-				return
-			}
-			runner.Exec(t)
-		}
-		wg.Add(1)
-		select {
-		case s.work <- fn:
-		case <-j.ctx.Done():
-			wg.Done()
-		}
-	}
-	wg.Wait()
-	j.finalize()
-	if j.ctx.Err() != nil {
+	j.begin()
+	rep, err := j.runner.RunOn(j.ctx, s.pool)
+	if err != nil {
 		s.canceled.Inc()
 	} else {
 		s.completed.Inc()
 	}
+	j.finalize(rep, err)
 }
 
 // newID mints a sweep id: admission sequence number plus a hash of the
@@ -340,6 +311,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		runner.Trace(tr)
 		s.lastTraced = tr
 	}
+	// The 202 answers with the admitted (queued) state: sampled before
+	// the send, since a free dispatcher may start the sweep at once.
+	st := j.status()
 	select {
 	case s.queue <- j:
 		s.sweeps[j.id] = j
@@ -348,7 +322,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.admitted.Inc()
 		w.Header().Set("Location", "/sweeps/"+j.id)
-		writeJSON(w, http.StatusAccepted, j.status())
+		writeJSON(w, http.StatusAccepted, st)
 	default:
 		s.mu.Unlock()
 		s.rejected.Inc()

@@ -338,7 +338,7 @@ func TestCancelKeepsPartialStateAndMemoIntact(t *testing.T) {
 
 	// The shared store holds only the completed points — no canceled
 	// placeholder may have leaked in.
-	if _, nres := s.Store().Len(); nres != completed {
+	if _, nres := s.store.Len(); nres != completed {
 		t.Errorf("store holds %d results, want %d completed", nres, completed)
 	}
 
@@ -457,7 +457,7 @@ func TestFinishedSweepFootprint(t *testing.T) {
 	if perSweep > maxPerSweep {
 		t.Errorf("each finished sweep retains %d B of heap, want <= %d", perSweep, maxPerSweep)
 	}
-	if hits := s.Store().ResultHits(); hits != 2*sweeps {
+	if hits := s.store.ResultHits(); hits != 2*sweeps {
 		t.Errorf("store served %d memo hits, want %d", hits, 2*sweeps)
 	}
 }
@@ -499,10 +499,10 @@ func TestConcurrentOverlappingSweepsShareTheStore(t *testing.T) {
 	// sweeps of a 2-task grid simulate 2 points and hit the memo twice
 	// (the singleflight memo serializes even perfectly simultaneous
 	// computations of one key).
-	if hits := s.Store().ResultHits(); hits == 0 {
+	if hits := s.store.ResultHits(); hits == 0 {
 		t.Error("no shared-memo hits recorded across overlapping sweeps")
 	}
-	if runs := s.Store().ResultRuns(); runs != 2 {
+	if runs := s.store.ResultRuns(); runs != 2 {
 		t.Errorf("store simulated %d points, want 2", runs)
 	}
 	metrics, _ := getBody(t, ts.URL+"/metrics")
@@ -522,7 +522,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("POST = %d", code)
 	}
 	waitTerminal(t, ts1.URL, st.ID)
-	runs := s1.Store().ResultRuns()
+	runs := s1.store.ResultRuns()
 	if runs != 2 {
 		t.Fatalf("first server simulated %d points, want 2", runs)
 	}
@@ -545,7 +545,7 @@ func TestCheckpointResume(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("resume state = %s", final.State)
 	}
-	if got := s2.Store().ResultRuns(); got != 0 {
+	if got := s2.store.ResultRuns(); got != 0 {
 		t.Errorf("resumed server simulated %d points, want 0 (checkpoint should cover them)", got)
 	}
 	if final.MemoHits != 2 {
@@ -690,4 +690,11 @@ func ExampleServer() {
 	resp.Body.Close()
 	fmt.Println("admitted:", st.State)
 	// Output: admitted: queued
+}
+
+func TestCloseBeforeStart(t *testing.T) {
+	s := New(Config{})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -61,6 +61,17 @@ type Stats struct {
 	WriteThrough uint64 // stores propagated in write-through mode
 }
 
+// Sub returns the events counted since the snapshot prev.
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		Hits:         s.Hits - prev.Hits,
+		Misses:       s.Misses - prev.Misses,
+		Evictions:    s.Evictions - prev.Evictions,
+		Writebacks:   s.Writebacks - prev.Writebacks,
+		WriteThrough: s.WriteThrough - prev.WriteThrough,
+	}
+}
+
 // MissRate returns misses / (hits + misses).
 func (s Stats) MissRate() float64 {
 	d := s.Hits + s.Misses

@@ -86,9 +86,6 @@ func NewHierarchy(levels ...*Cache) (*Hierarchy, error) {
 	return &Hierarchy{levels: levels}, nil
 }
 
-// Level returns level i (0 = nearest the CPU).
-func (h *Hierarchy) Level(i int) *Cache { return h.levels[i] }
-
 // Access performs one CPU reference against level 0, falling through on
 // misses, and returns the transfers it caused. The event slice is owned
 // by the hierarchy and valid until the next Access or Flush.

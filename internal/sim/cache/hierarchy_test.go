@@ -117,19 +117,19 @@ func TestHierarchyTwoLevel(t *testing.T) {
 		for _, ev := range events {
 			switch {
 			case ev.Kind == EvWriteback && ev.Level == 0:
-				if !h.Level(1).Contains(ev.Addr) {
+				if !h.levels[1].Contains(ev.Addr) {
 					t.Fatalf("ref %d: L1 writeback of %#x did not install in L2", i, ev.Addr)
 				}
 			case ev.Kind == EvFill && ev.Level == 0:
 				if ev.PeerSlot < 0 {
 					t.Fatalf("ref %d: L1 fill bypassed the L2", i)
 				}
-				if !h.Level(1).Contains(ev.Addr) {
+				if !h.levels[1].Contains(ev.Addr) {
 					t.Fatalf("ref %d: L1 filled %#x but L2 does not hold it", i, ev.Addr)
 				}
 			}
 		}
-		if !res.Hit && !h.Level(0).Contains(addr) {
+		if !res.Hit && !h.levels[0].Contains(addr) {
 			t.Fatalf("ref %d: miss did not allocate %#x in L1", i, addr)
 		}
 	}
@@ -140,10 +140,10 @@ func TestHierarchyTwoLevel(t *testing.T) {
 			t.Errorf("flush emitted a fill event: %+v", ev)
 		}
 	}
-	if got := h.Level(0).FlushDirty(nil); len(got) != 0 {
+	if got := h.levels[0].FlushDirty(nil); len(got) != 0 {
 		t.Errorf("L1 still dirty after Flush: %d lines", len(got))
 	}
-	if got := h.Level(1).FlushDirty(nil); len(got) != 0 {
+	if got := h.levels[1].FlushDirty(nil); len(got) != 0 {
 		t.Errorf("L2 still dirty after Flush: %d lines", len(got))
 	}
 }

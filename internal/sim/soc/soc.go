@@ -618,10 +618,14 @@ func (s *SoC) writeThrough(addr uint64, size, hitSlot int, rep *Report) (cycles,
 func (s *SoC) Run(src trace.RefSource) Report {
 	src.Reset()
 	rep := Report{EngineName: s.engine.Name(), Workload: src.Label()}
-	s.tally = tally{rep: rep, l1: s.cache.Stats()}
+	// The caches and the bus count over the SoC's whole life; a run
+	// reports their growth from here, as it does its cycles and refs.
+	l1At, bytesAt, txnsAt := s.cache.Stats(), s.bus.BytesMoved, s.bus.Transactions
+	var l2At cache.Stats
 	if s.l2 != nil {
-		s.tally.l2 = s.l2.Stats()
+		l2At = s.l2.Stats()
 	}
+	s.tally = tally{rep: rep, l1: l1At, l2: l2At}
 	perAccess := s.engine.PerAccessCycles()
 
 	for {
@@ -677,12 +681,12 @@ func (s *SoC) Run(src trace.RefSource) Report {
 	s.flushing = false
 	s.publish(&rep)
 
-	rep.Cache = s.cache.Stats()
+	rep.Cache = s.cache.Stats().Sub(l1At)
 	if s.l2 != nil {
-		rep.L2 = s.l2.Stats()
+		rep.L2 = s.l2.Stats().Sub(l2At)
 	}
-	rep.BusBytes = s.bus.BytesMoved
-	rep.BusTxns = s.bus.Transactions
+	rep.BusBytes = s.bus.BytesMoved - bytesAt
+	rep.BusTxns = s.bus.Transactions - txnsAt
 	return rep
 }
 

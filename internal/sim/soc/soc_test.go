@@ -559,6 +559,37 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// A reused SoC reports each run on its own: its caches and bus count
+// over the SoC's life, but a Report's counters, like its Cycles and
+// Refs, cover one run. Three runs of one system on one source must read
+// hits+misses == Refs every time, and the second and third (both from
+// the same warm state) must report identical traffic.
+func TestReusedSoCReportsPerRun(t *testing.T) {
+	src := trace.SequentialSource(trace.Config{Refs: 20000, Seed: 3, LoadFraction: 0.4, WriteFraction: 0.3, JumpRate: 0.02, Locality: 0.6})
+	for _, l2 := range []int{0, 64 << 10} {
+		cfg := DefaultConfig()
+		if l2 > 0 {
+			cfg.L2 = DefaultL2Config(l2)
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reps [3]Report
+		for i := range reps {
+			reps[i] = s.Run(src)
+			if got := reps[i].Cache.Hits + reps[i].Cache.Misses; got != reps[i].Refs {
+				t.Errorf("l2=%d run %d: L1 hits+misses = %d, want Refs = %d", l2, i+1, got, reps[i].Refs)
+			}
+		}
+		a, b := reps[1], reps[2]
+		if a.BusBytes != b.BusBytes || a.BusTxns != b.BusTxns || a.L2 != b.L2 {
+			t.Errorf("l2=%d: runs 2 and 3 differ: bus %d B/%d txns, L2 %+v vs bus %d B/%d txns, L2 %+v",
+				l2, a.BusBytes, a.BusTxns, a.L2, b.BusBytes, b.BusTxns, b.L2)
+		}
+	}
+}
+
 // The verified miss path must hold the 0 allocs/ref contract with a
 // tree authenticator installed, whether verification walks terminate in
 // the node cache (large cache: hit case) or climb to the root every
