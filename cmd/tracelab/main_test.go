@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +35,26 @@ func TestForensicsCrossCheck(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "strikes injected") {
 		t.Errorf("no strike summary:\n%s", stdout)
+	}
+}
+
+// tracelab's printed forensics are pinned byte for byte: a refactor of
+// the engines, the trace generators or the attack model that moves one
+// strike, one latency or one cycle count changes a digest here.
+func TestForensicsPinned(t *testing.T) {
+	for auth, want := range map[string]string{
+		"tree":     "840066a57976b510aa49da663980e31f48af45c5aa8e52091f2b4d84bf11037e",
+		"ctree":    "12f588ca2cdb9fdcd01bd2964a67326539450bb2fee17dd931dc9e07d867a1bf",
+		"flat-mac": "f42d27b5eda8a50b9f20e754918cfdb866372f6423a99118498ab68b44c42209",
+	} {
+		stdout, stderr, code := cli("-authtree", auth, "-attack", "16", "-refs", "12000")
+		if code != 0 {
+			t.Fatalf("%s: exited %d: %s", auth, code, stderr)
+		}
+		sum := sha256.Sum256([]byte(stdout))
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: stdout digest %s, pinned %s:\n%s", auth, got, want, stdout)
+		}
 	}
 }
 
