@@ -104,26 +104,23 @@ func BirthdayCollisionProbability(bits int, n uint64) float64 {
 	return 1 - math.Exp(exponent)
 }
 
-// BruteForce models the §1 temporal problem: "the key must be long
-// enough to thwart the brute force attack... a cryptosystem has a
+// The brute-force model of the §1 temporal problem: "the key must be
+// long enough to thwart the brute force attack... a cryptosystem has a
 // lifetime of at most 10 years due to the increase in computer
 // processing power (Moore's law)".
-type BruteForce struct {
-	// KeysPerSecond is the attacker's current search rate.
-	KeysPerSecond float64
-	// DoublingYears is the Moore's-law doubling period (1.5 by default).
-	DoublingYears float64
-}
+const (
+	// KeysPerSecond is the attacker's search rate today.
+	KeysPerSecond = 1e8
+	// DoublingYears is the Moore's-law doubling period of that rate.
+	DoublingYears = 1.5
+)
 
 // YearsToBreak returns the expected years until a `bits`-bit keyspace is
 // half-searched, accounting for the attacker's exponentially growing
 // rate: solve ∫ r·2^(t/d) dt = 2^(bits-1).
-func (b BruteForce) YearsToBreak(bits int) float64 {
-	d := b.DoublingYears
-	if d <= 0 {
-		d = 1.5
-	}
-	r := b.KeysPerSecond * 365.25 * 24 * 3600 // keys per year now
+func YearsToBreak(bits int) float64 {
+	const d = DoublingYears
+	r := KeysPerSecond * 365.25 * 24 * 3600 // keys per year now
 	target := math.Exp2(float64(bits - 1))
 	// ∫₀ᵀ r·2^(t/d) dt = r·d/ln2 ·(2^(T/d) − 1) = target
 	x := target*math.Ln2/(r*d) + 1
@@ -139,10 +136,10 @@ type LifetimeRow struct {
 // LifetimeTable evaluates YearsToBreak over the classic key sizes: DES
 // (56), the DS5002 byte cipher's effective strength as Kuhn broke it
 // (8), 3-DES EDE2 (80 effective), 3-DES EDE3 (112), AES (128).
-func (b BruteForce) LifetimeTable() []LifetimeRow {
+func LifetimeTable() []LifetimeRow {
 	out := []LifetimeRow{}
 	for _, bits := range []int{8, 56, 64, 80, 112, 128} {
-		out = append(out, LifetimeRow{Bits: bits, Years: b.YearsToBreak(bits)})
+		out = append(out, LifetimeRow{Bits: bits, Years: YearsToBreak(bits)})
 	}
 	return out
 }

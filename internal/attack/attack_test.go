@@ -2,7 +2,6 @@ package attack
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"repro/internal/crypto/aes"
@@ -114,30 +113,23 @@ func TestBirthdayProbability(t *testing.T) {
 // can almost reach today falls within ~a decade under Moore's law, while
 // 128-bit keys outlive any doubling cadence that matters.
 func TestBruteForceLifetimes(t *testing.T) {
-	b := BruteForce{KeysPerSecond: 1e8, DoublingYears: 1.5}
-
-	des := b.YearsToBreak(56)
+	des := YearsToBreak(56)
 	if des < 1 || des > 25 {
 		t.Errorf("DES-56 lifetime %v years implausible", des)
 	}
-	aes128 := b.YearsToBreak(128)
+	aes128 := YearsToBreak(128)
 	if aes128 < 80 {
 		t.Errorf("AES-128 lifetime %v years — should be generations", aes128)
 	}
-	if b.YearsToBreak(8) > 0.001 {
+	if YearsToBreak(8) > 0.001 {
 		t.Error("an 8-bit space should fall instantly")
 	}
 	// Monotone in key size.
 	prev := -1.0
-	for _, row := range b.LifetimeTable() {
+	for _, row := range LifetimeTable() {
 		if row.Years <= prev {
 			t.Errorf("lifetime table not monotone at %d bits", row.Bits)
 		}
 		prev = row.Years
-	}
-	// Default doubling period kicks in when unset.
-	d := BruteForce{KeysPerSecond: 1e9}
-	if math.IsNaN(d.YearsToBreak(56)) || d.YearsToBreak(56) <= 0 {
-		t.Error("default doubling period broken")
 	}
 }

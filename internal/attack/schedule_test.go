@@ -3,7 +3,6 @@ package attack
 import (
 	"testing"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu/products"
 	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
@@ -16,7 +15,7 @@ import (
 // and returns the schedule and report.
 func firmwareRun(t *testing.T, auth string, rate float64, refs int) (*Schedule, soc.Report) {
 	t.Helper()
-	eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0x5eed)
+	eng, err := products.AEGIS([]byte("0123456789abcdef"), 0x5eed)
 	if err != nil {
 		t.Fatal(err)
 	}

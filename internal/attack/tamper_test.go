@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/products"
 	"repro/internal/sim/authtree"
@@ -30,7 +29,7 @@ func buildSystem(t *testing.T, eng edu.Engine, ver edu.Verifier, image []byte) *
 
 func aegisEngine(t *testing.T) edu.Engine {
 	t.Helper()
-	e, err := products.AEGIS(make([]byte, 16), modes.IVCounter, 1)
+	e, err := products.AEGIS(make([]byte, 16), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

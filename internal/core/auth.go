@@ -13,22 +13,20 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/edu"
+	"repro/internal/sim/addrmap"
 	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
 )
 
 // Default protected-memory geometry for registry-built authenticators:
-// the code region plus a data window that covers every standard
-// workload's footprint (pointer-chase touches 8 MiB). Experiments that
-// sweep the protected size (E20) build their trees directly instead.
+// the code region plus a data window at addrmap.DataBase. Experiments
+// that sweep the protected size (E20) build their trees directly
+// instead.
 const (
 	// ProtectedCodeBytes is the protected code window at address 0.
 	ProtectedCodeBytes = 1 << 20
-	// ProtectedDataBytes is the protected data window at DataBase.
+	// ProtectedDataBytes is the protected data window at addrmap.DataBase.
 	ProtectedDataBytes = 16 << 20
-	// DataBase is where every workload's data region starts (matches
-	// trace.Config defaults).
-	DataBase = 0x4000_0000
 	// AuthNodeCacheBytes is the default on-chip tree-node cache.
 	AuthNodeCacheBytes = 4 << 10
 )
@@ -41,7 +39,7 @@ var authKey = []byte("ghash-tag-key-01")
 func DefaultProtectedRegions() []authtree.Region {
 	return []authtree.Region{
 		{Base: 0, Bytes: ProtectedCodeBytes},
-		{Base: DataBase, Bytes: ProtectedDataBytes},
+		{Base: addrmap.DataBase, Bytes: ProtectedDataBytes},
 	}
 }
 

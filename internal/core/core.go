@@ -15,17 +15,11 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/gilmont"
 	"repro/internal/edu/products"
 	"repro/internal/sim/trace"
 )
-
-// CodeLimit is the boundary between the code and data regions in every
-// experiment's address map (matches trace.Config defaults: code below,
-// data at 0x4000_0000).
-const CodeLimit = 0x1000_0000
 
 // SurveyEntry describes one surveyed design: its paper metadata and an
 // engine factory (fresh state per call — engines are stateful).
@@ -36,10 +30,6 @@ type SurveyEntry struct {
 	Name string
 	// Origin cites the source (patent, product or paper).
 	Origin string
-	// Figure is the survey figure presenting it.
-	Figure string
-	// Year is the design's publication year.
-	Year int
 	// Cipher describes the cryptographic core.
 	Cipher string
 	// BlockBits is the ciphering granule in bits.
@@ -61,7 +51,7 @@ func Survey() []SurveyEntry {
 	return []SurveyEntry{
 		{
 			Key: "best", Name: "Best crypto-microprocessor",
-			Origin: "US patents 4,168,396 / 4,278,837 / 4,465,901", Figure: "Fig. 3", Year: 1979,
+			Origin: "US patents 4,168,396 / 4,278,837 / 4,465,901",
 			Cipher: "mono/poly-alphabetic substitution + byte transposition", BlockBits: 64,
 			ModeDesc:    "address-bound per-block",
 			ClaimedCost: "none quoted (runs at bus speed)",
@@ -69,15 +59,15 @@ func Survey() []SurveyEntry {
 		},
 		{
 			Key: "vlsi", Name: "VLSI Technology secure MMU",
-			Origin: "US patent 5,825,878", Figure: "Fig. 4", Year: 1998,
+			Origin: "US patent 5,825,878",
 			Cipher: "DES", BlockBits: 64,
 			ModeDesc:    "page-wise secure DMA, OS-trusted",
 			ClaimedCost: "none quoted (page-granular amortization)",
-			Build:       func() (edu.Engine, error) { return products.NewVLSI(key8, 4096, 8) },
+			Build:       func() (edu.Engine, error) { return products.NewVLSI(key8) },
 		},
 		{
 			Key: "gi", Name: "General Instrument secure processor",
-			Origin: "US patent 6,061,449", Figure: "Fig. 5", Year: 2000,
+			Origin: "US patent 6,061,449",
 			Cipher: "3-DES + keyed hash", BlockBits: 64,
 			ModeDesc:    "CBC chained + MAC",
 			ClaimedCost: "\"unacceptable CPU performance degradation for random accesses\"",
@@ -87,7 +77,7 @@ func Survey() []SurveyEntry {
 		},
 		{
 			Key: "ds5002", Name: "Dallas DS5002FP",
-			Origin: "Dallas Semiconductor (Maxim)", Figure: "Fig. 6", Year: 1993,
+			Origin: "Dallas Semiconductor (Maxim)",
 			Cipher: "proprietary 8-bit bus cipher", BlockBits: 8,
 			ModeDesc:    "per-byte, address-keyed",
 			ClaimedCost: "broken by Kuhn's 256-way cipher instruction search",
@@ -95,7 +85,7 @@ func Survey() []SurveyEntry {
 		},
 		{
 			Key: "ds5240", Name: "Dallas DS5240",
-			Origin: "Dallas Semiconductor (Maxim)", Figure: "Fig. 6", Year: 2003,
+			Origin: "Dallas Semiconductor (Maxim)",
 			Cipher: "DES / 3-DES", BlockBits: 64,
 			ModeDesc:    "per-block, address-tweaked",
 			ClaimedCost: "none quoted (\"strengthened robustness\")",
@@ -103,17 +93,17 @@ func Survey() []SurveyEntry {
 		},
 		{
 			Key: "gilmont", Name: "Gilmont et al. secure MMU",
-			Origin: "Euromicro 1999 [3]", Figure: "§3", Year: 1999,
+			Origin: "Euromicro 1999 [3]",
 			Cipher: "pipelined 3-DES + fetch prediction", BlockBits: 64,
 			ModeDesc:    "ECB, static code only",
 			ClaimedCost: "deciphering cost < 2.5%",
 			Build: func() (edu.Engine, error) {
-				return gilmont.New(gilmont.Config{Key: key24, CodeLimit: CodeLimit, Gates: products.GilmontGates})
+				return gilmont.New(key24)
 			},
 		},
 		{
 			Key: "xom", Name: "XOM",
-			Origin: "Stanford [13]", Figure: "§3", Year: 2000,
+			Origin: "Stanford [13]",
 			Cipher: "pipelined AES", BlockBits: 128,
 			ModeDesc:    "per-block",
 			ClaimedCost: "latency 14 cycles, 1 block/cycle throughput",
@@ -121,12 +111,12 @@ func Survey() []SurveyEntry {
 		},
 		{
 			Key: "aegis", Name: "AEGIS",
-			Origin: "MIT, ICS 2003 [14]", Figure: "§3", Year: 2003,
+			Origin: "MIT, ICS 2003 [14]",
 			Cipher: "pipelined AES, 300k gates", BlockBits: 128,
 			ModeDesc:    "CBC per cache block, IV = addr + counter",
 			ClaimedCost: "performance overhead ~25%",
 			Build: func() (edu.Engine, error) {
-				return products.AEGIS(key16, modes.IVCounter, 0xae915)
+				return products.AEGIS(key16, 0xae915)
 			},
 		},
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"math"
 	"math/rand"
 
 	"repro/internal/attack"
@@ -220,7 +221,7 @@ func E4ECBLeakage() (*Table, error) {
 	if err := run("aes-ecb", ecb); err != nil {
 		return nil, err
 	}
-	aegis, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 9)
+	aegis, err := products.AEGIS([]byte("0123456789abcdef"), 9)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +312,7 @@ func E6Aegis(refs int) (*Table, error) {
 		return blockengine.New(blockengine.Config{
 			Name: name, Cipher: c, Mode: blockengine.LineCBC,
 			Timing: edu.PipelineTiming{Latency: 14 * ii, II: ii},
-			Gates:  products.AEGISGates, Salt: 0xae915, IVMode: modes.IVCounter,
+			Gates:  products.AEGISGates, Salt: 0xae915,
 			WholeLineStall: whole,
 		})
 	}
@@ -411,9 +412,7 @@ func E8Gilmont(refs int) (*Table, error) {
 	}
 	for _, p := range points {
 		tr := trace.CodeOnlySource(trace.Config{Refs: refs, Seed: 41, JumpRate: p.jr, CodeSize: p.size})
-		eng, err := gilmont.New(gilmont.Config{
-			Key: []byte("0123456789abcdef01234567"), CodeLimit: CodeLimit, Gates: products.GilmontGates,
-		})
+		eng, err := gilmont.New([]byte("0123456789abcdef01234567"))
 		if err != nil {
 			return nil, err
 		}
@@ -501,9 +500,7 @@ func E10CodePack(refs int) (*Table, error) {
 		cfg := soc.DefaultConfig()
 		cfg.Bus.ClockDivider = m.busDiv
 		cfg.DRAM.ClockDivider = m.dramDiv
-		eng, err := compressengine.New(compressengine.Config{
-			Codec: codec, Ratio: density, CodeLimit: CodeLimit, Gates: 20_000,
-		})
+		eng, err := compressengine.New(compressengine.Config{Codec: codec, Ratio: density})
 		if err != nil {
 			return nil, err
 		}
@@ -624,9 +621,7 @@ func E12CompressThenEncrypt(refs int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	combo, err := compressengine.New(compressengine.Config{
-		Codec: codec, Ratio: im.Ratio(), CodeLimit: CodeLimit, Inner: inner, Gates: 20_000,
-	})
+	combo, err := compressengine.New(compressengine.Config{Codec: codec, Ratio: im.Ratio(), Inner: inner})
 	if err != nil {
 		return nil, err
 	}
@@ -648,14 +643,14 @@ func E13BruteForce() (*Table, error) {
 		ID:         "E13",
 		Title:      "brute-force keyspace lifetime under Moore's law",
 		PaperClaim: "\"It's usually considered that a cryptosystem has a lifetime of at most 10 years due to the increase in computer processing power (Moore's law)\"",
-		Header:     []string{"key bits", "example", "years to break (1e8 keys/s, 1.5y doubling)"},
+		Header: []string{"key bits", "example", fmt.Sprintf("years to break (1e%.0f keys/s, %gy doubling)",
+			math.Log10(attack.KeysPerSecond), attack.DoublingYears)},
 	}
 	names := map[int]string{
 		8: "DS5002 per-byte space (Kuhn)", 56: "DES", 64: "generic 64-bit",
 		80: "3-DES EDE2 (effective)", 112: "3-DES EDE3", 128: "AES-128",
 	}
-	b := attack.BruteForce{KeysPerSecond: 1e8, DoublingYears: 1.5}
-	for _, row := range b.LifetimeTable() {
+	for _, row := range attack.LifetimeTable() {
 		t.AddRow(row.Bits, names[row.Bits], fmt.Sprintf("%.2f", row.Years))
 	}
 	t.Notes = append(t.Notes,
@@ -812,7 +807,7 @@ func E16VlsiDma(refs int) (*Table, error) {
 	}
 	baselines := soc.Baselines{}
 	for _, src := range workloads {
-		vlsi, err := products.NewVLSI([]byte("on-chip!"), 4096, 8)
+		vlsi, err := products.NewVLSI([]byte("on-chip!"))
 		if err != nil {
 			return nil, err
 		}

@@ -11,13 +11,12 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/products"
 	"repro/internal/obs/rec"
+	"repro/internal/sim/addrmap"
 	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
-	"repro/internal/sim/trace"
 )
 
 // e20Key is the GMAC tag key the auth experiments use (AES-128).
@@ -47,7 +46,7 @@ func E20AuthTrees(refs int) (*Table, error) {
 	regions := func(protected uint64) []authtree.Region {
 		return []authtree.Region{
 			{Base: 0, Bytes: ProtectedCodeBytes},
-			{Base: DataBase, Bytes: protected},
+			{Base: addrmap.DataBase, Bytes: protected},
 		}
 	}
 
@@ -160,11 +159,11 @@ func E20AuthTrees(refs int) (*Table, error) {
 	return t, nil
 }
 
-// E21Auths and E21Rates are E21's grid: every registered authenticator
+// e21Auths and e21Rates are E21's grid: every registered authenticator
 // against three strike rates (tampers per 10k references).
 var (
-	E21Auths = []string{"none", "flat-mac", "flat-fresh", "tree", "ctree"}
-	E21Rates = []float64{1, 4, 16}
+	e21Auths = []string{"none", "flat-mac", "flat-fresh", "tree", "ctree"}
+	e21Rates = []float64{1, 4, 16}
 )
 
 // E21Cell simulates one cell of the E21 active-adversary grid and
@@ -181,7 +180,7 @@ var (
 // stale and the rollback attack means anything.
 func E21Cell(auth string, rate float64, refs int, rc *rec.Recorder) (soc.Report, *attack.Schedule, error) {
 	const lineBytes = 32
-	eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0x21)
+	eng, err := products.AEGIS([]byte("0123456789abcdef"), 0x21)
 	if err != nil {
 		return soc.Report{}, nil, err
 	}
@@ -206,18 +205,14 @@ func E21Cell(auth string, rate float64, refs int, rc *rec.Recorder) (soc.Report,
 	if err != nil {
 		return soc.Report{}, nil, err
 	}
-	// A microcontroller-class footprint (16 KiB code, 32 KiB hot data —
-	// the survey's systems): small enough that tampered lines cycle
-	// back through the cache several times per run. Detection requires
-	// the victim line to cross the bus again — with a multi-megabyte
+	// The firmware footprint (16 KiB code, 32 KiB hot data — the
+	// survey's systems): small enough that tampered lines cycle back
+	// through the cache several times per run. Detection requires the
+	// victim line to cross the bus again — with a multi-megabyte
 	// footprint most tampers simply age out unobserved, which says
 	// something about the attack surface but nothing about the
 	// authenticators under test.
-	src := trace.SequentialSource(trace.Config{
-		Refs: refs, Seed: 21, LoadFraction: 0.35, WriteFraction: 0.4, JumpRate: 0.03, Locality: 0.5,
-		CodeBase: 0, CodeSize: 16 << 10, DataBase: DataBase, DataSize: 32 << 10,
-	})
-	return s.Run(src), sched, nil
+	return s.Run(ProfileSource("firmware", refs, 21)), sched, nil
 }
 
 // E21AttackSweep drives the active-adversary schedule against each
@@ -231,12 +226,12 @@ func E21AttackSweep(refs int) (*Table, error) {
 		PaperClaim: "\"attacks based on the modification of the fetched instructions\" (§5) — measured as a campaign, not a single probe",
 		Header:     []string{"auth", "atk/10k", "injected", "detected", "det-rate", "mean-lat", "max-lat", "fail-stop ovh"},
 	}
-	for _, auth := range E21Auths {
+	for _, auth := range e21Auths {
 		quiet, _, err := E21Cell(auth, 0, refs, nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, rate := range E21Rates {
+		for _, rate := range e21Rates {
 			rep, sched, err := E21Cell(auth, rate, refs, nil)
 			if err != nil {
 				return nil, err

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/crypto/aes"
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/blockengine"
 	"repro/internal/edu/multikey"
@@ -101,7 +100,7 @@ func E18Ablations(refs int) (*Table, error) {
 	baselines := soc.Baselines{}
 
 	measure := func(mut func(*soc.Config)) (float64, error) {
-		eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xab1a7e)
+		eng, err := products.AEGIS([]byte("0123456789abcdef"), 0xab1a7e)
 		if err != nil {
 			return 0, err
 		}
@@ -145,7 +144,7 @@ func E18Ablations(refs int) (*Table, error) {
 		eng, err := blockengine.New(blockengine.Config{
 			Name: "aegis-var-latency", Cipher: c, Mode: blockengine.LineCBC,
 			Timing: edu.PipelineTiming{Latency: lat, II: 1},
-			Gates:  products.AEGISGates, Salt: 1, IVMode: modes.IVCounter, WholeLineStall: true,
+			Gates:  products.AEGISGates, Salt: 1, WholeLineStall: true,
 		})
 		if err != nil {
 			return nil, err
@@ -178,16 +177,13 @@ func E19KeyManagement(refs int) (*Table, error) {
 		regions := make([]multikey.Region, trace.Processes)
 		for p := range trace.Processes {
 			base, limit := trace.ProcessRegion(p)
-			inner, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, uint64(p+1))
+			inner, err := products.AEGIS([]byte("0123456789abcdef"), uint64(p+1))
 			if err != nil {
 				return nil, err
 			}
 			regions[p] = multikey.Region{Base: base, Limit: limit, Engine: inner, Name: fmt.Sprintf("proc%d", p)}
 		}
-		// 20 cycles: reloading a retained key schedule from the on-chip
-		// key RAM (re-expansion would cost far more; retained schedules
-		// are the design point the key RAM area pays for).
-		return multikey.New(multikey.Config{Regions: regions, SwitchCycles: 20})
+		return multikey.New(regions)
 	}
 
 	for _, quantum := range []int{100, 500, 2000, 10000} {
@@ -209,7 +205,7 @@ func E19KeyManagement(refs int) (*Table, error) {
 		repMulti := sMulti.Run(tr)
 
 		// Single shared key over the whole space: the insecure baseline.
-		single, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 99)
+		single, err := products.AEGIS([]byte("0123456789abcdef"), 99)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/products"
 	"repro/internal/sim/soc"
@@ -32,7 +31,7 @@ func E22Hierarchy(refs int) (*Table, error) {
 		Header:     []string{"workload", "l2", "placement", "edu-lines", "filtered", "overhead", "verdict"},
 	}
 	mkEng := func() (edu.Engine, error) {
-		return products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0x22)
+		return products.AEGIS([]byte("0123456789abcdef"), 0x22)
 	}
 	type hierPoint struct {
 		l2Size     int

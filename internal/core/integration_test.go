@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/edu"
+	"repro/internal/sim/addrmap"
 	"repro/internal/sim/authtree"
 	"repro/internal/sim/soc"
 	"repro/internal/sim/trace"
@@ -222,7 +223,7 @@ func TestGilmontLeavesDataInClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	secretData := bytes.Repeat([]byte("USER PRIVATE DATA RECORD 00001! "), 4)
-	dataBase := uint64(CodeLimit) + 0x1000
+	dataBase := uint64(addrmap.CodeLimit) + 0x1000
 	if err := s.LoadImage(dataBase, secretData); err != nil {
 		t.Fatal(err)
 	}

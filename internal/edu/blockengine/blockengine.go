@@ -9,7 +9,9 @@
 //     main security weakness of that mode").
 //   - LineCBC: the AEGIS-style compromise — CBC chained within one cache
 //     line with an address-derived IV, so lines stay independently
-//     addressable while identical plaintexts differ.
+//     addressable while identical plaintexts differ. The IV takes a
+//     per-line write counter (modes.IVCounter), AEGIS's fix for the
+//     birthday attack on a fixed random vector.
 //   - CTR: the block cipher driven as a keystream generator from the bus
 //     address; the pad is computable before the data arrives, giving the
 //     stream cipher's latency-hiding with a block cipher's core.
@@ -63,8 +65,6 @@ type Config struct {
 	Gates int
 	// Salt keys the address-derived IVs (LineCBC) or the CTR nonce.
 	Salt uint64
-	// IVMode selects random-vector vs counter IVs for LineCBC.
-	IVMode modes.IVMode
 	// WholeLineStall, when true, forbids critical-word-first forwarding:
 	// "the fetch instruction cannot be provided to the processor until an
 	// entire cache block is deciphered" (the AEGIS behaviour). When
@@ -96,7 +96,7 @@ func New(cfg Config) (*Engine, error) {
 	case ECB:
 		e.ecb = modes.NewECB(cfg.Cipher)
 	case LineCBC:
-		e.lcbc = modes.NewBlockCBC(cfg.Cipher, cfg.IVMode, cfg.Salt)
+		e.lcbc = modes.NewBlockCBC(cfg.Cipher, modes.IVCounter, cfg.Salt)
 	case CTR:
 		e.ctr = modes.NewCTR(cfg.Cipher, cfg.Salt)
 	default:

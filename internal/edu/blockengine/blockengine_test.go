@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/crypto/aes"
 	"repro/internal/crypto/des"
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 )
 
@@ -22,7 +21,6 @@ func aesEngine(t testing.TB, mode Mode, whole bool) *Engine {
 		Timing:         edu.PipelineTiming{Latency: 14, II: 1},
 		Gates:          200000,
 		Salt:           7,
-		IVMode:         modes.IVCounter,
 		WholeLineStall: whole,
 	})
 	if err != nil {

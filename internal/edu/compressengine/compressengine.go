@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/edu"
+	"repro/internal/sim/addrmap"
 )
 
 // Config assembles the Figure 8 unit.
@@ -29,14 +30,13 @@ type Config struct {
 	// (original/compressed); the traffic model divides code-line bus
 	// sizes by it.
 	Ratio float64
-	// CodeLimit bounds the compressed region: only code compresses well.
-	CodeLimit uint64
 	// Inner is the encryption engine applied after compression (Fig. 8
 	// order); nil means compression-only (the CodePack baseline of E10).
 	Inner edu.Engine
-	// Gates is the decompressor area.
-	Gates int
 }
+
+// decompressorGates is the decompressor's area estimate.
+const decompressorGates = 20_000
 
 // Engine is a configured compression(+encryption) unit.
 type Engine struct{ cfg Config }
@@ -48,8 +48,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("compressengine: nil codec")
 	case cfg.Ratio <= 1.0:
 		return nil, fmt.Errorf("compressengine: ratio %.3f must exceed 1", cfg.Ratio)
-	case cfg.CodeLimit == 0:
-		return nil, fmt.Errorf("compressengine: zero code limit")
 	}
 	return &Engine{cfg}, nil
 }
@@ -72,14 +70,16 @@ func (e *Engine) BlockBytes() int {
 
 // Gates implements edu.Engine.
 func (e *Engine) Gates() int {
-	g := e.cfg.Gates
+	g := decompressorGates
 	if e.cfg.Inner != nil {
 		g += e.cfg.Inner.Gates()
 	}
 	return g
 }
 
-func (e *Engine) isCode(addr uint64) bool { return addr < e.cfg.CodeLimit }
+// isCode reports whether addr falls in the compressed region: only code,
+// below addrmap.CodeLimit, compresses well.
+func (e *Engine) isCode(addr uint64) bool { return addr < addrmap.CodeLimit }
 
 // EncryptLine implements edu.Engine: the data path applies the inner
 // cipher (the stored layout keeps line framing; compression affects the

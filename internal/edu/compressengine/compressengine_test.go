@@ -6,9 +6,8 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/edu/products"
+	"repro/internal/sim/addrmap"
 )
-
-const codeLimit = 1 << 20
 
 func newCodec(t testing.TB) (*compress.Codec, float64) {
 	t.Helper()
@@ -25,11 +24,10 @@ func newCodec(t testing.TB) (*compress.Codec, float64) {
 }
 
 func TestValidation(t *testing.T) {
-	codec, ratio := newCodec(t)
+	codec, _ := newCodec(t)
 	bad := []Config{
 		{},
-		{Codec: codec, Ratio: 0.9, CodeLimit: 1},
-		{Codec: codec, Ratio: ratio, CodeLimit: 0},
+		{Codec: codec, Ratio: 0.9},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -40,7 +38,7 @@ func TestValidation(t *testing.T) {
 
 func TestCompressionOnlyIdentityTransform(t *testing.T) {
 	codec, ratio := newCodec(t)
-	e, err := New(Config{Codec: codec, Ratio: ratio, CodeLimit: codeLimit, Gates: 20000})
+	e, err := New(Config{Codec: codec, Ratio: ratio})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,19 +61,19 @@ func TestCompressionOnlyIdentityTransform(t *testing.T) {
 
 func TestTransferBytesShrinksCodeOnly(t *testing.T) {
 	codec, ratio := newCodec(t)
-	e, _ := New(Config{Codec: codec, Ratio: ratio, CodeLimit: codeLimit})
+	e, _ := New(Config{Codec: codec, Ratio: ratio})
 	code := e.TransferBytes(0x1000, 32)
 	if code >= 32 || code < 32/2 {
 		t.Errorf("code transfer size %d implausible for ratio %.2f", code, ratio)
 	}
-	if e.TransferBytes(codeLimit+0x1000, 32) != 32 {
+	if e.TransferBytes(addrmap.CodeLimit+0x1000, 32) != 32 {
 		t.Error("data lines must move uncompressed")
 	}
 }
 
 func TestDecodeOverlap(t *testing.T) {
 	codec, ratio := newCodec(t)
-	e, _ := New(Config{Codec: codec, Ratio: ratio, CodeLimit: codeLimit})
+	e, _ := New(Config{Codec: codec, Ratio: ratio})
 	// Slow transfer hides the decode: only startup shows.
 	slow := e.ReadExtraCycles(0, 32, 100)
 	if slow != DecodeStartupCycles {
@@ -87,7 +85,7 @@ func TestDecodeOverlap(t *testing.T) {
 		t.Error("fast bus should expose decode time")
 	}
 	// Data lines cost nothing.
-	if e.ReadExtraCycles(codeLimit+64, 32, 2) != 0 {
+	if e.ReadExtraCycles(addrmap.CodeLimit+64, 32, 2) != 0 {
 		t.Error("data fill should be free in compression-only mode")
 	}
 }
@@ -98,7 +96,7 @@ func TestComposedWithEncryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Codec: codec, Ratio: ratio, CodeLimit: codeLimit, Inner: inner, Gates: 20000})
+	e, err := New(Config{Codec: codec, Ratio: ratio, Inner: inner})
 	if err != nil {
 		t.Fatal(err)
 	}

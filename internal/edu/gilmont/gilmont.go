@@ -18,19 +18,8 @@ import (
 	"fmt"
 
 	"repro/internal/crypto/des"
+	"repro/internal/sim/addrmap"
 )
-
-// Config assembles a Gilmont engine.
-type Config struct {
-	// Key is the 3-DES key (16 or 24 bytes).
-	Key []byte
-	// CodeLimit bounds the ciphered region: addresses below it are code
-	// (enciphered, predicted); addresses at or above it are data and
-	// pass through in clear, per the static-code-only design.
-	CodeLimit uint64
-	// Gates is the area estimate.
-	Gates int
-}
 
 const (
 	// pipelineLatency is the fully pipelined 3-DES core's depth: 48
@@ -40,11 +29,12 @@ const (
 	// predictedCost is the residual cycles on a correct prediction: the
 	// handoff from the prediction buffer.
 	predictedCost = 1
+	// gates is the area estimate: the 48-stage pipelined 3-DES core.
+	gates = 120_000
 )
 
 // Engine is a configured Gilmont unit.
 type Engine struct {
-	cfg  Config
 	tdes cipher.Block
 	// predicted is the line address the prediction unit has pre-deciphered.
 	predicted uint64
@@ -53,16 +43,13 @@ type Engine struct {
 	Hits, Misses uint64 // prediction hits/misses on enciphered fills
 }
 
-// New builds the engine.
-func New(cfg Config) (*Engine, error) {
-	t, err := des.NewTriple(cfg.Key)
+// New builds the engine from a 3-DES key (16 or 24 bytes).
+func New(key []byte) (*Engine, error) {
+	t, err := des.NewTriple(key)
 	if err != nil {
 		return nil, fmt.Errorf("gilmont: %w", err)
 	}
-	if cfg.CodeLimit == 0 {
-		return nil, fmt.Errorf("gilmont: zero code limit would cipher nothing")
-	}
-	return &Engine{cfg: cfg, tdes: t}, nil
+	return &Engine{tdes: t}, nil
 }
 
 // Name implements edu.Engine.
@@ -72,10 +59,13 @@ func (e *Engine) Name() string { return "gilmont-3des" }
 func (e *Engine) BlockBytes() int { return des.BlockSize }
 
 // Gates implements edu.Engine.
-func (e *Engine) Gates() int { return e.cfg.Gates }
+func (e *Engine) Gates() int { return gates }
 
-// isCode reports whether the line at addr falls in the ciphered region.
-func (e *Engine) isCode(addr uint64) bool { return addr < e.cfg.CodeLimit }
+// isCode reports whether the line at addr falls in the ciphered region:
+// addresses below addrmap.CodeLimit are code (enciphered, predicted);
+// the rest are data and pass through in clear, per the static-code-only
+// design.
+func (e *Engine) isCode(addr uint64) bool { return addr < addrmap.CodeLimit }
 
 // EncryptLine implements edu.Engine: ECB 3-DES over code lines, identity
 // over data (static code ciphering only).

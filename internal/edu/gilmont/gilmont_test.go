@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-)
 
-const codeLimit = 1 << 20
+	"repro/internal/sim/addrmap"
+)
 
 func newEngine(t testing.TB) *Engine {
 	t.Helper()
-	e, err := New(Config{Key: make([]byte, 24), CodeLimit: codeLimit, Gates: 120000})
+	e, err := New(make([]byte, 24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +18,8 @@ func newEngine(t testing.TB) *Engine {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{Key: make([]byte, 5), CodeLimit: 1}); err == nil {
+	if _, err := New(make([]byte, 5)); err == nil {
 		t.Error("bad key accepted")
-	}
-	if _, err := New(Config{Key: make([]byte, 24), CodeLimit: 0}); err == nil {
-		t.Error("zero code limit accepted")
 	}
 }
 
@@ -56,7 +53,7 @@ func TestCodeCipheredDataClear(t *testing.T) {
 		t.Error("code roundtrip failed")
 	}
 
-	e.EncryptLine(codeLimit+0x1000, ct, line) // data region
+	e.EncryptLine(addrmap.CodeLimit+0x1000, ct, line) // data region
 	if !bytes.Equal(ct, line) {
 		t.Error("data line was transformed (should pass in clear)")
 	}
@@ -95,10 +92,10 @@ func TestFetchPrediction(t *testing.T) {
 
 func TestDataReadsFree(t *testing.T) {
 	e := newEngine(t)
-	if e.ReadExtraCycles(codeLimit+64, 32, 20) != 0 {
+	if e.ReadExtraCycles(addrmap.CodeLimit+64, 32, 20) != 0 {
 		t.Error("data fill should cost nothing")
 	}
-	if e.WriteExtraCycles(codeLimit+64, 32) != 0 {
+	if e.WriteExtraCycles(addrmap.CodeLimit+64, 32) != 0 {
 		t.Error("data write should cost nothing")
 	}
 	// A 32-byte code line is four 3-DES blocks through the 48-stage

@@ -33,21 +33,15 @@ type Region struct {
 	Name string
 }
 
-// Config assembles the key-management unit.
-type Config struct {
-	// Regions are the process domains; they must not overlap and every
-	// access must fall inside one.
-	Regions []Region
-	// SwitchCycles is the key-reload penalty when the active domain
-	// changes between consecutive line transfers (key schedule reload
-	// from the on-chip key RAM).
-	SwitchCycles int
-}
+// switchCycles is the key-reload penalty when the active domain changes
+// between consecutive line transfers: reloading a retained key schedule
+// from the on-chip key RAM (re-expansion would cost far more; retained
+// schedules are the design point the key RAM area pays for).
+const switchCycles = 20
 
 // Engine is a configured multi-domain EDU.
 type Engine struct {
 	regions []Region
-	switchC uint64
 	// active is the index of the domain whose key schedule is loaded.
 	active    int
 	hasActive bool
@@ -55,15 +49,13 @@ type Engine struct {
 	Switches uint64
 }
 
-// New builds the unit, validating domain geometry.
-func New(cfg Config) (*Engine, error) {
-	if len(cfg.Regions) == 0 {
+// New builds the unit over the process domains, which must be
+// non-empty and must not overlap; every access must fall inside one.
+func New(regions []Region) (*Engine, error) {
+	if len(regions) == 0 {
 		return nil, fmt.Errorf("multikey: no regions")
 	}
-	if cfg.SwitchCycles < 0 {
-		return nil, fmt.Errorf("multikey: negative switch cost")
-	}
-	rs := append([]Region{}, cfg.Regions...)
+	rs := append([]Region{}, regions...)
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Base < rs[j].Base })
 	for i, r := range rs {
 		if r.Engine == nil {
@@ -76,7 +68,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("multikey: regions %q and %q overlap", rs[i-1].Name, r.Name)
 		}
 	}
-	return &Engine{regions: rs, switchC: uint64(cfg.SwitchCycles)}, nil
+	return &Engine{regions: rs}, nil
 }
 
 // lookup finds the domain for addr (-1 if none).
@@ -121,7 +113,7 @@ func (e *Engine) switchCost(addr uint64) uint64 {
 	cost := uint64(0)
 	if e.hasActive {
 		e.Switches++
-		cost = e.switchC
+		cost = switchCycles
 	}
 	e.active, e.hasActive = i, true
 	return cost

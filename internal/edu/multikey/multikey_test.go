@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/products"
 )
@@ -12,21 +11,18 @@ import (
 func domainEngine(t testing.TB, salt uint64) edu.Engine {
 	t.Helper()
 	key := []byte("0123456789abcdef")
-	e, err := products.AEGIS(key, modes.IVCounter, salt)
+	e, err := products.AEGIS(key, salt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-func twoDomains(t testing.TB, switchCycles int) *Engine {
+func twoDomains(t testing.TB) *Engine {
 	t.Helper()
-	e, err := New(Config{
-		Regions: []Region{
-			{Base: 0x0000, Limit: 0x10000, Engine: domainEngine(t, 1), Name: "procA"},
-			{Base: 0x10000, Limit: 0x20000, Engine: domainEngine(t, 2), Name: "procB"},
-		},
-		SwitchCycles: switchCycles,
+	e, err := New([]Region{
+		{Base: 0x0000, Limit: 0x10000, Engine: domainEngine(t, 1), Name: "procA"},
+		{Base: 0x10000, Limit: 0x20000, Engine: domainEngine(t, 2), Name: "procB"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,28 +31,25 @@ func twoDomains(t testing.TB, switchCycles int) *Engine {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("no regions accepted")
 	}
-	if _, err := New(Config{Regions: []Region{{Base: 0, Limit: 10}}}); err == nil {
+	if _, err := New([]Region{{Base: 0, Limit: 10}}); err == nil {
 		t.Error("nil domain engine accepted")
 	}
-	if _, err := New(Config{Regions: []Region{{Base: 10, Limit: 10, Engine: domainEngine(t, 1)}}}); err == nil {
+	if _, err := New([]Region{{Base: 10, Limit: 10, Engine: domainEngine(t, 1)}}); err == nil {
 		t.Error("empty region accepted")
 	}
-	if _, err := New(Config{Regions: []Region{
+	if _, err := New([]Region{
 		{Base: 0, Limit: 0x100, Engine: domainEngine(t, 1), Name: "a"},
 		{Base: 0x80, Limit: 0x200, Engine: domainEngine(t, 2), Name: "b"},
-	}}); err == nil {
+	}); err == nil {
 		t.Error("overlapping regions accepted")
-	}
-	if _, err := New(Config{Regions: []Region{{Base: 0, Limit: 1, Engine: domainEngine(t, 1)}}, SwitchCycles: -1}); err == nil {
-		t.Error("negative switch cost accepted")
 	}
 }
 
 func TestRoutingAndRoundtrip(t *testing.T) {
-	e := twoDomains(t, 50)
+	e := twoDomains(t)
 	line := []byte("a line belonging to process A!!!")[:32]
 	ct := make([]byte, 32)
 	e.EncryptLine(0x100, ct, line)
@@ -71,7 +64,7 @@ func TestRoutingAndRoundtrip(t *testing.T) {
 // ciphertext (different keys), and one domain's ciphertext does not
 // decrypt in the other.
 func TestDomainIsolation(t *testing.T) {
-	e := twoDomains(t, 0)
+	e := twoDomains(t)
 	line := bytes.Repeat([]byte{0x42}, 32)
 	ctA := make([]byte, 32)
 	ctB := make([]byte, 32)
@@ -83,7 +76,7 @@ func TestDomainIsolation(t *testing.T) {
 }
 
 func TestUnmappedAddressPanics(t *testing.T) {
-	e := twoDomains(t, 0)
+	e := twoDomains(t)
 	defer func() {
 		if recover() == nil {
 			t.Error("unmapped address did not panic")
@@ -93,9 +86,9 @@ func TestUnmappedAddressPanics(t *testing.T) {
 }
 
 // The context-switch tax: consecutive transfers within one domain are
-// free of reload cost; crossing domains pays SwitchCycles.
+// free of reload cost; crossing domains pays switchCycles.
 func TestSwitchCostCharging(t *testing.T) {
-	e := twoDomains(t, 50)
+	e := twoDomains(t)
 	inner := domainEngine(t, 1)
 	base := inner.ReadExtraCycles(0x100, 32, 40)
 
@@ -108,12 +101,12 @@ func TestSwitchCostCharging(t *testing.T) {
 		t.Errorf("same-domain cost %d, want %d", same, base)
 	}
 	cross := e.ReadExtraCycles(0x10100, 32, 40) // B: reload
-	if cross != base+50 {
-		t.Errorf("cross-domain cost %d, want %d", cross, base+50)
+	if cross != base+switchCycles {
+		t.Errorf("cross-domain cost %d, want %d", cross, base+switchCycles)
 	}
 	back := e.ReadExtraCycles(0x300, 32, 40) // back to A: reload again
-	if back != base+50 {
-		t.Errorf("return cost %d, want %d", back, base+50)
+	if back != base+switchCycles {
+		t.Errorf("return cost %d, want %d", back, base+switchCycles)
 	}
 	if e.Switches != 2 {
 		t.Errorf("switches = %d, want 2", e.Switches)
@@ -127,19 +120,19 @@ func TestSwitchCostCharging(t *testing.T) {
 }
 
 func TestWriteSwitchCost(t *testing.T) {
-	e := twoDomains(t, 50)
+	e := twoDomains(t)
 	inner := domainEngine(t, 1)
 	base := inner.WriteExtraCycles(0x100, 32)
 	e.WriteExtraCycles(0x100, 32)
 	got := e.WriteExtraCycles(0x10100, 32)
 	innerB := domainEngine(t, 2)
-	if got != innerB.WriteExtraCycles(0x10100, 32)+50 {
+	if got != innerB.WriteExtraCycles(0x10100, 32)+switchCycles {
 		t.Errorf("cross-domain write cost %d (domain base %d)", got, base)
 	}
 }
 
 func TestAggregateAccessors(t *testing.T) {
-	e := twoDomains(t, 10)
+	e := twoDomains(t)
 	if e.Name() != "multikey[2 domains]" {
 		t.Errorf("name %q", e.Name())
 	}

@@ -11,7 +11,7 @@
 //   - XOM: pipelined AES, "a low latency of 14 latency cycles, while a
 //     throughput of one encrypted/decrypted data per clock cycle".
 //   - AEGIS: pipelined AES (300,000 gates) in CBC mode chained per cache
-//     block, IV from block address plus random vector or counter.
+//     block, IV from block address plus a write counter.
 package products
 
 import (
@@ -30,14 +30,13 @@ import (
 // the paper's own figure; the others are order-of-magnitude estimates
 // for cores of that era, used only for relative area comparison.
 const (
-	BestGates    = 3_000   // substitution tables + transposition mux
-	DS5002Gates  = 8_000   // byte scrambler + address encryptor
-	DS5240Gates  = 30_000  // iterative 3-DES datapath
-	VLSIGates    = 45_000  // DES core + DMA engine + page buffer control
-	GIGates      = 60_000  // 3-DES CBC + CBC-MAC datapaths
-	XOMGates     = 200_000 // fully pipelined AES rounds
-	AEGISGates   = 300_000 // the survey's quoted figure
-	GilmontGates = 120_000 // 48-stage pipelined 3-DES
+	BestGates   = 3_000   // substitution tables + transposition mux
+	DS5002Gates = 8_000   // byte scrambler + address encryptor
+	DS5240Gates = 30_000  // iterative 3-DES datapath
+	VLSIGates   = 45_000  // DES core + DMA engine + page buffer control
+	GIGates     = 60_000  // 3-DES CBC + CBC-MAC datapaths
+	XOMGates    = 200_000 // fully pipelined AES rounds
+	AEGISGates  = 300_000 // the survey's quoted figure
 )
 
 // XOM builds the XOM-style engine: fully pipelined AES in ECB,
@@ -57,13 +56,12 @@ func XOM(key []byte) (edu.Engine, error) {
 }
 
 // AEGIS builds the AEGIS-style engine: pipelined AES in per-cache-block
-// CBC with address-bound IVs. ivMode selects the random vector (exposed
-// to the birthday attack) or the counter fix; the survey: "to thwart the
-// birthday attack it is possible to replace the random vector by a
-// counter". The whole-line stall reproduces "the fetch instruction
-// cannot be provided to the processor until an entire cache block is
-// deciphered".
-func AEGIS(key []byte, ivMode modes.IVMode, salt uint64) (edu.Engine, error) {
+// CBC with address-bound counter IVs (blockengine.LineCBC); the survey:
+// "to thwart the birthday attack it is possible to replace the random
+// vector by a counter". The whole-line stall reproduces "the fetch
+// instruction cannot be provided to the processor until an entire cache
+// block is deciphered".
+func AEGIS(key []byte, salt uint64) (edu.Engine, error) {
 	c, err := aes.New(key)
 	if err != nil {
 		return nil, fmt.Errorf("products: aegis: %w", err)
@@ -75,7 +73,6 @@ func AEGIS(key []byte, ivMode modes.IVMode, salt uint64) (edu.Engine, error) {
 		Timing:         edu.PipelineTiming{Latency: 14, II: 1},
 		Gates:          AEGISGates,
 		Salt:           salt,
-		IVMode:         ivMode,
 		WholeLineStall: true,
 	})
 }
@@ -338,36 +335,28 @@ func (e *DS5240) NeedsRMW(writeBytes int) bool { return writeBytes < des.BlockSi
 // trusted" — the model takes that trust as given.
 type VLSI struct {
 	c        *modes.ECB
-	pageBits uint
-	capacity int
 	timing   edu.PipelineTiming
-	resident map[uint64]uint64 // page base -> last-use tick
+	resident map[uint64]uint64 // page number -> last-use tick
 	tick     uint64
 	// Stats
 	PageHits, PageFaults uint64
 }
 
-// NewVLSI builds the engine: a DES core, pageSize bytes per DMA page
-// (power of two), and capacity pages of internal memory.
-func NewVLSI(key []byte, pageSize, capacity int) (*VLSI, error) {
+// The VLSI page geometry: 4 KiB DMA pages, 8 of them resident in
+// internal memory.
+const (
+	vlsiPageBits = 12
+	vlsiPages    = 8
+)
+
+// NewVLSI builds the engine around a DES core keyed by key.
+func NewVLSI(key []byte) (*VLSI, error) {
 	c, err := des.New(key)
 	if err != nil {
 		return nil, fmt.Errorf("products: vlsi: %w", err)
 	}
-	if pageSize <= 0 || pageSize&(pageSize-1) != 0 {
-		return nil, fmt.Errorf("products: vlsi: page size %d not a power of two", pageSize)
-	}
-	if capacity <= 0 {
-		return nil, fmt.Errorf("products: vlsi: non-positive capacity")
-	}
-	bits := uint(0)
-	for 1<<bits < pageSize {
-		bits++
-	}
 	return &VLSI{
 		c:        modes.NewECB(c),
-		pageBits: bits,
-		capacity: capacity,
 		timing:   edu.PipelineTiming{Latency: des.Rounds, II: des.Rounds},
 		resident: make(map[uint64]uint64),
 	}, nil
@@ -405,7 +394,7 @@ const PageFaultSetupCycles = 32
 // page. Background contention is not modeled; the trust assumption (the
 // OS programs the DMA) is the patent's own.
 func (v *VLSI) ReadExtraCycles(addr uint64, lineBytes int, transferCycles uint64) uint64 {
-	page := addr >> v.pageBits
+	page := addr >> vlsiPageBits
 	v.tick++
 	if _, ok := v.resident[page]; ok {
 		v.resident[page] = v.tick //repro:allow LRU touch stores to an existing key; no growth on the hit path
@@ -413,7 +402,7 @@ func (v *VLSI) ReadExtraCycles(addr uint64, lineBytes int, transferCycles uint64
 		return 0
 	}
 	v.PageFaults++
-	if len(v.resident) >= v.capacity {
+	if len(v.resident) >= vlsiPages {
 		// Evict the least recently used page.
 		var victim uint64
 		var oldest uint64 = ^uint64(0)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/crypto/des"
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 )
 
@@ -37,7 +36,7 @@ func TestAllEnginesRoundtripAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aegis, err := AEGIS(make([]byte, 16), modes.IVCounter, 1)
+	aegis, err := AEGIS(make([]byte, 16), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +56,7 @@ func TestAllEnginesRoundtripAndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vlsi, err := NewVLSI(make([]byte, 8), 4096, 4)
+	vlsi, err := NewVLSI(make([]byte, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := XOM(make([]byte, 5)); err == nil {
 		t.Error("XOM bad key accepted")
 	}
-	if _, err := AEGIS(make([]byte, 5), modes.IVCounter, 0); err == nil {
+	if _, err := AEGIS(make([]byte, 5), 0); err == nil {
 		t.Error("AEGIS bad key accepted")
 	}
 	if _, err := NewGeneralInstrument(make([]byte, 5)); err == nil {
@@ -98,16 +97,13 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewDS5240(make([]byte, 5)); err == nil {
 		t.Error("DS5240 bad key accepted")
 	}
-	if _, err := NewVLSI(make([]byte, 8), 1000, 4); err == nil {
-		t.Error("VLSI non-pow2 page accepted")
-	}
-	if _, err := NewVLSI(make([]byte, 8), 4096, 0); err == nil {
-		t.Error("VLSI zero capacity accepted")
+	if _, err := NewVLSI(make([]byte, 5)); err == nil {
+		t.Error("VLSI bad key accepted")
 	}
 }
 
 func TestAegisQuotedParameters(t *testing.T) {
-	e, _ := AEGIS(make([]byte, 16), modes.IVCounter, 1)
+	e, _ := AEGIS(make([]byte, 16), 1)
 	if e.Gates() != 300_000 {
 		t.Errorf("AEGIS gates = %d, want the survey's 300,000", e.Gates())
 	}
@@ -202,28 +198,28 @@ func TestDS5240IterativeCost(t *testing.T) {
 // VLSI: page-resident fills are free, page faults pay the page
 // decipherment, and the LRU page buffer works.
 func TestVLSIPageBuffer(t *testing.T) {
-	v, _ := NewVLSI(make([]byte, 8), 4096, 2)
-	if 1<<v.pageBits != 4096 {
-		t.Errorf("page size %d", 1<<v.pageBits)
-	}
+	v, _ := NewVLSI(make([]byte, 8))
 	fault := v.ReadExtraCycles(0x0000, 32, 20)
 	if fault == 0 {
 		t.Error("first touch should fault")
 	}
-	hit := v.ReadExtraCycles(0x0040, 32, 20) // same page
+	hit := v.ReadExtraCycles(0x0040, 32, 20) // same 4 KiB page
 	if hit != 0 {
 		t.Errorf("resident page fill cost %d, want 0", hit)
 	}
-	v.ReadExtraCycles(0x1000, 32, 20) // page 1 (fault)
-	v.ReadExtraCycles(0x2000, 32, 20) // page 2 (fault, evicts page 0: LRU)
+	// Pages 1..vlsiPages fault in; the last one evicts page 0, the
+	// least recently used.
+	for p := uint64(1); p <= vlsiPages; p++ {
+		v.ReadExtraCycles(p<<12, 32, 20)
+	}
 	if got := v.ReadExtraCycles(0x0000, 32, 20); got == 0 {
 		t.Error("evicted page should fault again")
 	}
-	if v.PageFaults != 4 || v.PageHits != 1 {
+	if v.PageFaults != vlsiPages+2 || v.PageHits != 1 {
 		t.Errorf("fault accounting: faults=%d hits=%d", v.PageFaults, v.PageHits)
 	}
-	if v.PageFaultRate() != 0.8 {
-		t.Errorf("fault rate %v", v.PageFaultRate())
+	if want := float64(vlsiPages+2) / float64(vlsiPages+3); v.PageFaultRate() != want {
+		t.Errorf("fault rate %v, want %v", v.PageFaultRate(), want)
 	}
 	if v.WriteExtraCycles(0, 32) != 0 || v.NeedsRMW(1) {
 		t.Error("VLSI internal-buffer writes should be free of RMW")

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/products"
 	"repro/internal/obs/rec"
@@ -93,7 +92,7 @@ func (c crossingCase) name() string {
 // runCrossing runs one shape and returns its three digests.
 func runCrossing(t *testing.T, c crossingCase) (report, image, events string) {
 	t.Helper()
-	eng, err := products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xae915)
+	eng, err := products.AEGIS([]byte("0123456789abcdef"), 0xae915)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/crypto/modes"
 	"repro/internal/edu"
 	"repro/internal/edu/products"
 	"repro/internal/obs"
@@ -155,7 +154,7 @@ func TestBaselinesMatchFresh(t *testing.T) {
 	}{
 		{"null", func() (edu.Engine, error) { return edu.Null{}, nil }},
 		{"fixed", func() (edu.Engine, error) { return fixedEngine{block: 16, readCost: 7, writeCost: 3}, nil }},
-		{"aes", func() (edu.Engine, error) { return products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xb5) }},
+		{"aes", func() (edu.Engine, error) { return products.AEGIS([]byte("0123456789abcdef"), 0xb5) }},
 	}
 	verifiers := []struct {
 		name string
@@ -476,7 +475,7 @@ func TestWriteThroughPreservesDRAM(t *testing.T) {
 		"xor-1":  func() (edu.Engine, error) { return fixedEngine{block: 1}, nil },
 		"xor-16": func() (edu.Engine, error) { return fixedEngine{block: 16}, nil },
 		"aegis": func() (edu.Engine, error) {
-			return products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xae915)
+			return products.AEGIS([]byte("0123456789abcdef"), 0xae915)
 		},
 	}
 	for name, build := range engines {
@@ -767,7 +766,7 @@ func TestL2DataPathConsistency(t *testing.T) {
 	engines := map[string]func() (edu.Engine, error){
 		"xor-16": func() (edu.Engine, error) { return fixedEngine{block: 16}, nil },
 		"aegis": func() (edu.Engine, error) {
-			return products.AEGIS([]byte("0123456789abcdef"), modes.IVCounter, 0xae915)
+			return products.AEGIS([]byte("0123456789abcdef"), 0xae915)
 		},
 	}
 	for name, build := range engines {

@@ -6,7 +6,11 @@
 //repro:deterministic
 package trace
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/sim/addrmap"
+)
 
 // RefSource is an ordered stream of memory references — the interface
 // the SoC simulator consumes. A source generates references on demand,
@@ -154,7 +158,7 @@ func CodeOnlySource(cfg Config) RefSource {
 // through the cache; see internal/attack.Schedule).
 func FirmwareSource(cfg Config) RefSource {
 	cfg.CodeBase, cfg.CodeSize = 0, 16<<10
-	cfg.DataBase, cfg.DataSize = 0x4000_0000, 32<<10
+	cfg.DataBase, cfg.DataSize = addrmap.DataBase, 32<<10
 	return newGen("firmware", cfg, (*gen).sequential)
 }
 

@@ -11,6 +11,8 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/sim/addrmap"
 )
 
 // Kind distinguishes the three reference types an in-order core issues.
@@ -109,7 +111,7 @@ func (c *Config) fill() {
 		c.CodeBase, c.CodeSize = 0x0000_0000, 1<<20
 	}
 	if c.DataSize == 0 {
-		c.DataBase, c.DataSize = 0x4000_0000, 4<<20
+		c.DataBase, c.DataSize = addrmap.DataBase, 4<<20
 	}
 }
 
