@@ -210,7 +210,7 @@ func TestVLSIPageBuffer(t *testing.T) {
 	// Pages 1..vlsiPages fault in; the last one evicts page 0, the
 	// least recently used.
 	for p := uint64(1); p <= vlsiPages; p++ {
-		v.ReadExtraCycles(p<<12, 32, 20)
+		v.ReadExtraCycles(p<<vlsiPageBits, 32, 20)
 	}
 	if got := v.ReadExtraCycles(0x0000, 32, 20); got == 0 {
 		t.Error("evicted page should fault again")

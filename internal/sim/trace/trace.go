@@ -88,7 +88,9 @@ type Config struct {
 	Seed int64
 	// CodeBase/CodeSize bound the instruction region (bytes).
 	CodeBase, CodeSize uint64
-	// DataBase/DataSize bound the data region (bytes).
+	// DataBase/DataSize bound the data region (bytes). fill places an
+	// unset region (DataSize 0) at addrmap.DataBase; a DataSize set
+	// without a DataBase leaves the region at address 0.
 	DataBase, DataSize uint64
 	// JumpRate is the probability a fetch redirects to a random code
 	// address instead of falling through — the survey's "random data
